@@ -112,9 +112,7 @@ def _skip(name: str, entry: CatalogEntry, max_n: int, reason: str) -> CheckRepor
 def _run_axioms(r: Runner) -> None:
     entry, n = r.entry, r.max_n
     for m in range(n + 1):
-        rep = transport_check(entry.species, GroundSet.first(m))
-        rep.species = entry.key
-        r.reports.append(rep)
+        rep = r.run(False, _transport, entry, m)
         if rep.status != "pass":
             break
     r.run(False, engine.check_naturality, entry, n)
@@ -126,6 +124,12 @@ def _run_axioms(r: Runner) -> None:
             expected_fail = not _expect(entry, "commutative")
         r.run(expected_fail, engine.check_axiom, h, axiom, n)
     r.run(False, engine.check_delta_nabla_identity, h, n)
+
+
+def _transport(entry: CatalogEntry, m: int) -> CheckReport:
+    rep = transport_check(entry.species, GroundSet.first(m))
+    rep.species = entry.key
+    return rep
 
 
 def _run_ssd(r: Runner) -> None:
@@ -612,19 +616,19 @@ def main(argv=None) -> int:
     if args.max_n < 0:
         print("max-n must be nonnegative", file=sys.stderr)
         return 1
-    if args.max_n > engine.hard_ceiling():
-        print(f"max-n {args.max_n} exceeds the ceiling {engine.hard_ceiling()} "
-              f"(set SPECIES_FORGE_CEILING for CI soak runs)", file=sys.stderr)
-        return 1
-    if args.max_n == 5:
-        print("warning: n = 5 components are large; expect a long run",
-              file=sys.stderr)
     try:
-        code = args.fn(args)
+        ceiling = engine.hard_ceiling()
+        if args.max_n > ceiling:
+            print(f"max-n {args.max_n} exceeds the ceiling {ceiling} "
+                  f"(set SPECIES_FORGE_CEILING for CI soak runs)", file=sys.stderr)
+            return 1
+        if args.max_n == 5:
+            print("warning: n = 5 components are large; expect a long run",
+                  file=sys.stderr)
+        return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return code
 
 
 if __name__ == "__main__":

@@ -40,7 +40,13 @@ class FatalInconsistency(Exception):
 
 def hard_ceiling() -> int:
     env = os.environ.get("SPECIES_FORGE_CEILING")
-    return int(env) if env else SOFT_CEILING
+    if not env:
+        return SOFT_CEILING
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(
+            f"SPECIES_FORGE_CEILING must be an integer, got {env!r}") from None
 
 
 def guard_max_n(max_n: int) -> None:
@@ -267,9 +273,22 @@ def iterate_delta(h: LinearizedHopf, parts: tuple[GroundSet, ...], v: Vec,
 
 # ---------------------------------------------------------------------------
 # axiom checks
+#
+# Each axiom has two routes over the same decompositions.  The linear route
+# builds the diagram's vectors.  The set-level route applies when every map
+# in the diagram is linearized (nabla^mu sends a basis pair to one basis
+# element, Delta^pi sends a basis element to one basis pair): such a diagram
+# holds as vectors exactly when it holds on the elements mu and pi return,
+# so it compares those and builds no Vec.  Its witnesses are the linear
+# ones, since a basis Vec prints as its element and a basis TensorVec as its
+# key joined by " (x) ".
 
 AXIOMS = ("associative", "commutative", "unital",
           "coassociative", "cocommutative", "counital", "hopf_compatible")
+
+# Up to this n the linear route also runs beside the set-level one, and a
+# split in verdict or witness is fatal.
+ORACLE_MAX_N = 2
 
 
 def _basis_vec(x: Element) -> Vec:
@@ -280,25 +299,65 @@ def check_axiom(h: LinearizedHopf, axiom: str, max_n: int = DEFAULT_MAX_N) -> Ch
     """Exhaustively verify one defining diagram over every {1..n}, n <= max_n.
 
     The witness, when present, is the first (hence size-minimal) failing
-    instance in the fixed enumeration order.
+    instance in the fixed enumeration order.  A diagram of linearized maps
+    is checked at set level, with the linear route as an oracle for
+    n <= ORACLE_MAX_N (``FatalInconsistency`` on a split).  The set-level
+    route raises ``ValueError`` on a rule result over the wrong ground set.
     """
     guard_max_n(max_n)
-    checker = {
-        "associative": _assoc, "commutative": _comm, "unital": _unital,
-        "coassociative": _coassoc, "cocommutative": _cocomm, "counital": _counital,
-        "hopf_compatible": _hopf_compat,
-    }.get(axiom)
-    if checker is None:
+    route = _AXIOM_ROUTES.get(axiom)
+    if route is None:
         raise ValueError(f"unknown axiom {axiom!r}; one of {AXIOMS}")
+    parts, uses, linear, set_level = route
+    if not uses <= _linearized_maps(h):
+        set_level = None
     for n in range(max_n + 1):
-        witness = checker(h, GroundSet.first(n))
+        I = GroundSet.first(n)
+        decs = decompositions(I, parts) if parts else ()
+        if set_level is None:
+            witness = linear(h, I, decs)
+        else:
+            witness = set_level(h, I, decs)
+            if n <= ORACLE_MAX_N:
+                oracle = linear(h, I, decs)
+                if oracle != witness:
+                    raise FatalInconsistency(
+                        f"set-level and linear {axiom} checks disagree for {h.name} at n={n}",
+                        witness={"set_level": witness, "linear": oracle})
         if witness is not None:
             return CheckReport(axiom, h.name, n, "fail", witness)
     return CheckReport(axiom, h.name, max_n, "pass")
 
 
-def _assoc(h, I):
-    for R, S, T in decompositions(I, 3):
+def _linearized_maps(h: LinearizedHopf) -> set:
+    """Which of h's maps send basis elements to basis elements."""
+    out = set()
+    if isinstance(h.product, MuProduct):
+        out.add("mu")
+    if isinstance(h.coproduct, PiCoproduct):
+        out.add("pi")
+    return out
+
+
+def _over(ground: GroundSet, z: Element) -> Element:
+    """z, checked to be the result of a rule over ``ground``."""
+    if z.ground != ground:
+        raise ValueError(f"rule result {z} lives over {z.ground}, not {ground}")
+    return z
+
+
+def _split(pi: ComultSystem, S: GroundSet, T: GroundSet, z: Element) -> tuple:
+    """pi(S, T, z), checked to live over (S, T)."""
+    a, b = pi(S, T, z)
+    return _over(S, a), _over(T, b)
+
+
+def _tensor_str(key: tuple) -> str:
+    return " (x) ".join(map(str, key))
+
+
+def _assoc(h, I, decs):
+    for R, S, T in decs:
         for x in h.basis.elements(R):
             for y in h.basis.elements(S):
                 for z in h.basis.elements(T):
@@ -313,8 +372,27 @@ def _assoc(h, I):
     return None
 
 
-def _comm(h, I):
-    for S, T in decompositions(I, 2):
+def _assoc_set(h, I, decs):
+    mu, elements = h.product.mu, h.basis.elements
+    for R, S, T in decs:
+        RS, ST = R.union(S), S.union(T)
+        ys, zs = elements(S), elements(T)
+        yzs = [[_over(ST, mu(S, T, y, z)) for z in zs] for y in ys]
+        for x in elements(R):
+            for y, yz_row in zip(ys, yzs):
+                xy = _over(RS, mu(R, S, x, y))
+                for z, yz in zip(zs, yz_row):
+                    lhs = _over(I, mu(RS, T, xy, z))
+                    rhs = _over(I, mu(R, ST, x, yz))
+                    if lhs != rhs:
+                        return {"decomposition": [list(R), list(S), list(T)],
+                                "inputs": [str(x), str(y), str(z)],
+                                "lhs": str(lhs), "rhs": str(rhs)}
+    return None
+
+
+def _comm(h, I, decs):
+    for S, T in decs:
         for x in h.basis.elements(S):
             for y in h.basis.elements(T):
                 lhs = h.product.on_basis(S, T, x, y)
@@ -326,7 +404,21 @@ def _comm(h, I):
     return None
 
 
-def _unital(h, I):
+def _comm_set(h, I, decs):
+    mu, elements = h.product.mu, h.basis.elements
+    for S, T in decs:
+        for x in elements(S):
+            for y in elements(T):
+                lhs = _over(I, mu(S, T, x, y))
+                rhs = _over(I, mu(T, S, y, x))
+                if lhs != rhs:
+                    return {"decomposition": [list(S), list(T)],
+                            "inputs": [str(x), str(y)],
+                            "lhs": str(lhs), "rhs": str(rhs)}
+    return None
+
+
+def _unital(h, I, decs):
     try:
         u = h.unit()
     except ValueError as exc:
@@ -339,8 +431,22 @@ def _unital(h, I):
     return None
 
 
-def _coassoc(h, I):
-    for R, S, T in decompositions(I, 3):
+def _unital_set(h, I, decs):
+    try:
+        u = h.unit()
+    except ValueError as exc:
+        return {"error": str(exc)}
+    mu = h.product.mu
+    for x in h.basis.elements(I):
+        left = _over(I, mu(EMPTY, I, u, x))
+        right = _over(I, mu(I, EMPTY, x, u))
+        if left != x or right != x:
+            return {"inputs": [str(x)], "left": str(left), "right": str(right)}
+    return None
+
+
+def _coassoc(h, I, decs):
+    for R, S, T in decs:
         for z in h.basis.elements(I):
             t1 = h.delta(R.union(S), T, _basis_vec(z))
             lhs = apply_delta_at(h, t1, 0, R, S)
@@ -352,8 +458,24 @@ def _coassoc(h, I):
     return None
 
 
-def _cocomm(h, I):
-    for S, T in decompositions(I, 2):
+def _coassoc_set(h, I, decs):
+    pi, zs = h.coproduct.pi, h.basis.elements(I)
+    for R, S, T in decs:
+        RS, ST = R.union(S), S.union(T)
+        for z in zs:
+            rs, t = _split(pi, RS, T, z)
+            lhs = _split(pi, R, S, rs) + (t,)
+            r, st = _split(pi, R, ST, z)
+            rhs = (r,) + _split(pi, S, T, st)
+            if lhs != rhs:
+                return {"decomposition": [list(R), list(S), list(T)],
+                        "inputs": [str(z)],
+                        "lhs": _tensor_str(lhs), "rhs": _tensor_str(rhs)}
+    return None
+
+
+def _cocomm(h, I, decs):
+    for S, T in decs:
         for z in h.basis.elements(I):
             lhs = h.delta(S, T, _basis_vec(z))
             rhs = h.delta(T, S, _basis_vec(z)).twist((1, 0))
@@ -363,7 +485,20 @@ def _cocomm(h, I):
     return None
 
 
-def _counital(h, I):
+def _cocomm_set(h, I, decs):
+    pi, zs = h.coproduct.pi, h.basis.elements(I)
+    for S, T in decs:
+        for z in zs:
+            lhs = _split(pi, S, T, z)
+            rhs = _split(pi, T, S, z)[::-1]
+            if lhs != rhs:
+                return {"decomposition": [list(S), list(T)],
+                        "inputs": [str(z)],
+                        "lhs": _tensor_str(lhs), "rhs": _tensor_str(rhs)}
+    return None
+
+
+def _counital(h, I, decs):
     try:
         u = h.unit()
     except ValueError as exc:
@@ -376,11 +511,26 @@ def _counital(h, I):
     return None
 
 
-def _hopf_compat(h, I):
+def _counital_set(h, I, decs):
+    try:
+        u = h.unit()
+    except ValueError as exc:
+        return {"error": str(exc)}
+    pi = h.coproduct.pi
+    for z in h.basis.elements(I):
+        left = _split(pi, EMPTY, I, z)
+        right = _split(pi, I, EMPTY, z)
+        if left != (u, z) or right != (z, u):
+            return {"inputs": [str(z)],
+                    "left": _tensor_str(left), "right": _tensor_str(right)}
+    return None
+
+
+def _hopf_compat(h, I, decs):
     # The bottom path twists (A, B, A', B') -> (A, A', B, B'); this is the
     # displayed convention, and the only place the twist enters any checker.
-    for R, Rp in decompositions(I, 2):
-        for S, Sp in decompositions(I, 2):
+    for R, Rp in decs:
+        for S, Sp in decs:
             A, B = R.intersect(S), R.intersect(Sp)
             Ap, Bp = Rp.intersect(S), Rp.intersect(Sp)
             for x in h.basis.elements(R):
@@ -396,6 +546,40 @@ def _hopf_compat(h, I):
                                 "inputs": [str(x), str(y)],
                                 "top": str(top), "bottom": str(bottom)}
     return None
+
+
+def _hopf_compat_set(h, I, decs):
+    # Same twist as _hopf_compat: the bottom path multiplies the A-parts of
+    # x and y together, then the B-parts.
+    mu, pi, elements = h.product.mu, h.coproduct.pi, h.basis.elements
+    for R, Rp in decs:
+        for S, Sp in decs:
+            A, B = R.intersect(S), R.intersect(Sp)
+            Ap, Bp = Rp.intersect(S), Rp.intersect(Sp)
+            for x in elements(R):
+                a, b = _split(pi, A, B, x)
+                for y in elements(Rp):
+                    top = _split(pi, S, Sp, _over(I, mu(R, Rp, x, y)))
+                    ap, bp = _split(pi, Ap, Bp, y)
+                    bottom = (_over(S, mu(A, Ap, a, ap)), _over(Sp, mu(B, Bp, b, bp)))
+                    if top != bottom:
+                        return {"R": list(R), "Rp": list(Rp), "S": list(S), "Sp": list(Sp),
+                                "inputs": [str(x), str(y)],
+                                "top": _tensor_str(top), "bottom": _tensor_str(bottom)}
+    return None
+
+
+# axiom -> (parts per decomposition, 0 for none; the linearized maps the
+# set-level route needs; linear checker; set-level checker)
+_AXIOM_ROUTES = {
+    "associative": (3, {"mu"}, _assoc, _assoc_set),
+    "commutative": (2, {"mu"}, _comm, _comm_set),
+    "unital": (0, {"mu"}, _unital, _unital_set),
+    "coassociative": (3, {"pi"}, _coassoc, _coassoc_set),
+    "cocommutative": (2, {"pi"}, _cocomm, _cocomm_set),
+    "counital": (0, {"pi"}, _counital, _counital_set),
+    "hopf_compatible": (2, {"mu", "pi"}, _hopf_compat, _hopf_compat_set),
+}
 
 
 def check_delta_nabla_identity(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> CheckReport:
@@ -509,7 +693,8 @@ def _selfcompat_direct(mu: MultSystem, max_n: int):
     entry = CatalogEntry(mu.species.name, mu.species, mu, None)
     h = hopf_from(entry, "mu", "mu")
     for n in range(max_n + 1):
-        w = _hopf_compat(h, GroundSet.first(n))
+        I = GroundSet.first(n)
+        w = _hopf_compat(h, I, decompositions(I, 2))
         if w is not None:
             return False, {"mode": "direct", "n": n, **w}
     return True, None
@@ -594,7 +779,8 @@ def check_fsd(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     """
     guard_max_n(max_n)
     for n in range(max_n + 1):
-        w = _hopf_compat(h, GroundSet.first(n))
+        I = GroundSet.first(n)
+        w = _hopf_compat(h, I, decompositions(I, 2))
         if w is not None:
             return CheckReport("fsd", h.name, n, "fail",
                                {"reason": "not hopf compatible", **w})

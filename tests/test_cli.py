@@ -30,6 +30,14 @@ def test_ceiling_enforced(capsys):
     assert "ceiling" in err
 
 
+def test_bad_ceiling_variable_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("SPECIES_FORGE_CEILING", "abc")
+    code, out, err = run_cli(capsys, "check", "--species", "Pi", "--max-n", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "SPECIES_FORGE_CEILING" in err
+
+
 def test_check_axioms_json_shape(capsys):
     code, out, _ = run_cli(capsys, "check", "--species", "Pi",
                            "--suite", "axioms", "--max-n", "2")
@@ -192,6 +200,25 @@ def test_fail_fast_stops_after_unexpected():
     r.run(False, lambda: CheckReport("x", "Pi", 2, "fail"))
     assert r.stopped
     assert r.run(False, lambda: CheckReport("y", "Pi", 2, "pass")) is None
+
+
+def test_failing_transport_row_stops_fail_fast():
+    from species_forge.catalog import CatalogEntry, MultSystem
+    from species_forge.cli import Runner, _run_axioms
+    from species_forge.controls import label_dropping_species
+    from species_forge.core import LabeledPartitionElt
+
+    sp = label_dropping_species()
+    mu = MultSystem(sp, lambda S, T, x, y: LabeledPartitionElt(S.union(T), x.blocks + y.blocks))
+    entry = CatalogEntry("broken", sp, mu, None)
+    r = Runner(entry, 2, 0, True)
+    _run_axioms(r)
+    assert [(rep.check, rep.species, rep.n, rep.status) for rep in r.reports] == [
+        ("transport", "broken", 0, "pass"), ("transport", "broken", 1, "fail")]
+    assert r.stopped and r.exit_code() == 1
+    r = Runner(entry, 2, 0, False)
+    _run_axioms(r)
+    assert len(r.reports) > 2          # without fail-fast the suite goes on
 
 
 def test_E_C0_is_degenerate_but_valid(capsys):

@@ -2,14 +2,16 @@
 
 import pytest
 
+from species_forge import engine as eng
 from species_forge.catalog import (
-    make_E, make_E_C, make_L, make_Perm, make_Pi, make_S,
+    CatalogEntry, make_E, make_E_C, make_L, make_Perm, make_Pi, make_S,
+    parse_species, with_derived_pi,
 )
 from species_forge.core import (
     EMPTY, GroundSet, LinearOrderElt, SetPartitionElt, TensorVec, Vec,
     decompositions,
 )
-from species_forge.controls import perturbed_systems
+from species_forge.controls import _MAKERS, _grid, perturbed_systems
 from species_forge.engine import (
     AXIOMS, FatalInconsistency, check_antipode_convolution, check_axiom,
     check_delta_nabla_identity, check_dual_tables, check_fsd,
@@ -187,8 +189,8 @@ def test_S_union_ssd_triple_is_fsd():
     assert check_fsd(hopf_from(entry, "mu", "mu"), 3).ok
 
 
-def test_selfcompat_precondition_reported():
-    # a product that is not even associative is skipped with the reason
+def _interleave_system():
+    # a product that is not even associative: it alternates the two sequences
     from species_forge.catalog import MultSystem
     from species_forge.core import LinearOrderElt, SetSpecies
     import itertools as it
@@ -202,7 +204,6 @@ def test_selfcompat_precondition_reported():
     sp = SetSpecies("interleave", elements, transport)
 
     def rule(S, T, x, y):
-        # alternate elements of the two sequences: associativity fails
         seq, a, b = [], list(x.seq), list(y.seq)
         while a or b:
             if a:
@@ -211,7 +212,12 @@ def test_selfcompat_precondition_reported():
                 seq.append(b.pop(0))
         return LinearOrderElt(S.union(T), tuple(seq))
 
-    rep = check_self_compatible(MultSystem(sp, rule), "both", 3,
+    return MultSystem(sp, rule)
+
+
+def test_selfcompat_precondition_reported():
+    # a product that is not even associative is skipped with the reason
+    rep = check_self_compatible(_interleave_system(), "both", 3,
                                 species_key="interleave")
     assert rep.status == "skip"
     assert rep.witness["precondition"]["axiom"] == "associative"
@@ -368,3 +374,96 @@ def test_preorder_rectangle_Pi_n4(entries):
 
 def test_preorder_rectangle_Perm_n4(entries):
     assert check_preorder_rectangle(entries["Perm"], 4, 3).ok
+
+
+# ---------------------------------------------------------------------------
+# the set-level and linear routes of check_axiom
+
+def _route_report(checker, h, axiom, max_n):
+    """(status, n, witness) of one route, looping n as check_axiom does."""
+    parts = eng._AXIOM_ROUTES[axiom][0]
+    for n in range(max_n + 1):
+        I = GroundSet.first(n)
+        witness = checker(h, I, decompositions(I, parts) if parts else ())
+        if witness is not None:
+            return "fail", n, witness
+    return "pass", max_n, None
+
+
+def _assert_routes_agree(h, max_n=3):
+    """Both routes, and check_axiom itself, report the same (status, n,
+    witness) for every axiom the set-level route applies to; returns those
+    axioms."""
+    applied = []
+    for axiom, (_parts, uses, linear, set_level) in eng._AXIOM_ROUTES.items():
+        if not uses <= eng._linearized_maps(h):
+            continue
+        fast = _route_report(set_level, h, axiom, max_n)
+        assert fast == _route_report(linear, h, axiom, max_n), (h.name, axiom)
+        rep = check_axiom(h, axiom, max_n)
+        assert (rep.status, rep.n, rep.witness) == fast, (h.name, axiom)
+        applied.append(axiom)
+    return applied
+
+
+@pytest.mark.parametrize("family,args", _grid(), ids=str)
+def test_routes_agree_on_control_systems(family, args):
+    ps = _MAKERS[family](*args)
+    entry = CatalogEntry(ps.key, ps.mu.species, ps.mu, None)
+    applied = _assert_routes_agree(hopf_from(entry, "mu", "mu"))
+    assert applied == ["associative", "commutative", "unital"]
+
+
+_SET_LEVEL_VARIANTS = {"mu-pi": AXIOMS,
+                       "mu-mu": ("associative", "commutative", "unital"),
+                       "pi-pi": ("coassociative", "cocommutative", "counital")}
+
+
+@pytest.mark.parametrize("spec,variant", [
+    (spec, variant)
+    for spec in ("E", "E_C:2", "Pi", "L", "Perm", "S(X_C:2)")
+    for variant in _SET_LEVEL_VARIANTS
+] + [("S(E_C:2)", "mu-mu")])
+def test_routes_agree_on_catalog(spec, variant):
+    entry = parse_species(spec)
+    if spec == "S(X_C:2)":
+        entry = with_derived_pi(entry, 3)
+    applied = _assert_routes_agree(hopf_from(entry, *variant.split("-")))
+    assert tuple(applied) == _SET_LEVEL_VARIANTS[variant]
+
+
+def test_routes_agree_on_non_associative_system():
+    mu = _interleave_system()
+    entry = CatalogEntry("interleave", mu.species, mu, None)
+    h = hopf_from(entry, "mu", "mu")
+    _assert_routes_agree(h)
+    assert check_axiom(h, "associative", 3).status == "fail"
+
+
+def test_set_level_split_from_oracle_is_fatal(monkeypatch, entries):
+    parts, uses, linear, set_level = eng._AXIOM_ROUTES["associative"]
+
+    def lies_at_2(h, I, decs):
+        return {"forced": True} if len(I) == 2 else set_level(h, I, decs)
+
+    monkeypatch.setitem(eng._AXIOM_ROUTES, "associative", (parts, uses, linear, lies_at_2))
+    with pytest.raises(FatalInconsistency):
+        check_axiom(hopf_from(entries["Pi"], "mu", "pi"), "associative", 3)
+
+
+def test_set_level_rejects_result_over_wrong_ground(entries):
+    from species_forge.catalog import ComultSystem, MultSystem
+    pi_entry = entries["Pi"]
+    sp = pi_entry.species
+    drops_y = MultSystem(sp, lambda S, T, x, y: x)
+    swaps = ComultSystem(sp, lambda S, T, z: pi_entry.pi(S, T, z)[::-1])
+    I = GroundSet.first(2)
+    for axiom, entry in (
+            ("associative", CatalogEntry("bad", sp, drops_y, pi_entry.pi)),
+            ("coassociative", CatalogEntry("bad", sp, pi_entry.mu, swaps))):
+        h = hopf_from(entry, "mu", "pi")
+        set_level = eng._AXIOM_ROUTES[axiom][3]
+        with pytest.raises(ValueError, match="lives over"):
+            set_level(h, I, decompositions(I, 3))
+        with pytest.raises(ValueError):
+            check_axiom(h, axiom, 2)
