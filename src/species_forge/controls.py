@@ -25,7 +25,10 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .catalog import MultSystem, make_X_C, labeled_partition_species
+from .catalog import (
+    MultSystem, _mapto_merge, _mapto_transport, labeled_partition_species,
+    make_L, make_X_C,
+)
 from .core import (
     EMPTY, Bijection, Element, GroundSet, LabeledPartitionElt, LinearOrderElt,
     MapTo, SetSpecies,
@@ -42,18 +45,9 @@ class PerturbedSystem:
 # ---------------------------------------------------------------------------
 # family 1: concatenation orders (break commutativity)
 
-def _order_species() -> SetSpecies:
-    def elements(I: GroundSet):
-        return [LinearOrderElt(I, seq) for seq in itertools.permutations(I.labels)]
-
-    def transport(sigma: Bijection, l: LinearOrderElt):
-        return LinearOrderElt(sigma.target, tuple(sigma.apply(x) for x in l.seq))
-
-    return SetSpecies("orders", elements, transport)
-
-
 def concat_system(mirrored: bool) -> PerturbedSystem:
-    sp = _order_species()
+    L = make_L().species
+    sp = SetSpecies("orders", L.elements_fn, L.transport_fn)
 
     def rule(S, T, x, y):
         seq = y.seq + x.seq if mirrored else x.seq + y.seq
@@ -132,11 +126,8 @@ def collapse_system(c: int, d: int) -> PerturbedSystem:
 
     def transport(sigma: Bijection, x: Element):
         if isinstance(x, LabeledPartitionElt):
-            inner = x.blocks[0][1]
-            return _wrap(sigma.target, inner.colors[0])
-        inv = sigma.invert()
-        return MapTo(sigma.target,
-                     tuple(x.color_of(inv.apply(t)) for t in sigma.target.labels))
+            return _wrap(sigma.target, x.blocks[0][1].colors[0])
+        return _mapto_transport(sigma, x)
 
     sp = SetSpecies(f"collapse[c={c},d={d}]", elements, transport)
 
@@ -146,10 +137,7 @@ def collapse_system(c: int, d: int) -> PerturbedSystem:
         if len(T) == 0:
             return x
         if isinstance(x, MapTo) and isinstance(y, MapTo):
-            ground = S.union(T)
-            colors = tuple(x.color_of(l) if l in S else y.color_of(l)
-                           for l in ground.labels)
-            return MapTo(ground, colors)
+            return _mapto_merge(S, T, x, y)
         if isinstance(x, LabeledPartitionElt) and isinstance(y, MapTo) and len(T) == 1:
             m = x.blocks[0][1].colors[0]
             return _wrap(S.union(T), m * c + y.colors[0])

@@ -1,6 +1,10 @@
 """CLI behavior: spec parsing, suites, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +244,18 @@ def test_check_seed_changes_controls_only(capsys):
     c2 = [c for c in p2["checks"] if c["check"] == "selfcompat_controls"][0]
     assert c1["status"] == c2["status"] == "pass"
     assert c1["witness"]["systems"] >= 50 and c2["witness"]["systems"] >= 50
+
+
+def test_ssd_output_stable_across_hash_seeds():
+    # the failing direct witness for L prints a multiset of pairs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "species_forge.cli", "check", "--species", "L",
+             "--suite", "ssd", "--max-n", "3"],
+            env=env, capture_output=True, text=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert '"mode": "direct"' in outs[0]

@@ -411,11 +411,12 @@ def test_routes_agree_on_control_systems(family, args):
     ps = _MAKERS[family](*args)
     entry = CatalogEntry(ps.key, ps.mu.species, ps.mu, None)
     applied = _assert_routes_agree(hopf_from(entry, "mu", "mu"))
-    assert applied == ["associative", "commutative", "unital"]
+    assert applied == ["associative", "commutative", "unital", "hopf_compatible"]
 
 
 _SET_LEVEL_VARIANTS = {"mu-pi": AXIOMS,
-                       "mu-mu": ("associative", "commutative", "unital"),
+                       "mu-mu": ("associative", "commutative", "unital",
+                                 "hopf_compatible"),
                        "pi-pi": ("coassociative", "cocommutative", "counital")}
 
 
@@ -436,7 +437,8 @@ def test_routes_agree_on_non_associative_system():
     mu = _interleave_system()
     entry = CatalogEntry("interleave", mu.species, mu, None)
     h = hopf_from(entry, "mu", "mu")
-    _assert_routes_agree(h)
+    assert _assert_routes_agree(h) == ["associative", "commutative", "unital",
+                                       "hopf_compatible"]
     assert check_axiom(h, "associative", 3).status == "fail"
 
 
@@ -467,3 +469,47 @@ def test_set_level_rejects_result_over_wrong_ground(entries):
             set_level(h, I, decompositions(I, 3))
         with pytest.raises(ValueError):
             check_axiom(h, axiom, 2)
+
+
+def test_fiber_kernel_split_from_oracle_is_fatal(monkeypatch, entries):
+    fiber_kernel = eng._hopf_compat_fiber
+
+    def lies_at_2(h, I, decs):
+        return {"forced": True} if len(I) == 2 else fiber_kernel(h, I, decs)
+
+    monkeypatch.setattr(eng, "_hopf_compat_fiber", lies_at_2)
+    with pytest.raises(FatalInconsistency):
+        check_axiom(hopf_from(entries["Pi"], "mu", "mu"), "hopf_compatible", 3)
+    with pytest.raises(FatalInconsistency):
+        check_self_compatible(entries["Pi"].mu, "direct", 3)
+
+
+def test_fiber_kernel_rejects_result_over_wrong_ground(entries):
+    from species_forge.catalog import MultSystem
+    sp = entries["Pi"].species
+    drops_y = MultSystem(sp, lambda S, T, x, y: x)
+    h = hopf_from(CatalogEntry("bad", sp, drops_y, None), "mu", "mu")
+    I = GroundSet.first(1)
+    with pytest.raises(ValueError, match="lives over"):
+        eng._hopf_compat_fiber(h, I, decompositions(I, 2))
+    with pytest.raises(ValueError, match="lives over"):
+        check_axiom(h, "hopf_compatible", 2)
+
+
+def test_fiber_kernel_counts_multiplicities():
+    # On singletons mu(-, unit) sends color 0 to 1 and colors 1, 2 to 0, so at
+    # n = 1 both paths of the diagram hold one pair: once on top, twice below.
+    from species_forge.catalog import MultSystem, _mapto_merge
+    from species_forge.core import MapTo
+    sp = make_E_C(3).species
+    g = (1, 0, 0)
+
+    def rule(S, T, x, y):
+        if len(S) == 1 and not T:
+            return MapTo(S, (g[x.colors[0]],))
+        return _mapto_merge(S, T, x, y)
+
+    h = hopf_from(CatalogEntry("twice", sp, MultSystem(sp, rule), None), "mu", "mu")
+    assert "hopf_compatible" in _assert_routes_agree(h, max_n=1)
+    rep = check_axiom(h, "hopf_compatible", 1)
+    assert rep.witness["bottom"] == f"2*[{rep.witness['top']}]"
