@@ -126,6 +126,7 @@ class CatalogEntry:
     pi: Optional[ComultSystem]
     mu_flags: frozenset = frozenset()
     pi_flags: frozenset = frozenset()
+    _order: object = field(default=None, init=False, repr=False, compare=False)  # set by order.order_of
 
 
 # ---------------------------------------------------------------------------

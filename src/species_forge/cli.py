@@ -255,7 +255,7 @@ def _run_order(r: Runner) -> None:
         r.reports.append(_skip("order", r.entry, n,
                                "order needs a commutative product and a coproduct"))
         return
-    so = order_mod.SpeciesOrder(entry.mu, entry.pi, entry.key)
+    so = order_mod.order_of(entry)
     r.run(False, _order_valid, so, n)
     r.run(False, order_mod.check_order_transport, so, n)
     r.run(False, order_mod.check_all_lower_lattices, entry, n)
@@ -278,7 +278,7 @@ def _run_bases(r: Runner) -> None:
         r.reports.append(_skip("bases", r.entry, n,
                                "bases need a commutative product and a coproduct"))
         return
-    so = order_mod.SpeciesOrder(entry.mu, entry.pi, entry.key)
+    so = order_mod.order_of(entry)
     r.run(False, order_mod.check_pq_unitriangular, so, n)
     r.run(False, order_mod.check_basis_theorem, entry, n)
     r.run(False, order_mod.check_basis_change_matrices, entry, min(n, 3))

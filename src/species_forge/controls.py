@@ -47,14 +47,14 @@ class PerturbedSystem:
 
 def concat_system(mirrored: bool) -> PerturbedSystem:
     L = make_L().species
-    sp = SetSpecies("orders", L.elements_fn, L.transport_fn)
+    key = f"orders[{'mirror' if mirrored else 'concat'}]"
+    sp = SetSpecies(key, L.elements_fn, L.transport_fn)
 
     def rule(S, T, x, y):
         seq = y.seq + x.seq if mirrored else x.seq + y.seq
         return LinearOrderElt(S.union(T), seq)
 
-    tag = "mirror" if mirrored else "concat"
-    return PerturbedSystem(f"orders[{tag}]", MultSystem(sp, rule), "commutative")
+    return PerturbedSystem(key, MultSystem(sp, rule), "commutative")
 
 
 # ---------------------------------------------------------------------------

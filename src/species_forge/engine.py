@@ -121,16 +121,18 @@ class LinearizedHopf:
         return self.basis.unit_element()
 
     def nabla(self, S: GroundSet, T: GroundSet, t: TensorVec) -> Vec:
-        out = Vec.zero(S.union(T))
+        acc: dict = {}
         for (x, y), c in t.terms.items():
-            out = out + self.product.on_basis(S, T, x, y).scale(c)
-        return out
+            for z, k in self.product.on_basis(S, T, x, y).terms.items():
+                acc[z] = acc.get(z, 0) + c * k
+        return Vec(S.union(T), acc)
 
     def delta(self, S: GroundSet, T: GroundSet, v: Vec) -> TensorVec:
-        out = TensorVec.zero((S, T))
+        acc: dict = {}
         for z, c in v.terms.items():
-            out = out + self.coproduct.on_basis(S, T, z).scale(c)
-        return out
+            for pair, k in self.coproduct.on_basis(S, T, z).terms.items():
+                acc[pair] = acc.get(pair, 0) + c * k
+        return TensorVec((S, T), acc)
 
 
 _VARIANTS = {

@@ -1,10 +1,17 @@
 """Exact rational linear algebra.
 
-Fraction-free (Bareiss) forward elimination with deterministic pivoting:
-pivots are chosen as the first nonzero column and, within it, the smallest
-row index.  Kernels, ranks, and span membership are all derived from the
-same elimination so that every basis this module hands out is reproducible
-across runs and platforms.
+Sparse fraction-free elimination: rows are dicts from column to nonzero
+``int``, denominators cleared over each row's nonzero entries.  Rows are
+added one at a time; a new row is reduced against the stored rows, keyed by
+leading column, by integer cross-multiplication and division by its gcd, and
+whatever remains is stored.  Kernels, ranks, and span membership all come
+from this elimination.
+
+The kernel basis does not depend on how the elimination ran: the pivot
+columns are the leading columns of the reduced row echelon form of the row
+space, and for each free column f there is exactly one kernel vector with 1
+at f and 0 at every other free column.  So every basis this module hands out
+is reproducible across runs, platforms and row orders.
 
 Matrices are sequences of rows; entries may be ints or Fractions.  Nothing
 here mutates its inputs.
@@ -13,62 +20,44 @@ here mutates its inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 
-def _clear_denominators(row: Sequence) -> list[int]:
-    fracs = [Fraction(x) for x in row]
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    return [int(f * lcm) for f in fracs]
+def _sparse_int_row(row: Sequence) -> dict[int, int]:
+    nonzero = {j: Fraction(x) for j, x in enumerate(row) if x}
+    scale = lcm(*(x.denominator for x in nonzero.values()))
+    return {j: int(x * scale) for j, x in nonzero.items()}
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
+def echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Sparse integer row echelon form of the row space.
 
-
-def echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Integer row echelon form via Bareiss elimination.
-
-    Returns (matrix, pivot_columns).  Row scaling clears denominators first,
-    so the echelon entries are exact integers; exact division keeps growth
-    polynomial.
+    Returns (rows, pivot_columns), sorted by pivot: rows[i] maps columns to
+    nonzero ints and its smallest column is pivot_columns[i].
     """
-    m = [_clear_denominators(r) for r in rows]
-    nrows = len(m)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pr = i
+    by_lead: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = _sparse_int_row(row)
+        while r:
+            lead = min(r)
+            p = by_lead.get(lead)
+            if p is None:
+                by_lead[lead] = r
                 break
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            if all(x == 0 for x in m[i]):
-                continue
-            for j in range(ncols):
-                if j == c:
-                    continue
-                m[i][j] = (m[i][j] * piv - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+            a, b = p[lead], r[lead]
+            r = {j: a * x for j, x in r.items()}
+            for j, x in p.items():
+                y = r.get(j, 0) - b * x
+                if y:
+                    r[j] = y
+                else:
+                    r.pop(j, None)
+            g = gcd(*r.values())
+            if g > 1:
+                r = {j: x // g for j, x in r.items()}
+    pivots = sorted(by_lead)
+    return [by_lead[c] for c in pivots], pivots
 
 
 def rank(rows: Sequence[Sequence], ncols: int) -> int:
@@ -79,21 +68,22 @@ def rank(rows: Sequence[Sequence], ncols: int) -> int:
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of {v : M v = 0}, one vector per free column.
 
-    Each basis vector has coefficient 1 at its free column and is obtained by
-    back substitution; the result is canonical for the fixed pivoting rule.
+    Each basis vector has coefficient 1 at its free column and 0 at the other
+    free columns, which determines it; it is found by sparse back
+    substitution.
     """
     m, pivots = echelon(rows, ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum((Fraction(m[r][j]) * v[j] for j in range(pc + 1, ncols)), Fraction(0))
-            v[pc] = -s / Fraction(m[r][pc])
-        basis.append(tuple(v))
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = {fc: Fraction(1)}
+        for row, pc in zip(reversed(m), reversed(pivots)):
+            s = sum(x * v[j] for j, x in row.items() if j != pc and j in v)
+            if s:
+                v[pc] = Fraction(-s, row[pc])
+        basis.append(tuple(v.get(j, Fraction(0)) for j in range(ncols)))
     return basis
 
 

@@ -4,6 +4,8 @@ Each component order is computed twice: once by the full product-after-
 coproduct formula over all set partitions, and once as the transitive closure
 of the two-block relation.  The two must coincide (that is the minimality
 claim), and the result must be a strict partial order; a miss is fatal.
+A catalog entry's order is built once, by ``order_of``, and kept on the
+entry, so each slice is computed (by both routes) once per run.
 
 On top of the order: lower-interval lattice checks, the two interval
 properties that let the coproduct be rebuilt from the product alone, the
@@ -61,15 +63,16 @@ class OrderSlice:
 
 
 def _transitive_closure(pairs: set, elements) -> set:
-    closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(list(closure), repeat=2):
-            if b == c and a != d and (a, d) not in closure:
-                closure.add((a, d))
-                changed = True
-    return closure
+    """Warshall over successor sets; the diagonal is left out, so a cycle
+    shows up as a pair and its reverse."""
+    succ = {e: set() for e in elements}
+    for a, b in pairs:
+        succ[a].add(b)
+    for k in elements:
+        for e in elements:
+            if k in succ[e]:
+                succ[e] |= succ[k]
+    return {(a, b) for a in elements for b in succ[a] if a != b}
 
 
 def compute_order(mu: MultSystem, pi: ComultSystem, I: GroundSet,
@@ -127,6 +130,13 @@ class SpeciesOrder:
         return self._slices[I]
 
 
+def order_of(entry: CatalogEntry) -> SpeciesOrder:
+    """The entry's order, built on first use and kept on the entry."""
+    if entry._order is None:
+        entry._order = SpeciesOrder(entry.mu, entry.pi, entry.key)
+    return entry._order
+
+
 def check_order_transport(order: SpeciesOrder, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     """(a, b) in the order iff (sigma a, sigma b) is, for every endo-bijection."""
     guard_max_n(max_n)
@@ -134,8 +144,9 @@ def check_order_transport(order: SpeciesOrder, max_n: int = DEFAULT_MAX_N) -> Ch
     for n in range(max_n + 1):
         sl = order.slice(GroundSet.first(n))
         for sigma in Bijection.all_endo(sl.I):
-            moved = {(sp.transport(sigma, a), sp.transport(sigma, b)) for a, b in sl.strict}
-            if moved != set(sl.strict):
+            image = {e: sp.transport(sigma, e) for e in sl.elements}
+            moved = {(image[a], image[b]) for a, b in sl.strict}
+            if moved != sl.strict:
                 return CheckReport("order_transport", order.key, n, "fail",
                                    {"sigma": list(sigma.images)})
     return CheckReport("order_transport", order.key, max_n, "pass")
@@ -194,7 +205,7 @@ def check_all_lower_lattices(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N,
     if entry.mu is None or entry.pi is None:
         return CheckReport("lower_lattice", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
-    order = SpeciesOrder(entry.mu, entry.pi, entry.key)
+    order = order_of(entry)
     fmu = f_mu(entry.mu, max_n, check_preconditions=False,
                species_key=entry.key) if with_shapes else None
     surjective_everywhere = True
@@ -290,7 +301,7 @@ def check_reconstruct_roundtrip(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N)
     if entry.mu is None or entry.pi is None:
         return CheckReport("reconstruct_roundtrip", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
-    order = SpeciesOrder(entry.mu, entry.pi, entry.key)
+    order = order_of(entry)
     rebuilt = reconstruct_pi(order, entry.mu)
     for n in range(max_n + 1):
         I = GroundSet.first(n)
@@ -363,7 +374,7 @@ def check_basis_theorem(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> Chec
     if entry.mu is None or entry.pi is None:
         return CheckReport("basis_identities", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
-    order = SpeciesOrder(entry.mu, entry.pi, entry.key)
+    order = order_of(entry)
     h_pi_mu = hopf_from(entry, "pi", "mu")   # product nabla^pi, coproduct Delta^mu
     tables: dict[GroundSet, PQTables] = {}
 
@@ -423,7 +434,7 @@ def check_basis_change_matrices(entry: CatalogEntry, max_n: int = 3) -> CheckRep
     if entry.mu is None or entry.pi is None:
         return CheckReport("basis_change", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
-    order = SpeciesOrder(entry.mu, entry.pi, entry.key)
+    order = order_of(entry)
     h = hopf_from(entry, "pi", "mu")
     h_ssd = hopf_from(entry, "mu", "mu")
 

@@ -246,16 +246,31 @@ def test_check_seed_changes_controls_only(capsys):
     assert c1["witness"]["systems"] >= 50 and c2["witness"]["systems"] >= 50
 
 
-def test_ssd_output_stable_across_hash_seeds():
-    # the failing direct witness for L prints a multiset of pairs
+def _stdout_under_hash_seeds(*argv) -> list[str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-m", "species_forge.cli", "check", "--species", "L",
-             "--suite", "ssd", "--max-n", "3"],
+            [sys.executable, "-m", "species_forge.cli", *argv],
             env=env, capture_output=True, text=True, check=True)
         outs.append(proc.stdout)
+    return outs
+
+
+def test_ssd_output_stable_across_hash_seeds():
+    # the failing direct witness for L prints a multiset of pairs
+    outs = _stdout_under_hash_seeds("check", "--species", "L", "--suite", "ssd",
+                                    "--max-n", "3")
     assert outs[0] == outs[1]
     assert '"mode": "direct"' in outs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("primitives", "--species", "Perm", "--max-n", "4"),
+    ("check", "--species", "Pi", "--suite", "order", "--max-n", "4"),
+], ids=lambda argv: argv[0])
+def test_structure_output_stable_across_hash_seeds(argv):
+    # elimination and the order's closure iterate dicts and sets
+    outs = _stdout_under_hash_seeds(*argv)
+    assert outs[0] == outs[1]

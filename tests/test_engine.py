@@ -414,6 +414,17 @@ def test_routes_agree_on_control_systems(family, args):
     assert applied == ["associative", "commutative", "unital", "hopf_compatible"]
 
 
+def test_concat_and_mirror_systems_are_named_apart():
+    # the self-compatibility checks name a system after its species
+    names = []
+    for mirrored in (False, True):
+        mu = _MAKERS["concat"](mirrored).mu
+        entry = CatalogEntry(mu.species.name, mu.species, mu, None)
+        names.append(hopf_from(entry, "mu", "mu").name)
+    assert names == ["orders[concat][nabla^mu,Delta^mu]",
+                     "orders[mirror][nabla^mu,Delta^mu]"]
+
+
 _SET_LEVEL_VARIANTS = {"mu-pi": AXIOMS,
                        "mu-mu": ("associative", "commutative", "unital",
                                  "hopf_compatible"),

@@ -1,17 +1,25 @@
 """The order, its lattice/interval properties, reconstruction, and the bases."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
-from species_forge.catalog import make_E_C, make_Perm, make_Pi, make_S, make_X_C, with_derived_pi
-from species_forge.classify import f_mu
-from species_forge.core import (
-    GroundSet, PermutationElt, SetPartitionElt, TensorVec, Vec, decompositions,
+from species_forge import order as order_mod
+from species_forge.catalog import (
+    MultSystem, _mapto_merge, make_E_C, make_Perm, make_Pi, make_S, make_X_C,
+    with_derived_pi,
 )
-from species_forge.engine import hopf_from
+from species_forge.classify import f_mu
+from species_forge.cli import main
+from species_forge.core import (
+    Bijection, GroundSet, MapTo, PermutationElt, SetPartitionElt, TensorVec, Vec,
+    decompositions,
+)
+from species_forge.engine import FatalInconsistency, hopf_from
 from species_forge.order import (
-    SpeciesOrder, check_AB, check_all_lower_lattices, check_basis_change_matrices,
+    OrderSlice, SpeciesOrder, check_AB, check_all_lower_lattices, check_basis_change_matrices,
     check_basis_theorem, check_lower_lattice, check_order_transport,
     check_pq_unitriangular, check_reconstruct_roundtrip,
     hasse_dot, pq_tables, reconstruct_pi,
@@ -127,6 +135,91 @@ def test_paper_six_shuffles(orders):
 @pytest.mark.parametrize("key", ["E_C:2", "Perm", "Pi"])
 def test_order_transport_invariance(orders, key):
     assert check_order_transport(orders[key], 4).ok
+
+
+def test_closure_is_reachability_without_diagonal():
+    rng = random.Random(5)
+    for _ in range(200):
+        k = rng.randint(1, 8)
+        elements = list(range(k))
+        pairs = {(a, b) for a in elements for b in elements
+                 if a != b and rng.random() < 0.2}
+        want = set()
+        for a in elements:
+            seen, stack = set(), [a]
+            while stack:
+                x = stack.pop()
+                for b, c in pairs:
+                    if b == x and c not in seen:
+                        seen.add(c)
+                        stack.append(c)
+            want |= {(a, c) for c in seen if c != a}
+        assert order_mod._transitive_closure(pairs, elements) == want
+
+
+def test_closure_keeps_cycles_for_the_antisymmetry_check():
+    assert order_mod._transitive_closure({(0, 1), (1, 2), (2, 0)}, range(3)) == {
+        (a, b) for a in range(3) for b in range(3) if a != b}
+
+
+def test_closure_mismatch_is_fatal(monkeypatch, entries):
+    real = order_mod._transitive_closure
+
+    def drops_one(pairs, elements):
+        out = real(pairs, elements)
+        out.discard(min(out, key=lambda p: (p[0].sort_key(), p[1].sort_key())))
+        return out
+
+    monkeypatch.setattr(order_mod, "_transitive_closure", drops_one)
+    e = entries["Pi"]
+    with pytest.raises(FatalInconsistency, match="order closure mismatch"):
+        order_mod.compute_order(e.mu, e.pi, GroundSet.first(3))
+
+
+def test_cyclic_relation_is_fatal(entries):
+    # the complement of the merged coloring: folding sends z to its
+    # complement, and the complement back to z
+    base = entries["E_C:2"]
+
+    def flip(S, T, x, y):
+        merged = _mapto_merge(S, T, x, y)
+        return MapTo(merged.ground, tuple(1 - c for c in merged.colors))
+
+    mu = MultSystem(base.species, flip)
+    with pytest.raises(FatalInconsistency, match="not antisymmetric"):
+        order_mod.compute_order(mu, base.pi, GroundSet.first(2))
+
+
+def test_transport_witness_matches_pairwise_route(entries):
+    e = entries["Pi"]
+    so = SpeciesOrder(e.mu, e.pi, "Pi")
+    I = GroundSet.first(3)
+    sl = so.slice(I)
+    a = min(sl.elements, key=lambda x: x.sort_key())
+    b = max(sl.elements, key=lambda x: x.sort_key())
+    strict = frozenset(sl.strict - {(a, b)})
+    so._slices[I] = OrderSlice(I, sl.elements, strict)
+    rep = check_order_transport(so, 3)
+    assert rep.status == "fail" and rep.n == 3
+    first = next(sigma for sigma in Bijection.all_endo(I)
+                 if {(e.species.transport(sigma, x), e.species.transport(sigma, y))
+                     for x, y in strict} != strict)
+    assert rep.witness == {"sigma": list(first.images)}
+
+
+def test_full_suite_computes_each_slice_once(monkeypatch, capsys):
+    calls = Counter()
+    real = order_mod.compute_order
+
+    def counted(mu, pi, I, species_key=None):
+        calls[I] += 1
+        return real(mu, pi, I, species_key)
+
+    monkeypatch.setattr(order_mod, "compute_order", counted)
+    assert main(["check", "--species", "Pi", "--suite", "full", "--max-n", "3"]) == 0
+    capsys.readouterr()
+    assert set(calls.values()) == {1}
+    assert {GroundSet.first(n) for n in range(4)} <= set(calls)
 
 
 # ---------------------------------------------------------------------------
