@@ -48,6 +48,18 @@ def _vec_from_coords(basis: SetSpecies, I: GroundSet, coords) -> Vec:
     return Vec(I, [(els[i], c) for i, c in enumerate(coords) if c != 0])
 
 
+def _coproduct_rows(h: LinearizedHopf, S: GroundSet, T: GroundSet, index: dict) -> list:
+    """The matrix of Delta_{S,T}: a row per basis pair of (S, T), a column per
+    element of p[S u T] (numbered by ``index``), and 1 where the pair occurs."""
+    pairs = [(a, b) for a in h.basis.elements(S) for b in h.basis.elements(T)]
+    pair_index = {p: i for i, p in enumerate(pairs)}
+    rows = [[Fraction(0)] * len(index) for _ in pairs]
+    for e, j in index.items():
+        for pair in h.splits(S, T, e):
+            rows[pair_index[pair]][j] = 1
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # primitive elements
 
@@ -56,21 +68,13 @@ def primitives(h: LinearizedHopf, I: GroundSet) -> list[Vec]:
     decompositions of I; deterministic via the fixed elimination pivoting."""
     if len(I) == 0:
         return []
-    els = h.basis.elements(I)
-    index = {e: i for i, e in enumerate(els)}
+    index = _elem_index(h.basis, I)
     rows = []
     for S, T in decompositions(I, 2, nonempty=True):
-        pairs = [(a, b) for a in h.basis.elements(S) for b in h.basis.elements(T)]
-        pair_index = {p: i for i, p in enumerate(pairs)}
-        block = [[Fraction(0)] * len(els) for _ in pairs]
-        for e in els:
-            t = h.coproduct.on_basis(S, T, e)
-            for key, c in t.terms.items():
-                block[pair_index[key]][index[e]] = c
-        rows.extend(block)
+        rows.extend(_coproduct_rows(h, S, T, index))
     if not rows:
-        rows = [[Fraction(0)] * len(els)]
-    return [_vec_from_coords(h.basis, I, v) for v in linalg.kernel_basis(rows, len(els))]
+        rows = [[Fraction(0)] * len(index)]
+    return [_vec_from_coords(h.basis, I, v) for v in linalg.kernel_basis(rows, len(index))]
 
 
 def primitive_dims(h: LinearizedHopf, max_n: int) -> list[int]:
@@ -411,7 +415,10 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet,
         for S, T in decompositions(I, 2, nonempty=True):
             for x in h.basis.elements(S):
                 for y in h.basis.elements(T):
-                    r_rows.append(_coords(h.product.on_basis(S, T, x, y), index))
+                    row = [Fraction(0)] * dim
+                    for z in h.products(S, T, x, y):
+                        row[index[z]] = 1
+                    r_rows.append(row)
         r_rank = linalg.rank(r_rows, dim)
         if len(q_rows) + r_rank != dim or linalg.rank(q_rows + r_rows, dim) != dim:
             raise FatalInconsistency(
@@ -462,13 +469,7 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet,
     # (c): ker Delta_{S,T} is the sum over partitions with a straddling block
     kernel_ok = True
     for S, T in decompositions(I, 2, nonempty=True):
-        pairs = [(a, b) for a in h.basis.elements(S) for b in h.basis.elements(T)]
-        pair_index = {p: i for i, p in enumerate(pairs)}
-        rows = [[Fraction(0)] * dim for _ in pairs]
-        for e in h.basis.elements(I):
-            for kkey, c in h.coproduct.on_basis(S, T, e).terms.items():
-                rows[pair_index[kkey]][index[e]] = c
-        ker_dim = len(linalg.kernel_basis(rows, dim))
+        ker_dim = len(linalg.kernel_basis(_coproduct_rows(h, S, T, index), dim))
         straddle_dim = 0
         for blocks, vecs in components:
             if any(not (b.issubset(S) or b.issubset(T)) for b in blocks):

@@ -32,7 +32,7 @@ VARIANTS = ("mu-pi", "mu-mu", "pi-mu", "pi-pi")
 
 class Runner:
     def __init__(self, entry: CatalogEntry, max_n: int, seed: int, fail_fast: bool):
-        self.entry = entry
+        self.entry = _maybe_derive_pi(entry, max_n)
         self.max_n = max_n
         self.seed = seed
         self.fail_fast = fail_fast
@@ -138,8 +138,6 @@ def _run_ssd(r: Runner) -> None:
         r.reports.append(_skip("self_compatible", entry, n, "no multiplicative system"))
         return
     exp = not _expect(entry, "commutative")
-    r.run(exp, engine.check_self_compatible, entry.mu, "direct", n, species_key=entry.key)
-    r.run(exp, engine.check_self_compatible, entry.mu, "local", n, species_key=entry.key)
     r.run(exp, engine.check_self_compatible, entry.mu, "both", n, species_key=entry.key)
     r.run(False, _controls_check, entry, r.seed)
     h_ssd = engine.hopf_from(entry, "mu", "mu")
@@ -250,9 +248,8 @@ def _lsd_primitive_profile(entry: CatalogEntry, max_n: int) -> CheckReport:
 
 def _run_order(r: Runner) -> None:
     entry, n = r.entry, r.max_n
-    entry = _maybe_derive_pi(entry, n)
     if entry.mu is None or entry.pi is None or not _expect(entry, "commutative"):
-        r.reports.append(_skip("order", r.entry, n,
+        r.reports.append(_skip("order", entry, n,
                                "order needs a commutative product and a coproduct"))
         return
     so = order_mod.order_of(entry)
@@ -273,9 +270,8 @@ def _order_valid(so: order_mod.SpeciesOrder, max_n: int) -> CheckReport:
 
 def _run_bases(r: Runner) -> None:
     entry, n = r.entry, r.max_n
-    entry = _maybe_derive_pi(entry, n)
     if entry.mu is None or entry.pi is None or not _expect(entry, "commutative"):
-        r.reports.append(_skip("bases", r.entry, n,
+        r.reports.append(_skip("bases", entry, n,
                                "bases need a commutative product and a coproduct"))
         return
     so = order_mod.order_of(entry)

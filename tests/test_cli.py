@@ -132,6 +132,23 @@ def test_hasse_derived_pi_for_S_X2(capsys):
     assert out.count("->") == 0  # isomorphic to maps-to-colors: no relations
 
 
+def test_derived_pi_reaches_every_suite_step(capsys):
+    # the Runner derives pi once, so lsd and the full extras run for S(X_C:2)
+    code, out, _ = run_cli(capsys, "check", "--species", "S(X_C:2)", "--suite", "full",
+                           "--max-n", "3")
+    assert code == 0
+    payload = json.loads(out)
+    status = {c["check"]: c["status"] for c in payload["checks"]}
+    for name in ("pi_bijective", "fpi_intertwines", "lsd_primitive_profile",
+                 "dual_tables", "preorder_rectangle"):
+        assert status.get(name) == "pass", name
+    assert "lsd" not in status and payload["summary"]["skip"] == 0
+    axiom_rows = [c for c in payload["checks"] if c["check"] == "coassociative"]
+    assert [c["species"] for c in axiom_rows] == ["S(X_C:2)[nabla^mu,Delta^pi]"]
+    # one self-compatibility row, reporting both modes
+    assert [c for c in status if c.startswith("self_compatible")] == ["self_compatible[both]"]
+
+
 def test_antipode_command(capsys):
     code, out, _ = run_cli(capsys, "antipode", "--species", "Pi", "--max-n", "2",
                            "--variant", "mu-mu")

@@ -62,15 +62,16 @@ def test_delta_mu_fibers(entries):
     S, T = GroundSet.of([1]), GroundSet.of([2])
     split = SetPartitionElt.of([[1], [2]])
     joined = SetPartitionElt.of([[1, 2]])
-    assert h.coproduct.on_basis(S, T, split) == TensorVec.basis(
+    assert h.delta(S, T, Vec.basis(split)) == TensorVec.basis(
         (SetPartitionElt.of([[1]]), SetPartitionElt.of([[2]])))
-    assert h.coproduct.on_basis(S, T, joined).is_zero()
+    assert h.delta(S, T, Vec.basis(joined)).is_zero()
 
 
 def test_nabla_pi_fiber_sum(entries):
     h = hopf_from(entries["Pi"], "pi", "mu")
     S, T = GroundSet.of([1]), GroundSet.of([2])
-    got = h.product.on_basis(S, T, SetPartitionElt.of([[1]]), SetPartitionElt.of([[2]]))
+    got = h.nabla(S, T, TensorVec.basis((SetPartitionElt.of([[1]]),
+                                         SetPartitionElt.of([[2]]))))
     assert got == Vec(GroundSet.first(2), [
         (SetPartitionElt.of([[1], [2]]), 1), (SetPartitionElt.of([[1, 2]]), 1)])
 
@@ -84,8 +85,8 @@ def test_nabla_pi_equals_nabla_mu_on_bijective_restriction(entries):
         for S, T in decompositions(I, 2):
             for x in ec.species.elements(S):
                 for y in ec.species.elements(T):
-                    assert hm.product.on_basis(S, T, x, y) == \
-                        hp.product.on_basis(S, T, x, y)
+                    xy = TensorVec.basis((x, y))
+                    assert hm.nabla(S, T, xy) == hp.nabla(S, T, xy)
 
 
 @pytest.mark.parametrize("key", ["E", "E_C:2", "Perm", "Pi", "L"])
@@ -363,6 +364,53 @@ def test_dual_of_fsd_equals_itself(entries):
     I = GroundSet.first(3)
     for S, T in decompositions(I, 2):
         assert product_table(hd, S, T) == product_table(h, S, T)
+
+
+# ---------------------------------------------------------------------------
+# the tables read from mu, pi and their fibers
+
+_ALL_VARIANTS = [("mu", "mu"), ("mu", "pi"), ("pi", "mu"), ("pi", "pi")]
+
+
+def _graph(entry, system, S, T):
+    """The triples (x, y, z) with mu(x, y) = z, or with pi(z) = (x, y),
+    found by brute force over p[S] x p[T] x p[S u T]."""
+    sp, I = entry.species, S.union(T)
+    if system == "mu":
+        return {(x, y, z) for x in sp.elements(S) for y in sp.elements(T)
+                for z in sp.elements(I) if entry.mu(S, T, x, y) == z}
+    return {(x, y, z) for x in sp.elements(S) for y in sp.elements(T)
+            for z in sp.elements(I) if entry.pi(S, T, z) == (x, y)}
+
+
+@pytest.mark.parametrize("key", ["E", "E_C:2", "Pi", "L", "Perm"])
+@pytest.mark.parametrize("variant", _ALL_VARIANTS, ids="-".join)
+def test_tables_are_the_graphs_of_mu_and_pi(entries, key, variant):
+    entry = entries[key]
+    p, c = variant
+    h = hopf_from(entry, p, c)
+    for n in range(4):
+        for S, T in decompositions(GroundSet.first(n), 2):
+            prod, cop = product_table(h, S, T), coproduct_table(h, S, T)
+            assert set(prod.values()) <= {1} and set(cop.values()) <= {1}
+            assert set(prod) == _graph(entry, p, S, T), (n, S, T)
+            assert set(cop) == _graph(entry, c, S, T), (n, S, T)
+
+
+@pytest.mark.parametrize("key", ["E", "E_C:2", "Pi", "L", "Perm"])
+@pytest.mark.parametrize("variant", _ALL_VARIANTS, ids="-".join)
+def test_dual_transpose_swaps_the_variant(entries, key, variant):
+    p, c = variant
+    h = hopf_from(entries[key], p, c)
+    hd = dual_transpose(h)
+    assert hd.product is h.coproduct and hd.coproduct is h.product
+    swapped = hopf_from(entries[key], c, p)
+    for n in range(4):
+        for S, T in decompositions(GroundSet.first(n), 2):
+            assert product_table(hd, S, T) == coproduct_table(h, S, T) \
+                == product_table(swapped, S, T)
+            assert coproduct_table(hd, S, T) == product_table(h, S, T) \
+                == coproduct_table(swapped, S, T)
 
 
 # ---------------------------------------------------------------------------

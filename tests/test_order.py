@@ -208,18 +208,20 @@ def test_transport_witness_matches_pairwise_route(entries):
 
 
 def test_full_suite_computes_each_slice_once(monkeypatch, capsys):
-    calls = Counter()
+    # S(X_C:2) has a derived pi: one derived entry serves every suite step
     real = order_mod.compute_order
+    for spec in ("Pi", "S(X_C:2)"):
+        calls = Counter()
 
-    def counted(mu, pi, I, species_key=None):
-        calls[I] += 1
-        return real(mu, pi, I, species_key)
+        def counted(mu, pi, I, species_key=None):
+            calls[I] += 1
+            return real(mu, pi, I, species_key)
 
-    monkeypatch.setattr(order_mod, "compute_order", counted)
-    assert main(["check", "--species", "Pi", "--suite", "full", "--max-n", "3"]) == 0
-    capsys.readouterr()
-    assert set(calls.values()) == {1}
-    assert {GroundSet.first(n) for n in range(4)} <= set(calls)
+        monkeypatch.setattr(order_mod, "compute_order", counted)
+        assert main(["check", "--species", spec, "--suite", "full", "--max-n", "3"]) == 0
+        capsys.readouterr()
+        assert set(calls.values()) == {1}, spec
+        assert {GroundSet.first(n) for n in range(4)} <= set(calls), spec
 
 
 # ---------------------------------------------------------------------------
