@@ -339,7 +339,7 @@ def make_S(inner: CatalogEntry) -> CatalogEntry:
     )
 
 
-def inverse_pi(entry: CatalogEntry, max_n: int = 4) -> ComultSystem:
+def inverse_pi(entry: CatalogEntry) -> ComultSystem:
     """The coproduct obtained by inverting a bijective product, component-wise.
 
     Raises if some needed component of the product is not bijective.
@@ -362,7 +362,7 @@ def inverse_pi(entry: CatalogEntry, max_n: int = 4) -> ComultSystem:
 def with_derived_pi(entry: CatalogEntry, max_n: int = 4) -> CatalogEntry:
     """Attach the inverse-of-product coproduct when every component up to
     max_n is bijective; used for labeled partitions over singleton species."""
-    pi = inverse_pi(entry, max_n)
+    pi = inverse_pi(entry)
     for n in range(max_n + 1):
         I = GroundSet.first(n)
         for S, T in decompositions(I, 2):

@@ -279,9 +279,9 @@ def f_pi(pi: ComultSystem, max_n: int = 3, *, check_preconditions: bool = True,
     """Build the unique isomorphism from maps-to-colors onto (P, pi) with the
     singleton normalization f(1 -> c) = c.
 
-    Constructed as the composite of the labeled-partition isomorphism for the
-    inverted coproduct, the relabeling along the singleton identification,
-    and the inverse of the same isomorphism on the maps side.
+    f(phi) is the product, under the inverted coproduct, of the singletons
+    {i}, each carrying the color phi(i) transported from {1} onto {i}: the
+    block product f^mu would give on the partition into singletons.
     """
     guard_max_n(max_n)
     key = species_key or pi.species.name
@@ -301,30 +301,17 @@ def f_pi(pi: ComultSystem, max_n: int = 3, *, check_preconditions: bool = True,
                                      f"not bijective on ({S},{T})")
 
     mu = _inverted_mu(pi)
-    colors = tuple(sp.elements(GroundSet.of([1])))
-    c = len(colors)
-    e_c = make_E_C(c)
-    nu = e_c.mu
-
-    fm_p = f_mu(mu, max_n, check_preconditions=False, species_key=key)
-    fm_e = f_mu(nu, max_n, check_preconditions=False, species_key=e_c.key)
-
     one = GroundSet.of([1])
-
-    def g(block: GroundSet, label: MapTo) -> Element:
-        # the singleton identification R -> Q, forced by naturality from
-        # g(1 -> c) = c
-        sigma = Bijection(one, block, (block.labels[0],))
-        color = colors[label.color_of(block.labels[0])]
-        return sp.transport(sigma, color)
+    colors = tuple(sp.elements(one))
+    e_c = make_E_C(len(colors))
 
     def build(I: GroundSet) -> dict:
+        singletons = tuple(GroundSet.of([i]) for i in I.labels)
+        moves = [Bijection(one, b, b.labels) for b in singletons]
         fwd = {}
         for f in e_c.species.elements(I):
-            X = fm_e.invert(f)
-            relabeled = LabeledPartitionElt(
-                I, tuple((b, g(b, lab)) for b, lab in X.blocks))
-            fwd[f] = fm_p.table(I)[relabeled]
+            fwd[f] = mu.fold(singletons, [sp.transport(sigma, colors[c])
+                                          for sigma, c in zip(moves, f.colors)])
         hit = set(fwd.values())
         if len(hit) != len(fwd) or hit != set(sp.elements(I)):
             raise FatalInconsistency(
@@ -429,15 +416,7 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet,
     spans: dict[tuple, list[Vec]] = {}
     all_rows = []
     for blocks in set_partitions(I):
-        vecs = []
-        pools = [prim(b) for b in blocks]
-        for combo in itertools.product(*pools):
-            if combo:
-                t = TensorVec.tensor(*combo)
-                v, _ = iterate_nabla(h, blocks, t)
-            else:
-                v = Vec.basis(h.unit())
-            vecs.append(v)
+        vecs = spans_on(h, I, blocks, prim)
         components.append((blocks, vecs))
         spans[blocks] = vecs
         all_rows.extend(_coords(v, index) for v in vecs)
@@ -489,11 +468,13 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet,
 
 
 def spans_on(h: LinearizedHopf, S: GroundSet, X: tuple, prim) -> list[Vec]:
+    """The block products of primitives over the partition X of S: one
+    iterated product per choice of a primitive ``prim(b)`` on each block."""
     vecs = []
     pools = [prim(b) for b in X]
     for combo in itertools.product(*pools):
         if combo:
-            v, _ = iterate_nabla(h, X, TensorVec.tensor(*combo))
+            v = iterate_nabla(h, X, TensorVec.tensor(*combo))
         else:
             v = Vec.basis(h.unit())
         vecs.append(v)

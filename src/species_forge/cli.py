@@ -288,7 +288,7 @@ def _run_full_extras(r: Runner) -> None:
     if entry.mu is not None and entry.pi is not None:
         h_mixed = engine.hopf_from(entry, "mu", "pi")
         r.run(False, engine.check_dual_tables, h_mixed, n)
-        r.run(False, engine.check_preorder_rectangle, entry, n, 3)
+        r.run(False, engine.check_preorder_rectangle, entry, n)
     if entry.mu is not None and _expect(entry, "commutative"):
         r.run(False, _nabla_x_check, entry, min(n, 3))
 

@@ -145,13 +145,12 @@ def test_fpi_S_X2():
     entry = with_derived_pi(make_S(make_X_C(2)), 3)
     fp = f_pi(entry.pi, 3, species_key=entry.key)
     assert check_fpi_intertwines(fp, 3).ok
-    I = GroundSet.first(2)
-    f01 = MapTo(I, (0, 1))
-    got = fp.apply(f01)
-    want = LabeledPartitionElt.of([
-        (GroundSet.of([1]), MapTo.from_pairs([(1, 0)])),
-        (GroundSet.of([2]), MapTo.from_pairs([(2, 1)]))])
-    assert got == want  # singleton blocks keep their colors
+    for n in range(4):
+        for f in fp.e_c.species.elements(GroundSet.first(n)):
+            want = LabeledPartitionElt.of([
+                (GroundSet.of([i]), MapTo.from_pairs([(i, f.color_of(i))]))
+                for i in f.ground.labels])
+            assert fp.apply(f) == want, f  # singleton blocks keep their colors
 
 
 def test_fpi_rejects_non_bijective():

@@ -212,11 +212,6 @@ def test_transport_check_labeled_maps_exhaustive_n4():
     assert transport_check(sp, GroundSet.first(4)).status == "pass"
 
 
-def test_transport_check_sampled_trials():
-    rep = transport_check(make_Perm().species, GroundSet.first(3), trials=20, seed=1)
-    assert rep.status == "pass"
-
-
 def test_transport_check_broken_species():
     rep = transport_check(label_dropping_species(), GroundSet.first(2))
     assert rep.status == "fail"
