@@ -39,10 +39,6 @@ def _coords(v: Vec, index: dict) -> list[Fraction]:
     return row
 
 
-def _elem_index(basis: SetSpecies, I: GroundSet) -> dict:
-    return {e: i for i, e in enumerate(basis.elements(I))}
-
-
 def _vec_from_coords(basis: SetSpecies, I: GroundSet, coords) -> Vec:
     els = basis.elements(I)
     return Vec(I, [(els[i], c) for i, c in enumerate(coords) if c != 0])
@@ -68,7 +64,7 @@ def primitives(h: LinearizedHopf, I: GroundSet) -> list[Vec]:
     decompositions of I; deterministic via the fixed elimination pivoting."""
     if len(I) == 0:
         return []
-    index = _elem_index(h.basis, I)
+    index = h.basis.index(I)
     rows = []
     for S, T in decompositions(I, 2, nonempty=True):
         rows.extend(_coproduct_rows(h, S, T, index))
@@ -110,7 +106,7 @@ def check_primitives_match(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> C
     h = hopf_from(entry, "mu", "mu")
     for n in range(1, max_n + 1):
         I = GroundSet.first(n)
-        index = _elem_index(entry.species, I)
+        index = entry.species.index(I)
         kernel = [_coords(v, index) for v in primitives(h, I)]
         setp = [_coords(Vec.basis(e), index) for e in primitive_basis_elements(entry.mu, I)]
         if len(kernel) != len(setp) or not linalg.spans_equal(kernel, setp, len(index)):
@@ -392,7 +388,7 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet,
             prim_cache[B] = primitives(h, B)
         return prim_cache[B]
 
-    index = _elem_index(h.basis, I)
+    index = h.basis.index(I)
     dim = len(index)
 
     # hypothesis p = 1 + q + r: primitives and proper product images fill p[I]
@@ -416,7 +412,7 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet,
     spans: dict[tuple, list[Vec]] = {}
     all_rows = []
     for blocks in set_partitions(I):
-        vecs = spans_on(h, I, blocks, prim)
+        vecs = spans_on(h, blocks, prim)
         components.append((blocks, vecs))
         spans[blocks] = vecs
         all_rows.extend(_coords(v, index) for v in vecs)
@@ -435,8 +431,8 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet,
             for Y in set_partitions(T):
                 target_rows = [_coords(v, index) for v in spans[
                     tuple(sorted(X + Y, key=lambda b: b.labels))]]
-                for u in spans_on(h, S, X, prim):
-                    for w in spans_on(h, T, Y, prim):
+                for u in spans_on(h, X, prim):
+                    for w in spans_on(h, Y, prim):
                         prod = h.nabla(S, T, TensorVec.tensor(u, w))
                         if not linalg.in_span(target_rows, dim, _coords(prod, index)):
                             inverse_iso = False
@@ -467,8 +463,8 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet,
          "kernel_straddle": kernel_ok})
 
 
-def spans_on(h: LinearizedHopf, S: GroundSet, X: tuple, prim) -> list[Vec]:
-    """The block products of primitives over the partition X of S: one
+def spans_on(h: LinearizedHopf, X: tuple, prim) -> list[Vec]:
+    """The block products of primitives over the set partition X: one
     iterated product per choice of a primitive ``prim(b)`` on each block."""
     vecs = []
     pools = [prim(b) for b in X]

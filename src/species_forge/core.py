@@ -577,19 +577,28 @@ class SetSpecies:
 
     ``elements_fn(I)`` must return the component over I in a deterministic
     order; ``transport_fn(sigma, x)`` must implement a functorial relabeling.
-    Components are cached per ground set.
+    Components and their element to position maps are cached per ground set.
     """
 
     name: str
     elements_fn: Callable[[GroundSet], Sequence[Element]]
     transport_fn: Callable[[Bijection, Element], Element]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def elements(self, I: GroundSet) -> tuple[Element, ...]:
         got = self._cache.get(I)
         if got is None:
             got = tuple(self.elements_fn(I))
             self._cache[I] = got
+        return got
+
+    def index(self, I: GroundSet) -> dict:
+        """Each element of P[I] mapped to its position in ``elements(I)``."""
+        got = self._index.get(I)
+        if got is None:
+            got = {x: k for k, x in enumerate(self.elements(I))}
+            self._index[I] = got
         return got
 
     def dim(self, I: GroundSet) -> int:
@@ -695,14 +704,62 @@ class CheckReport:
         return out
 
 
-def transport_check(P: SetSpecies, I: GroundSet) -> CheckReport:
-    """Verify the identity and composition laws of transport on I.
+class FatalInconsistency(Exception):
+    """A desk-scale contradiction of a theorem: an implementation bug."""
 
-    Checks p[id] = id, p[sigma o tau] = p[sigma] o p[tau] over all pairs of
-    endo-bijections, and that each transport maps the component bijectively
-    onto the target component.
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+# Up to this n the exhaustive transport and naturality routes also run beside
+# the table routes, and a split in verdict is fatal.
+TABLE_ORACLE_MAX_N = 3
+
+
+def transport_check(P: SetSpecies, I: GroundSet) -> CheckReport:
+    """Verify the identity, composition and bijectivity laws of transport on I.
+
+    Tabulates p[sigma] on indices into P[I] once per endo-bijection sigma and
+    certifies p[id] = id, that each table permutes P[I], and p[sigma o s_i] =
+    p[sigma] o p[s_i] for each adjacent transposition s_i, which gives
+    p[sigma o tau] = p[sigma] o p[tau] by induction on a word for tau.  What
+    the tables cannot certify goes to the exhaustive route over all pairs,
+    which finds the witness; up to n = TABLE_ORACLE_MAX_N it always runs, and
+    wherever both routes run a split raises ``FatalInconsistency``.
     Violations are reported with a witness, never raised.
     """
+    certified = _transport_certified(P, I)
+    if certified and len(I) > TABLE_ORACLE_MAX_N:
+        return CheckReport("transport", P.name, len(I), "pass")
+    rep = _transport_exhaustive(P, I)
+    if rep.ok != certified:
+        raise FatalInconsistency(
+            f"table and exhaustive transport checks disagree for {P.name} on {I}",
+            witness={"tables_certify": certified, "exhaustive": rep.witness})
+    return rep
+
+
+def _transport_certified(P: SetSpecies, I: GroundSet) -> bool:
+    index, elems = P.index(I), P.elements(I)
+    try:
+        p = {s.images: [index[P.transport(s, x)] for x in elems] for s in Bijection.all_endo(I)}
+    except Exception:  # a result outside P[I] or a transport that raises
+        return False
+    gens = [p[_swap(I.labels, i)] for i in range(len(I) - 1)]
+    return p[I.labels] == list(range(len(index))) and all(
+        len(set(row)) == len(row)
+        and all(p[_swap(images, i)] == [row[k] for k in g] for i, g in enumerate(gens))
+        for images, row in p.items())
+
+
+def _swap(images: tuple, i: int) -> tuple:
+    """The images of sigma o s_i, s_i exchanging the i-th and (i+1)-th labels."""
+    return images[:i] + (images[i + 1], images[i]) + images[i + 2:]
+
+
+def _transport_exhaustive(P: SetSpecies, I: GroundSet) -> CheckReport:
+    """Every law over every element, every pair of endo-bijections composed."""
     violations: list[dict] = []
     elems = P.elements(I)
     ident = Bijection.identity(I)

@@ -25,20 +25,13 @@ from typing import Optional
 
 from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
-    EMPTY, CheckReport, Element, GroundSet, SetSpecies, TensorVec, Vec,
-    decompositions, nonempty_compositions, tensor_dot, union_all, vec_dot,
+    EMPTY, TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, FatalInconsistency,
+    GroundSet, SetSpecies, TensorVec, Vec, decompositions, nonempty_compositions,
+    tensor_dot, union_all, vec_dot,
 )
 
 DEFAULT_MAX_N = 4
 SOFT_CEILING = 5
-
-
-class FatalInconsistency(Exception):
-    """A desk-scale contradiction of a theorem: an implementation bug."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def hard_ceiling() -> int:
@@ -551,39 +544,92 @@ def check_delta_nabla_identity(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) ->
 
 
 def check_naturality(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> CheckReport:
-    """The functoriality squares for mu and pi over all endo-bijections."""
+    """The naturality squares of mu and pi under every endo-bijection sigma.
+
+    mu and pi are tabulated on indices once per (S, T), and each restricted
+    transport sigma|S : S -> sigma(S) once, so a square is a few lookups.
+    What the tables cannot certify goes to the exhaustive route, which finds
+    the first failing square; up to n = TABLE_ORACLE_MAX_N it always runs,
+    and wherever both routes run a split raises ``FatalInconsistency``.
+    """
     guard_max_n(max_n)
-    from .core import Bijection
-    sp = entry.species
     for n in range(max_n + 1):
         I = GroundSet.first(n)
-        for sigma in Bijection.all_endo(I):
-            for S, T in decompositions(I, 2):
-                Sp, Tp = sigma.image_of(S), sigma.image_of(T)
-                rs, rt = sigma.restrict(S), sigma.restrict(T)
-                if entry.mu is not None:
-                    for x in sp.elements(S):
-                        for y in sp.elements(T):
-                            lhs = sp.transport(sigma, entry.mu(S, T, x, y))
-                            rhs = entry.mu(Sp, Tp, sp.transport(rs, x), sp.transport(rt, y))
-                            if lhs != rhs:
-                                return CheckReport(
-                                    "naturality", entry.key, n, "fail",
-                                    {"system": "mu", "sigma": list(sigma.images),
-                                     "S": list(S), "T": list(T),
-                                     "inputs": [str(x), str(y)],
-                                     "lhs": str(lhs), "rhs": str(rhs)})
-                if entry.pi is not None:
-                    for z in sp.elements(I):
-                        za, zb = entry.pi(S, T, z)
-                        lhs2 = (sp.transport(rs, za), sp.transport(rt, zb))
-                        rhs2 = entry.pi(Sp, Tp, sp.transport(sigma, z))
-                        if lhs2 != rhs2:
-                            return CheckReport(
-                                "naturality", entry.key, n, "fail",
-                                {"system": "pi", "sigma": list(sigma.images),
-                                 "S": list(S), "T": list(T), "input": str(z)})
+        certified = _natural_by_tables(entry, I)
+        if certified and n > TABLE_ORACLE_MAX_N:
+            continue
+        witness = _naturality_exhaustive(entry, I)
+        if certified != (witness is None):
+            raise FatalInconsistency(
+                f"table and exhaustive naturality checks disagree for {entry.key} at n={n}",
+                witness={"tables_certify": certified, "exhaustive": witness})
+        if witness is not None:
+            return CheckReport("naturality", entry.key, n, "fail", witness)
     return CheckReport("naturality", entry.key, max_n, "pass")
+
+
+def _natural_by_tables(entry: CatalogEntry, I: GroundSet) -> bool:
+    """Whether every square over I holds on the index tables."""
+    sp, mu, pi = entry.species, entry.mu, entry.pi
+    moved: dict = {}
+
+    def table(b: Bijection) -> list[int]:
+        if b not in moved:
+            moved[b] = [sp.index(b.target)[sp.transport(b, x)] for x in sp.elements(b.source)]
+        return moved[b]
+
+    decs = decompositions(I, 2)
+    try:
+        if mu is not None:
+            mus = {S: [sp.index(I)[mu(S, T, x, y)] for x in sp.elements(S) for y in sp.elements(T)]
+                   for S, T in decs}
+        if pi is not None:
+            pis = {S: [(sp.index(S)[a], sp.index(T)[b]) for a, b in
+                       (pi(S, T, z) for z in sp.elements(I))] for S, T in decs}
+        for sigma in Bijection.all_endo(I):
+            p = table(sigma)
+            for S, T in decs:
+                rs, rt = sigma.restrict(S), sigma.restrict(T)
+                ps, pt, Sp = table(rs), table(rt), rs.target
+                if mu is not None:
+                    mp, width = mus[Sp], sp.dim(rt.target)
+                    if [p[k] for k in mus[S]] != [mp[a * width + b] for a in ps for b in pt]:
+                        return False
+                if pi is not None:
+                    pp = pis[Sp]
+                    if [(ps[a], pt[b]) for a, b in pis[S]] != [pp[k] for k in p]:
+                        return False
+    except Exception:  # a result outside its component or a rule that raises
+        return False
+    return True
+
+
+def _naturality_exhaustive(entry: CatalogEntry, I: GroundSet) -> Optional[dict]:
+    """The first failing square over I, every map evaluated on elements."""
+    sp = entry.species
+    for sigma in Bijection.all_endo(I):
+        for S, T in decompositions(I, 2):
+            Sp, Tp = sigma.image_of(S), sigma.image_of(T)
+            rs, rt = sigma.restrict(S), sigma.restrict(T)
+            if entry.mu is not None:
+                for x in sp.elements(S):
+                    for y in sp.elements(T):
+                        lhs = sp.transport(sigma, entry.mu(S, T, x, y))
+                        rhs = entry.mu(Sp, Tp, sp.transport(rs, x), sp.transport(rt, y))
+                        if lhs != rhs:
+                            return {"system": "mu", "sigma": list(sigma.images),
+                                    "S": list(S), "T": list(T),
+                                    "inputs": [str(x), str(y)],
+                                    "lhs": str(lhs), "rhs": str(rhs)}
+            if entry.pi is not None:
+                for z in sp.elements(I):
+                    za, zb = entry.pi(S, T, z)
+                    lhs2 = (sp.transport(rs, za), sp.transport(rt, zb))
+                    rhs2 = entry.pi(Sp, Tp, sp.transport(sigma, z))
+                    if lhs2 != rhs2:
+                        return {"system": "pi", "sigma": list(sigma.images),
+                                "S": list(S), "T": list(T), "input": str(z)}
+    return None
 
 
 # ---------------------------------------------------------------------------

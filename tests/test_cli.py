@@ -283,6 +283,14 @@ def test_ssd_output_stable_across_hash_seeds():
     assert '"mode": "direct"' in outs[0]
 
 
+def test_axioms_output_stable_across_hash_seeds():
+    # transport and naturality tabulate through dicts keyed by elements
+    outs = _stdout_under_hash_seeds("check", "--species", "Perm", "--suite", "axioms",
+                                    "--max-n", "4")
+    assert outs[0] == outs[1]
+    assert '"check": "naturality"' in outs[0]
+
+
 @pytest.mark.parametrize("argv", [
     ("primitives", "--species", "Perm", "--max-n", "4"),
     ("check", "--species", "Pi", "--suite", "order", "--max-n", "4"),

@@ -4,14 +4,14 @@ import itertools
 
 import pytest
 
-from species_forge import engine as eng
+from species_forge import core, engine as eng
 from species_forge.catalog import (
-    CatalogEntry, ComultSystem, make_E, make_E_C, make_L, make_Perm, make_Pi,
+    CatalogEntry, ComultSystem, MultSystem, make_E, make_E_C, make_L, make_Perm, make_Pi,
     make_S, parse_species, with_derived_pi,
 )
 from species_forge.core import (
-    EMPTY, GroundSet, LinearOrderElt, SetPartitionElt, TensorVec, Vec,
-    decompositions,
+    EMPTY, CheckReport, GroundSet, LinearOrderElt, SetPartitionElt, SetSpecies,
+    TensorVec, Vec, decompositions,
 )
 from species_forge.controls import _MAKERS, _grid, perturbed_systems
 from species_forge.engine import (
@@ -588,3 +588,89 @@ def test_fiber_kernel_counts_multiplicities():
     assert "hopf_compatible" in _assert_routes_agree(h, max_n=1)
     rep = check_axiom(h, "hopf_compatible", 1)
     assert rep.witness["bottom"] == f"2*[{rep.witness['top']}]"
+
+
+# ---------------------------------------------------------------------------
+# negative controls for the table routes of transport and naturality
+
+def _twisted_L(twist):
+    """Linear orders whose transport is reversed under every sigma for which
+    ``twist(sigma)`` holds, and correct under every other."""
+    good = make_L().species
+
+    def transport(sigma, l):
+        got = good.transport(sigma, l)
+        return LinearOrderElt(got.ground, got.seq[::-1]) if twist(sigma) else got
+
+    return SetSpecies("twisted", good.elements_fn, transport)
+
+
+def _three_cycle(n):
+    """Twist only the 3-cycle (1 2 3) of {1..n}: the identity and every adjacent
+    transposition, on every ground set, keep their transport."""
+    cycle = (2, 3, 1) + tuple(range(4, n + 1))
+    return lambda s: s.source == s.target == GroundSet.first(n) and s.images == cycle
+
+
+def _off_young(i):
+    """Twist every endo-bijection moving its first i labels off themselves.
+    That set is a union of left cosets of the subgroup the s_j, j != i,
+    generate, so every violation of p[sigma o s] = p[sigma] o p[s] has s = s_i:
+    a route that skipped s_i would certify this transport."""
+    return lambda s: (s.source == s.target
+                      and set(s.images[:i]) != set(s.source.labels[:i]))
+
+
+@pytest.mark.parametrize("n, twist", [
+    *(pytest.param(n, _three_cycle(n), id=f"three_cycle-n{n}") for n in (3, 4)),
+    *(pytest.param(n, _off_young(i), id=f"off_young{i}-n{n}") for n in (3, 4) for i in range(1, n)),
+])
+def test_transport_controls_fail_as_the_exhaustive_route(n, twist):
+    sp, I = _twisted_L(twist), GroundSet.first(n)
+    rep = core.transport_check(sp, I)
+    assert rep.status == "fail"
+    assert rep == core._transport_exhaustive(sp, I)
+
+
+def test_transport_three_cycle_breaks_composition_only():
+    rep = core.transport_check(_twisted_L(_three_cycle(4)), GroundSet.first(4))
+    assert rep.witness["law"] == "composition"
+    assert core.transport_check(_twisted_L(_three_cycle(4)), GroundSet.first(3)).ok
+
+
+def _twisted_entry(n, system):
+    # The squares compose, so a system that fails naturality under a single
+    # sigma needs a transport that does not: here only the 3-cycle, a
+    # non-generator, breaks any square.
+    sp, L = _twisted_L(_three_cycle(n)), make_L()
+    mu = MultSystem(sp, L.mu.rule) if system == "mu" else None
+    pi = ComultSystem(sp, L.pi.rule) if system == "pi" else None
+    return CatalogEntry(f"twisted-{system}", sp, mu, pi)
+
+
+@pytest.mark.parametrize("system", ["mu", "pi"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_naturality_controls_fail_as_the_exhaustive_route(n, system):
+    entry = _twisted_entry(n, system)
+    rep = eng.check_naturality(entry, n)
+    witness = eng._naturality_exhaustive(entry, GroundSet.first(n))
+    assert rep == CheckReport("naturality", entry.key, n, "fail", witness)
+    assert witness["system"] == system and witness["sigma"] == [2, 3, 1] + list(range(4, n + 1))
+    assert eng.check_naturality(entry, n - 1).ok
+
+
+def test_lying_table_routes_are_fatal_at_small_n(monkeypatch):
+    I = GroundSet.first(3)
+    monkeypatch.setattr(core, "_transport_certified", lambda P, I: True)
+    with pytest.raises(FatalInconsistency, match="transport"):
+        core.transport_check(_twisted_L(_three_cycle(3)), I)
+    monkeypatch.setattr(core, "_transport_certified", lambda P, I: False)
+    with pytest.raises(FatalInconsistency, match="transport"):
+        core.transport_check(make_L().species, I)
+    monkeypatch.setattr(eng, "_natural_by_tables", lambda entry, I: True)
+    for system in ("mu", "pi"):
+        with pytest.raises(FatalInconsistency, match="naturality"):
+            eng.check_naturality(_twisted_entry(3, system), 3)
+    monkeypatch.setattr(eng, "_natural_by_tables", lambda entry, I: False)
+    with pytest.raises(FatalInconsistency, match="naturality"):
+        eng.check_naturality(make_L(), 3)
