@@ -7,8 +7,8 @@ timings are zeroed unless explicitly requested, and every enumeration is
 deterministic.
 
 Exit codes: 0 when everything passed or failed only where the species
-declares it should; 1 on an unexpected failure; 2 on a fatal inconsistency
-(a desk-scale contradiction of a theorem, with a serialized witness).
+declares it should; 1 on an unexpected failure, a check that raises included;
+2 on a fatal inconsistency (a theorem contradicted, with a serialized witness).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 
 from . import classify, controls, engine, order as order_mod
 from .catalog import CatalogEntry, parse_species, with_derived_pi
-from .core import CheckReport, GroundSet, Bijection, transport_check
+from .core import CheckReport, GroundSet, Bijection, decompositions, transport_check
 from .engine import FatalInconsistency
 
 SUITES = ("axioms", "ssd", "lsd", "order", "bases", "full")
@@ -45,10 +45,13 @@ class Runner:
         t0 = time.perf_counter()
         try:
             rep = fn(*args, **kwargs)
-        except FatalInconsistency as exc:
-            rep = CheckReport(getattr(fn, "__name__", "check"), self.entry.key,
-                              self.max_n, "fatal",
-                              {"message": str(exc), "witness": exc.witness})
+        except Exception as exc:  # a check that raises ends its own row, not the suite
+            fatal = isinstance(exc, FatalInconsistency)
+            rep = CheckReport(getattr(fn, "__name__", "check"), self.entry.key, self.max_n,
+                              "fatal" if fatal else "fail",
+                              {"message": str(exc), "witness": exc.witness} if fatal
+                              else {"error": type(exc).__name__, "message": str(exc)})
+            expected_fail = False
         rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
         if rep.status == "fail":
             rep.expected = expected_fail
@@ -151,8 +154,8 @@ def _run_ssd(r: Runner) -> None:
     else:
         r.reports.append(_skip("ssd_conditions", entry, n,
                                "characterizes Hopf triples only"))
-        r.reports.append(_skip("takeuchi_closed_form", entry, n, "product not commutative"))
-        r.reports.append(_skip("fmu_intertwines", entry, n, "product not commutative"))
+        for name in ("takeuchi_closed_form", "primitives_match", "fmu_intertwines"):
+            r.reports.append(_skip(name, entry, n, "product not commutative"))
 
 
 def _controls_check(entry: CatalogEntry, seed: int) -> CheckReport:
@@ -216,11 +219,11 @@ def _run_lsd(r: Runner) -> None:
         r.run(False, _fpi_check, entry, min(n, 3))
         r.run(False, _lsd_primitive_profile, entry, min(n, 3))
     else:
-        r.reports.append(_skip("fpi_intertwines", entry, n, "coproduct not bijective"))
+        for name in ("fpi_intertwines", "lsd_primitive_profile"):
+            r.reports.append(_skip(name, entry, n, "coproduct not bijective"))
 
 
 def _pi_bijective(entry: CatalogEntry, max_n: int) -> CheckReport:
-    from .core import decompositions
     for m in range(max_n + 1):
         I = GroundSet.first(m)
         for S, T in decompositions(I, 2):
@@ -286,11 +289,15 @@ def _run_full_extras(r: Runner) -> None:
     h = engine.hopf_from(entry, p, c)
     r.run(False, engine.check_antipode_convolution, h, min(n, 3))
     if entry.mu is not None and entry.pi is not None:
-        h_mixed = engine.hopf_from(entry, "mu", "pi")
-        r.run(False, engine.check_dual_tables, h_mixed, n)
-        r.run(False, engine.check_preorder_rectangle, entry, n)
+        r.run(False, engine.check_dual_tables, engine.hopf_from(entry, "mu", "pi"), n)
+    else:
+        r.reports.append(_skip("dual_tables", entry, n, "needs both systems"))
+    r.run(False, engine.check_preorder_rectangle, entry, n)  # skips itself without both
     if entry.mu is not None and _expect(entry, "commutative"):
         r.run(False, _nabla_x_check, entry, min(n, 3))
+    else:
+        r.reports.append(_skip("nabla_x_decomposition", entry, n,
+                               "needs a commutative product"))
 
 
 def _nabla_x_check(entry: CatalogEntry, max_n: int) -> CheckReport:
@@ -346,11 +353,11 @@ def cmd_check(args) -> int:
 def _print_check_md(payload: dict) -> None:
     print(f"# {payload['species']} / suite {payload['suite']} / n <= {payload['max_n']}")
     print()
-    print("| check | status | expected |")
-    print("|---|---|---|")
+    print("| check | status | expected | species |")
+    print("|---|---|---|---|")
     for c in payload["checks"]:
         exp = "" if "expected" not in c else ("yes" if c["expected"] else "NO")
-        print(f"| {c['check']} | {c['status']} | {exp} |")
+        print(f"| {c['check']} | {c['status']} | {exp} | {c['species']} |")
     print()
     s = payload["summary"]
     print(f"pass {s['pass']}, expected failures {s['fail_expected']}, "
@@ -407,7 +414,6 @@ def _orbit_count(entry: CatalogEntry, I: GroundSet) -> int:
 
 
 def _constants_dump(entry: CatalogEntry, h, max_n: int) -> list[dict]:
-    from .core import decompositions
     out = []
     for m in range(max_n + 1):
         I = GroundSet.first(m)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from species_forge.cli import main
+from species_forge.engine import AXIOMS
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,32 @@ def test_check_md_output(capsys):
                            "--suite", "axioms", "--max-n", "2", "--output", "md")
     assert code == 0
     assert "| associative | pass |" in out
+
+
+def test_md_rows_name_their_variant(capsys):
+    code, out, _ = run_cli(capsys, "check", "--species", "Pi",
+                           "--suite", "full", "--max-n", "2", "--output", "md")
+    assert code == 0
+    assert "| check | status | expected | species |" in out
+    fsd = [line for line in out.splitlines() if line.startswith("| fsd |")]
+    assert len(fsd) == 2
+    species = [line.split("|")[-2].strip() for line in fsd]
+    assert species[0] != species[1]
+    assert set(species) == {"Pi[nabla^mu,Delta^mu]", "Pi[nabla^mu,Delta^pi]"}
+
+
+@pytest.mark.parametrize("spec,skipped", [
+    ("Pi", ["lsd_primitive_profile"]),
+    ("L", ["primitives_match", "lsd_primitive_profile", "nabla_x_decomposition"]),
+    ("S(E_C:2)", ["dual_tables", "preorder_rectangle"]),
+], ids=["Pi", "L", "S(E_C:2)"])
+def test_checks_left_out_are_skip_rows(capsys, spec, skipped):
+    code, out, _ = run_cli(capsys, "check", "--species", spec,
+                           "--suite", "full", "--max-n", "2")
+    assert code == 0
+    rows = {c["check"]: c for c in json.loads(out)["checks"]}
+    for name in skipped:
+        assert rows[name]["status"] == "skip" and rows[name]["witness"]["reason"]
 
 
 def test_x_species_has_no_systems(capsys):
@@ -240,6 +267,32 @@ def test_failing_transport_row_stops_fail_fast():
     r = Runner(entry, 2, 0, False)
     _run_axioms(r)
     assert len(r.reports) > 2          # without fail-fast the suite goes on
+
+
+def _drops_second_factor():
+    from species_forge.catalog import CatalogEntry, MultSystem, make_Pi
+    pi = make_Pi()
+    return CatalogEntry("Pi", pi.species, MultSystem(pi.species, lambda S, T, x, y: x), pi.pi)
+
+
+def test_raising_check_is_a_fail_row_and_the_suite_goes_on():
+    from species_forge.cli import Runner, _run_axioms
+
+    r = Runner(_drops_second_factor(), 2, 0, False)
+    _run_axioms(r)
+    rows = [(rep.check, rep.n, rep.status) for rep in r.reports]
+    assert rows[:4] == [("transport", 0, "pass"), ("transport", 1, "pass"),
+                        ("transport", 2, "pass"), ("check_naturality", 2, "fail")]
+    assert r.reports[3].expected is False
+    assert r.reports[3].witness == {"error": "ValueError",
+                                    "message": "blocks do not cover the ground set"}
+    assert ("coassociative", 2, "pass") in rows   # later checks still ran
+    assert len(rows) == 4 + len(AXIOMS) + 1
+    assert set(r.summary()) == {"pass", "fail_expected", "fail_unexpected", "fatal", "skip"}
+    assert r.exit_code() == 1
+    r = Runner(_drops_second_factor(), 2, 0, True)
+    _run_axioms(r)
+    assert len(r.reports) == 4 and r.stopped       # --fail-fast still stops
 
 
 def test_E_C0_is_degenerate_but_valid(capsys):

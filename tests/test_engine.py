@@ -441,11 +441,20 @@ def test_preorder_rectangle_Perm_n4(entries):
 
 
 # ---------------------------------------------------------------------------
-# the set-level and linear routes of check_axiom
+# the kernels of check_axiom and the linear checkers behind them
 
-def _route_report(checker, h, axiom, max_n):
+# diagram -> (parts per decomposition, kernel, linear checker, public check)
+_DIAGRAMS = {
+    **{axiom: (*eng._AXIOM_ROUTES[axiom],
+               lambda h, n, axiom=axiom: check_axiom(h, axiom, n))
+       for axiom in AXIOMS},
+    "delta_nabla_identity": (2, eng._delta_nabla_terms, eng._delta_nabla_linear,
+                             check_delta_nabla_identity),
+}
+
+
+def _route_report(checker, h, parts, max_n):
     """(status, n, witness) of one route, looping n as check_axiom does."""
-    parts = eng._AXIOM_ROUTES[axiom][0]
     for n in range(max_n + 1):
         I = GroundSet.first(n)
         witness = checker(h, I, decompositions(I, parts) if parts else ())
@@ -455,27 +464,24 @@ def _route_report(checker, h, axiom, max_n):
 
 
 def _assert_routes_agree(h, max_n=3):
-    """Both routes, and check_axiom itself, report the same (status, n,
-    witness) for every axiom the set-level route applies to; returns those
-    axioms."""
-    applied = []
-    for axiom, (_parts, uses, linear, set_level) in eng._AXIOM_ROUTES.items():
-        if not uses <= eng._linearized_maps(h):
-            continue
-        fast = _route_report(set_level, h, axiom, max_n)
-        assert fast == _route_report(linear, h, axiom, max_n), (h.name, axiom)
-        rep = check_axiom(h, axiom, max_n)
-        assert (rep.status, rep.n, rep.witness) == fast, (h.name, axiom)
-        applied.append(axiom)
-    return applied
+    """The kernel, the linear checker and the public check report the same
+    (status, n, witness) for every diagram; returns the failing diagrams."""
+    failing = []
+    for name, (parts, kernel, linear, check) in _DIAGRAMS.items():
+        fast = _route_report(kernel, h, parts, max_n)
+        assert fast == _route_report(linear, h, parts, max_n), (h.name, name)
+        rep = check(h, max_n)
+        assert (rep.status, rep.n, rep.witness) == fast, (h.name, name)
+        if fast[0] == "fail":
+            failing.append(name)
+    return failing
 
 
 @pytest.mark.parametrize("family,args", _grid(), ids=str)
 def test_routes_agree_on_control_systems(family, args):
     ps = _MAKERS[family](*args)
     entry = CatalogEntry(ps.key, ps.mu.species, ps.mu, None)
-    applied = _assert_routes_agree(hopf_from(entry, "mu", "mu"))
-    assert applied == ["associative", "commutative", "unital", "hopf_compatible"]
+    _assert_routes_agree(hopf_from(entry, "mu", "mu"))
 
 
 def test_concat_and_mirror_systems_are_named_apart():
@@ -489,70 +495,95 @@ def test_concat_and_mirror_systems_are_named_apart():
                      "orders[mirror][nabla^mu,Delta^mu]"]
 
 
-_SET_LEVEL_VARIANTS = {"mu-pi": AXIOMS,
-                       "mu-mu": ("associative", "commutative", "unital",
-                                 "hopf_compatible"),
-                       "pi-pi": ("coassociative", "cocommutative", "counital")}
+# (spec, variant) -> the diagrams that fail at n <= 3; every other passes
+_CATALOG_FAILURES = {
+    ("L", "mu-pi"): ["commutative"],
+    ("L", "mu-mu"): ["commutative", "cocommutative", "hopf_compatible"],
+    ("L", "pi-mu"): ["cocommutative"],
+    **{(spec, "pi-pi"): ["hopf_compatible", "delta_nabla_identity"]
+       for spec in ("Pi", "L", "Perm")},
+}
 
 
 @pytest.mark.parametrize("spec,variant", [
-    (spec, variant)
+    (spec, "-".join(variant))
     for spec in ("E", "E_C:2", "Pi", "L", "Perm", "S(X_C:2)")
-    for variant in _SET_LEVEL_VARIANTS
+    for variant in _ALL_VARIANTS
 ] + [("S(E_C:2)", "mu-mu")])
 def test_routes_agree_on_catalog(spec, variant):
     entry = parse_species(spec)
     if spec == "S(X_C:2)":
         entry = with_derived_pi(entry, 3)
-    applied = _assert_routes_agree(hopf_from(entry, *variant.split("-")))
-    assert tuple(applied) == _SET_LEVEL_VARIANTS[variant]
+    failing = _assert_routes_agree(hopf_from(entry, *variant.split("-")))
+    assert failing == _CATALOG_FAILURES.get((spec, variant), [])
 
 
 def test_routes_agree_on_non_associative_system():
     mu = _interleave_system()
     entry = CatalogEntry("interleave", mu.species, mu, None)
     h = hopf_from(entry, "mu", "mu")
-    assert _assert_routes_agree(h) == ["associative", "commutative", "unital",
-                                       "hopf_compatible"]
+    assert _assert_routes_agree(h) == ["associative", "commutative", "coassociative",
+                                       "cocommutative", "hopf_compatible"]
     assert check_axiom(h, "associative", 3).status == "fail"
 
 
 def test_set_level_split_from_oracle_is_fatal(monkeypatch, entries):
-    parts, uses, linear, set_level = eng._AXIOM_ROUTES["associative"]
+    for name in ("associative", "coassociative", "delta_nabla_identity"):
+        parts, kernel, linear, check = _DIAGRAMS[name]
 
-    def lies_at_2(h, I, decs):
-        return {"forced": True} if len(I) == 2 else set_level(h, I, decs)
+        def lies_at_2(h, I, decs, kernel=kernel):
+            return {"forced": True} if len(I) == 2 else kernel(h, I, decs)
 
-    monkeypatch.setitem(eng._AXIOM_ROUTES, "associative", (parts, uses, linear, lies_at_2))
-    with pytest.raises(FatalInconsistency):
-        check_axiom(hopf_from(entries["Pi"], "mu", "pi"), "associative", 3)
+        with monkeypatch.context() as m:
+            if name == "delta_nabla_identity":
+                m.setattr(eng, "_delta_nabla_terms", lies_at_2)
+            else:
+                m.setitem(eng._AXIOM_ROUTES, name, (parts, lies_at_2, linear))
+            for variant in _ALL_VARIANTS:
+                with pytest.raises(FatalInconsistency):
+                    check(hopf_from(entries["Pi"], *variant), 3)
+
+
+def test_oracle_stops_after_small_n(monkeypatch, entries):
+    parts, kernel, linear = eng._AXIOM_ROUTES["associative"]
+    seen = []
+
+    def linear_seen(h, I, decs):
+        seen.append(len(I))
+        return linear(h, I, decs)
+
+    monkeypatch.setitem(eng._AXIOM_ROUTES, "associative", (parts, kernel, linear_seen))
+    assert check_axiom(hopf_from(entries["Pi"], "pi", "mu"), "associative", 4).ok
+    assert seen == list(range(eng.ORACLE_MAX_N + 1))
 
 
 def test_set_level_rejects_result_over_wrong_ground(entries):
-    from species_forge.catalog import ComultSystem, MultSystem
     pi_entry = entries["Pi"]
     sp = pi_entry.species
     drops_y = MultSystem(sp, lambda S, T, x, y: x)
     swaps = ComultSystem(sp, lambda S, T, z: pi_entry.pi(S, T, z)[::-1])
     I = GroundSet.first(2)
-    for axiom, entry in (
-            ("associative", CatalogEntry("bad", sp, drops_y, pi_entry.pi)),
-            ("coassociative", CatalogEntry("bad", sp, pi_entry.mu, swaps))):
-        h = hopf_from(entry, "mu", "pi")
-        set_level = eng._AXIOM_ROUTES[axiom][3]
-        with pytest.raises(ValueError, match="lives over"):
-            set_level(h, I, decompositions(I, 3))
-        with pytest.raises(ValueError):
-            check_axiom(h, axiom, 2)
+    for axiom, entry, variants in (
+            ("associative", CatalogEntry("bad", sp, drops_y, pi_entry.pi),
+             [("mu", "pi"), ("mu", "mu")]),
+            ("coassociative", CatalogEntry("bad", sp, pi_entry.mu, swaps),
+             [("mu", "pi"), ("pi", "pi")])):
+        for variant in variants:
+            h = hopf_from(entry, *variant)
+            kernel = eng._AXIOM_ROUTES[axiom][1]
+            with pytest.raises(ValueError, match="lives over"):
+                kernel(h, I, decompositions(I, 3))
+            with pytest.raises(ValueError, match="lives over"):
+                check_axiom(h, axiom, 2)
 
 
 def test_fiber_kernel_split_from_oracle_is_fatal(monkeypatch, entries):
-    fiber_kernel = eng._hopf_compat_fiber
+    parts, kernel, linear = eng._AXIOM_ROUTES["hopf_compatible"]
 
     def lies_at_2(h, I, decs):
-        return {"forced": True} if len(I) == 2 else fiber_kernel(h, I, decs)
+        return {"forced": True} if len(I) == 2 else kernel(h, I, decs)
 
-    monkeypatch.setattr(eng, "_hopf_compat_fiber", lies_at_2)
+    monkeypatch.setitem(eng._AXIOM_ROUTES, "hopf_compatible", (parts, lies_at_2, linear))
     with pytest.raises(FatalInconsistency):
         check_axiom(hopf_from(entries["Pi"], "mu", "mu"), "hopf_compatible", 3)
     with pytest.raises(FatalInconsistency):
@@ -560,13 +591,12 @@ def test_fiber_kernel_split_from_oracle_is_fatal(monkeypatch, entries):
 
 
 def test_fiber_kernel_rejects_result_over_wrong_ground(entries):
-    from species_forge.catalog import MultSystem
     sp = entries["Pi"].species
     drops_y = MultSystem(sp, lambda S, T, x, y: x)
     h = hopf_from(CatalogEntry("bad", sp, drops_y, None), "mu", "mu")
     I = GroundSet.first(1)
     with pytest.raises(ValueError, match="lives over"):
-        eng._hopf_compat_fiber(h, I, decompositions(I, 2))
+        eng._hopf_terms(h, I, decompositions(I, 2))
     with pytest.raises(ValueError, match="lives over"):
         check_axiom(h, "hopf_compatible", 2)
 
@@ -574,7 +604,7 @@ def test_fiber_kernel_rejects_result_over_wrong_ground(entries):
 def test_fiber_kernel_counts_multiplicities():
     # On singletons mu(-, unit) sends color 0 to 1 and colors 1, 2 to 0, so at
     # n = 1 both paths of the diagram hold one pair: once on top, twice below.
-    from species_forge.catalog import MultSystem, _mapto_merge
+    from species_forge.catalog import _mapto_merge
     from species_forge.core import MapTo
     sp = make_E_C(3).species
     g = (1, 0, 0)
@@ -588,6 +618,17 @@ def test_fiber_kernel_counts_multiplicities():
     assert "hopf_compatible" in _assert_routes_agree(h, max_n=1)
     rep = check_axiom(h, "hopf_compatible", 1)
     assert rep.witness["bottom"] == f"2*[{rep.witness['top']}]"
+
+
+def test_nabla_pi_kernel_counts_multiplicities(entries):
+    # nabla^pi sends {1} (x) {2} to {1|2} + {1,2}, and Delta^pi splits both
+    # into {1} (x) {2}: the two sides share their one pair, counted 2 and 1.
+    h = hopf_from(entries["Pi"], "pi", "pi")
+    rep = check_axiom(h, "hopf_compatible", 3)
+    assert (rep.status, rep.n) == ("fail", 2)
+    assert rep.witness["top"] == "2*[{1} (x) {2}]"
+    assert rep.witness["bottom"] == "{1} (x) {2}"
+    assert check_delta_nabla_identity(h, 3).witness["got"] == "2*[{1} (x) {2}]"
 
 
 # ---------------------------------------------------------------------------
