@@ -28,16 +28,25 @@ from .core import (
 class MultSystem:
     """A natural family of maps P[S] x P[T] -> P[S u T], evaluated on demand.
 
-    Images and fibers per component are cached; both are enumerated in the
-    species' canonical element order.
+    Images, fibers and position tables per component are cached; all are
+    enumerated in the species' canonical element order.
     """
 
     species: SetSpecies
     rule: Callable[[GroundSet, GroundSet, Element, Element], Element]
     _fibers: dict = field(default_factory=dict, repr=False)
+    _tables: dict = field(default_factory=dict, repr=False)
 
     def __call__(self, S: GroundSet, T: GroundSet, x: Element, y: Element) -> Element:
         return self.rule(S, T, x, y)
+
+    def table(self, S: GroundSet, T: GroundSet) -> list[int]:
+        """mu_{S,T} on positions: entry a * dim(T) + b is the position in
+        P[S u T] of mu(x_a, y_b).  A result outside P[S u T] raises KeyError."""
+        if (S, T) not in self._tables:
+            el, pos = self.species.elements, self.species.index(S.union(T))
+            self._tables[S, T] = [pos[self(S, T, x, y)] for x in el(S) for y in el(T)]
+        return self._tables[S, T]
 
     def fiber_map(self, S: GroundSet, T: GroundSet) -> dict:
         key = (S, T)
@@ -77,9 +86,19 @@ class ComultSystem:
     species: SetSpecies
     rule: Callable[[GroundSet, GroundSet, Element], tuple[Element, Element]]
     _fibers: dict = field(default_factory=dict, repr=False)
+    _tables: dict = field(default_factory=dict, repr=False)
 
     def __call__(self, S: GroundSet, T: GroundSet, z: Element) -> tuple[Element, Element]:
         return self.rule(S, T, z)
+
+    def table(self, S: GroundSet, T: GroundSet) -> list[tuple[int, int]]:
+        """pi_{S,T} on positions: entry c is the pair of positions in P[S] and
+        P[T] of pi(z_c).  A result outside them raises KeyError."""
+        if (S, T) not in self._tables:
+            ps, pt = self.species.index(S), self.species.index(T)
+            splits = (self(S, T, z) for z in self.species.elements(S.union(T)))
+            self._tables[S, T] = [(ps[a], pt[b]) for a, b in splits]
+        return self._tables[S, T]
 
     def fiber_map(self, S: GroundSet, T: GroundSet) -> dict:
         key = (S, T)

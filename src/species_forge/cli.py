@@ -47,8 +47,9 @@ class Runner:
             rep = fn(*args, **kwargs)
         except Exception as exc:  # a check that raises ends its own row, not the suite
             fatal = isinstance(exc, FatalInconsistency)
-            rep = CheckReport(getattr(fn, "__name__", "check"), self.entry.key, self.max_n,
-                              "fatal" if fatal else "fail",
+            variant = args[0] if args and isinstance(args[0], engine.LinearizedHopf) else None
+            rep = CheckReport(_row_name(fn, args), variant.name if variant else self.entry.key,
+                              self.max_n, "fatal" if fatal else "fail",
                               {"message": str(exc), "witness": exc.witness} if fatal
                               else {"error": type(exc).__name__, "message": str(exc)})
             expected_fail = False
@@ -86,6 +87,22 @@ class Runner:
         return 0
 
 
+# the checks whose row is not named after their function without "check_"
+_ROW_NAMES = {"check_AB": "property_AB", "check_all_lower_lattices": "lower_lattice",
+              "check_basis_change_matrices": "basis_change",
+              "check_basis_theorem": "basis_identities"}
+
+
+def _row_name(fn, args) -> str:
+    """The name of the row fn(*args) writes, for the row of a check that raises."""
+    if fn is engine.check_axiom:
+        return args[1]
+    if fn is engine.check_self_compatible:
+        return f"self_compatible[{args[1]}]"
+    name = getattr(fn, "__name__", "check")
+    return _ROW_NAMES.get(name, name.lstrip("_").removeprefix("check_"))
+
+
 def _canonical_variant(entry: CatalogEntry) -> tuple[str, str]:
     if entry.mu is not None and entry.pi is not None:
         return "mu", "pi"
@@ -117,6 +134,9 @@ def _run_axioms(r: Runner) -> None:
     for m in range(n + 1):
         rep = r.run(False, _transport, entry, m)
         if rep.status != "pass":
+            if not r.stopped:
+                r.reports += [_skip("transport", entry, later, f"transport did not pass at n={m}")
+                              for later in range(m + 1, n + 1)]
             break
     r.run(False, engine.check_naturality, entry, n)
     p, c = _canonical_variant(entry)
@@ -142,15 +162,15 @@ def _run_ssd(r: Runner) -> None:
         return
     exp = not _expect(entry, "commutative")
     r.run(exp, engine.check_self_compatible, entry.mu, "both", n, species_key=entry.key)
-    r.run(False, _controls_check, entry, r.seed)
+    r.run(False, _selfcompat_controls, entry, r.seed)
     h_ssd = engine.hopf_from(entry, "mu", "mu")
     r.run(exp, engine.check_fsd, h_ssd, n)
-    r.run(False, _coco_consequence, entry, n)
+    r.run(False, _fsd_coco_consequence, entry, n)
     if _expect(entry, "commutative"):
         r.run(False, engine.check_ssd_conditions, h_ssd, n)
         r.run(False, classify.check_takeuchi_closed_form, entry, n)
         r.run(False, classify.check_primitives_match, entry, n)
-        r.run(False, _fmu_check, entry, n)
+        r.run(False, _fmu_intertwines, entry, n)
     else:
         r.reports.append(_skip("ssd_conditions", entry, n,
                                "characterizes Hopf triples only"))
@@ -158,11 +178,12 @@ def _run_ssd(r: Runner) -> None:
             r.reports.append(_skip(name, entry, n, "product not commutative"))
 
 
-def _controls_check(entry: CatalogEntry, seed: int) -> CheckReport:
+def _selfcompat_controls(entry: CatalogEntry, seed: int) -> CheckReport:
     """Both self-compatibility modes agree on every seeded perturbed system."""
     systems = controls.perturbed_systems(seed=seed, count=50)
     detected: dict[str, int] = {}
-    for ps in systems:
+    for i, ps in enumerate(systems):
+        systems[i] = None  # a checked system's cached tables and fibers can go
         rep = engine.check_self_compatible(ps.mu, "both", 3, species_key=ps.key)
         if rep.status != "fail":
             return CheckReport("selfcompat_controls", entry.key, 3, "fail",
@@ -173,7 +194,7 @@ def _controls_check(entry: CatalogEntry, seed: int) -> CheckReport:
                        {"systems": len(systems), "broken_condition_counts": detected})
 
 
-def _coco_consequence(entry: CatalogEntry, max_n: int) -> CheckReport:
+def _fsd_coco_consequence(entry: CatalogEntry, max_n: int) -> CheckReport:
     """Every available triple that passes the self-duality check is also
     commutative and cocommutative."""
     variants = []
@@ -198,7 +219,7 @@ def _coco_consequence(entry: CatalogEntry, max_n: int) -> CheckReport:
                        {"fsd_variants": checked})
 
 
-def _fmu_check(entry: CatalogEntry, max_n: int) -> CheckReport:
+def _fmu_intertwines(entry: CatalogEntry, max_n: int) -> CheckReport:
     fm = classify.f_mu(entry.mu, max_n, species_key=entry.key)
     return classify.check_fmu_intertwines(fm, max_n, species_key=entry.key)
 
@@ -216,7 +237,7 @@ def _run_lsd(r: Runner) -> None:
     if h_mixed is not None:
         r.run(exp_bij, engine.check_fsd, h_mixed, n)
     if not exp_bij:
-        r.run(False, _fpi_check, entry, min(n, 3))
+        r.run(False, _fpi_intertwines, entry, min(n, 3))
         r.run(False, _lsd_primitive_profile, entry, min(n, 3))
     else:
         for name in ("fpi_intertwines", "lsd_primitive_profile"):
@@ -233,7 +254,7 @@ def _pi_bijective(entry: CatalogEntry, max_n: int) -> CheckReport:
     return CheckReport("pi_bijective", entry.key, max_n, "pass")
 
 
-def _fpi_check(entry: CatalogEntry, max_n: int) -> CheckReport:
+def _fpi_intertwines(entry: CatalogEntry, max_n: int) -> CheckReport:
     fp = classify.f_pi(entry.pi, max_n, species_key=entry.key)
     return classify.check_fpi_intertwines(fp, max_n, species_key=entry.key)
 
@@ -294,13 +315,13 @@ def _run_full_extras(r: Runner) -> None:
         r.reports.append(_skip("dual_tables", entry, n, "needs both systems"))
     r.run(False, engine.check_preorder_rectangle, entry, n)  # skips itself without both
     if entry.mu is not None and _expect(entry, "commutative"):
-        r.run(False, _nabla_x_check, entry, min(n, 3))
+        r.run(False, _nabla_x_decomposition, entry, min(n, 3))
     else:
         r.reports.append(_skip("nabla_x_decomposition", entry, n,
                                "needs a commutative product"))
 
 
-def _nabla_x_check(entry: CatalogEntry, max_n: int) -> CheckReport:
+def _nabla_x_decomposition(entry: CatalogEntry, max_n: int) -> CheckReport:
     h = engine.hopf_from(entry, "mu", "mu")
     dims = []
     for m in range(max_n + 1):

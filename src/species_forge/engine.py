@@ -7,9 +7,10 @@ structure constants, each 0 or 1, straight from mu, pi and their fibers.
 Checks every axiom by brute force over all decompositions of {1..n}:
 (co)associativity, (co)commutativity, (co)unitality and Hopf compatibility,
 each compared as multisets of basis terms (the linear route is the oracle
-for n <= 2); Hopf self-compatibility (two independent routes that must
-agree), structure constants, free self-duality, the invariant form,
-Takeuchi's antipode, and duality by transposition (which swaps the systems).
+for n <= 2), (co)associativity first on compiled mu and pi index tables;
+Hopf self-compatibility (two independent routes that must agree), structure
+constants, free self-duality, the invariant form, Takeuchi's antipode, and
+duality by transposition (which swaps the systems).
 
 A check that contradicts a theorem that is supposed to hold at desk scale
 raises ``FatalInconsistency``: that always means an implementation bug, and
@@ -209,10 +210,10 @@ def check_axiom(h: LinearizedHopf, axiom: str, max_n: int = DEFAULT_MAX_N) -> Ch
     """Exhaustively verify one defining diagram over every {1..n}, n <= max_n.
 
     The witness, when present, is the first (hence size-minimal) failing
-    instance in the fixed enumeration order.  The diagram is compared as
-    multisets of basis terms, with the linear checker as an oracle for
-    n <= ORACLE_MAX_N (``FatalInconsistency`` on a split).  A mu or pi
-    result over the wrong ground set raises ``ValueError``.
+    instance in the fixed enumeration order.  A table route certifies what it
+    can; the rest is compared as multisets of basis terms, with the linear
+    checker as an oracle for n <= ORACLE_MAX_N (``FatalInconsistency`` on a
+    split).  A mu or pi result over the wrong ground set raises ``ValueError``.
     """
     guard_max_n(max_n)
     route = _AXIOM_ROUTES.get(axiom)
@@ -223,9 +224,16 @@ def check_axiom(h: LinearizedHopf, axiom: str, max_n: int = DEFAULT_MAX_N) -> Ch
 
 def _check_diagram(h: LinearizedHopf, name: str, max_n: int, parts: int,
                    kernel, linear) -> CheckReport:
+    tables = _TABLE_ROUTES.get(name)
     for n in range(max_n + 1):
         I = GroundSet.first(n)
         decs = decompositions(I, parts) if parts else ()
+        try:
+            certified = tables(h, I, decs) if tables else None
+        except Exception:  # a result outside its component or a rule that raises
+            certified = False
+        if certified and n > ORACLE_MAX_N:
+            continue
         witness = kernel(h, I, decs)
         if n <= ORACLE_MAX_N:
             oracle = linear(h, I, decs)
@@ -233,6 +241,10 @@ def _check_diagram(h: LinearizedHopf, name: str, max_n: int, parts: int,
                 raise FatalInconsistency(
                     f"set-level and linear {name} checks disagree for {h.name} at n={n}",
                     witness={"set_level": witness, "linear": oracle})
+            if certified is not None and certified != (witness is None):
+                raise FatalInconsistency(
+                    f"table and set-level {name} checks disagree for {h.name} at n={n}",
+                    witness={"tables_certify": certified, "set_level": witness})
         if witness is not None:
             return CheckReport(name, h.name, n, "fail", witness)
     return CheckReport(name, h.name, max_n, "pass")
@@ -402,6 +414,39 @@ def _delta_nabla_terms(h, I, decs):
     return None
 
 
+# (Co)associativity of nabla^mu (Delta^pi) by lookups in the compiled mu (pi)
+# tables: None for another variant, else whether every instance over I holds.
+
+def _assoc_by_tables(h, I, decs) -> Optional[bool]:
+    mu = h.product
+    if not isinstance(mu, MultSystem):
+        return None
+    dim = mu.species.dim
+    for R, S, T in decs:
+        RS, ST = R.union(S), S.union(T)
+        dT, dST, left, right = dim(T), dim(ST), mu.table(RS, T), mu.table(R, ST)
+        lhs = [w for u in mu.table(R, S) for w in left[u * dT:(u + 1) * dT]]
+        yz = mu.table(S, T)
+        if lhs != [right[a * dST + v] for a in range(dim(R)) for v in yz]:
+            return False
+    return True
+
+
+def _coassoc_by_tables(h, I, decs) -> Optional[bool]:
+    pi = h.coproduct
+    if not isinstance(pi, ComultSystem):
+        return None
+    for R, S, T in decs:
+        rs, st = pi.table(R, S), pi.table(S, T)
+        if ([(*rs[u], t) for u, t in pi.table(R.union(S), T)]
+                != [(r, *st[v]) for r, v in pi.table(R, S.union(T))]):
+            return False
+    return True
+
+
+_TABLE_ROUTES = {"associative": _assoc_by_tables, "coassociative": _coassoc_by_tables}
+
+
 # The linear checkers, the kernels' reference: each builds its diagram's
 # vectors, and runs only for n <= ORACLE_MAX_N.
 
@@ -540,9 +585,9 @@ def _delta_nabla_linear(h, I, decs):
 def check_naturality(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     """The naturality squares of mu and pi under every endo-bijection sigma.
 
-    mu and pi are tabulated on indices once per (S, T), and each restricted
-    transport sigma|S : S -> sigma(S) once, so a square is a few lookups.
-    What the tables cannot certify goes to the exhaustive route, which finds
+    mu and pi are read from their compiled tables, and each restricted
+    transport sigma|S : S -> sigma(S) is tabulated once, so a square is a few
+    lookups.  What the tables cannot certify goes to the exhaustive route, which finds
     the first failing square; up to n = TABLE_ORACLE_MAX_N it always runs,
     and wherever both routes run a split raises ``FatalInconsistency``.
     """
@@ -574,24 +619,18 @@ def _natural_by_tables(entry: CatalogEntry, I: GroundSet) -> bool:
 
     decs = decompositions(I, 2)
     try:
-        if mu is not None:
-            mus = {S: [sp.index(I)[mu(S, T, x, y)] for x in sp.elements(S) for y in sp.elements(T)]
-                   for S, T in decs}
-        if pi is not None:
-            pis = {S: [(sp.index(S)[a], sp.index(T)[b]) for a, b in
-                       (pi(S, T, z) for z in sp.elements(I))] for S, T in decs}
         for sigma in Bijection.all_endo(I):
             p = table(sigma)
             for S, T in decs:
                 rs, rt = sigma.restrict(S), sigma.restrict(T)
-                ps, pt, Sp = table(rs), table(rt), rs.target
+                ps, pt, Sp, Tp = table(rs), table(rt), rs.target, rt.target
                 if mu is not None:
-                    mp, width = mus[Sp], sp.dim(rt.target)
-                    if [p[k] for k in mus[S]] != [mp[a * width + b] for a in ps for b in pt]:
+                    mt, mp, width = mu.table(S, T), mu.table(Sp, Tp), sp.dim(Tp)
+                    if [p[k] for k in mt] != [mp[a * width + b] for a in ps for b in pt]:
                         return False
                 if pi is not None:
-                    pp = pis[Sp]
-                    if [(ps[a], pt[b]) for a, b in pis[S]] != [pp[k] for k in p]:
+                    pp = pi.table(Sp, Tp)
+                    if [(ps[a], pt[b]) for a, b in pi.table(S, T)] != [pp[k] for k in p]:
                         return False
     except Exception:  # a result outside its component or a rule that raises
         return False

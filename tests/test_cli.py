@@ -282,7 +282,7 @@ def test_raising_check_is_a_fail_row_and_the_suite_goes_on():
     _run_axioms(r)
     rows = [(rep.check, rep.n, rep.status) for rep in r.reports]
     assert rows[:4] == [("transport", 0, "pass"), ("transport", 1, "pass"),
-                        ("transport", 2, "pass"), ("check_naturality", 2, "fail")]
+                        ("transport", 2, "pass"), ("naturality", 2, "fail")]
     assert r.reports[3].expected is False
     assert r.reports[3].witness == {"error": "ValueError",
                                     "message": "blocks do not cover the ground set"}
@@ -293,6 +293,57 @@ def test_raising_check_is_a_fail_row_and_the_suite_goes_on():
     r = Runner(_drops_second_factor(), 2, 0, True)
     _run_axioms(r)
     assert len(r.reports) == 4 and r.stopped       # --fail-fast still stops
+
+
+def test_transport_stop_leaves_skip_rows():
+    from species_forge.catalog import CatalogEntry, MultSystem
+    from species_forge.cli import Runner, _run_axioms
+    from species_forge.controls import label_dropping_species
+    from species_forge.core import LabeledPartitionElt
+
+    sp = label_dropping_species()
+    mu = MultSystem(sp, lambda S, T, x, y: LabeledPartitionElt(S.union(T), x.blocks + y.blocks))
+    r = Runner(CatalogEntry("broken", sp, mu, None), 3, 0, False)
+    _run_axioms(r)
+    rows = [(rep.check, rep.n, rep.status) for rep in r.reports]
+    assert rows[:5] == [("transport", 0, "pass"), ("transport", 1, "fail"),
+                        ("transport", 2, "skip"), ("transport", 3, "skip"),
+                        ("naturality", 3, "pass")]
+    assert r.reports[2].witness == r.reports[3].witness == {
+        "reason": "transport did not pass at n=1"}
+
+
+def test_error_rows_are_named_after_the_check():
+    from species_forge.cli import Runner, _run_axioms
+
+    r = Runner(_drops_second_factor(), 2, 0, False)
+    _run_axioms(r)
+    errors = [(rep.check, rep.species) for rep in r.reports
+              if rep.status == "fail" and "error" in rep.witness]
+    variant = "Pi[nabla^mu,Delta^pi]"
+    assert errors == [("naturality", "Pi"), ("associative", variant), ("commutative", variant),
+                      ("unital", variant), ("hopf_compatible", variant),
+                      ("delta_nabla_identity", variant)]
+
+
+def test_row_names_match_the_rows_of_every_check():
+    from species_forge import cli
+    from species_forge.catalog import parse_species
+
+    names = []
+
+    class Recording(cli.Runner):
+        def run(self, expected_fail, fn, *args, **kwargs):
+            rep = super().run(expected_fail, fn, *args, **kwargs)
+            names.append((cli._row_name(fn, args), rep.check))
+            return rep
+
+    for spec in ("Pi", "E_C:2"):
+        r = Recording(parse_species(spec), 2, 0, False)
+        for step in cli._SUITE_STEPS["full"]:
+            step(r)
+    assert len({got for got, _ in names}) >= 25
+    assert [got for got, _ in names] == [want for _, want in names]
 
 
 def test_E_C0_is_degenerate_but_valid(capsys):

@@ -10,10 +10,10 @@ from species_forge.catalog import (
     make_S, parse_species, with_derived_pi,
 )
 from species_forge.core import (
-    EMPTY, CheckReport, GroundSet, LinearOrderElt, SetPartitionElt, SetSpecies,
-    TensorVec, Vec, decompositions,
+    EMPTY, CheckReport, GroundSet, LinearOrderElt, MapTo, SetPartitionElt, SetSpecies,
+    TensorVec, UnitElement, Vec, decompositions,
 )
-from species_forge.controls import _MAKERS, _grid, perturbed_systems
+from species_forge.controls import _MAKERS, _grid, blob_system, perturbed_systems
 from species_forge.engine import (
     AXIOMS, FatalInconsistency, check_antipode_convolution, check_axiom,
     check_delta_nabla_identity, check_dual_tables, check_fsd,
@@ -465,9 +465,15 @@ def _route_report(checker, h, parts, max_n):
 
 def _assert_routes_agree(h, max_n=3):
     """The kernel, the linear checker and the public check report the same
-    (status, n, witness) for every diagram; returns the failing diagrams."""
+    (status, n, witness) for every diagram, and a table route certifies
+    exactly the n where the kernel finds no witness; returns the failing
+    diagrams."""
     failing = []
     for name, (parts, kernel, linear, check) in _DIAGRAMS.items():
+        tables = eng._TABLE_ROUTES.get(name)
+        for I in map(GroundSet.first, range(max_n + 1) if tables else ()):
+            decs = decompositions(I, parts)
+            assert tables(h, I, decs) in (None, kernel(h, I, decs) is None), (h.name, name, I)
         fast = _route_report(kernel, h, parts, max_n)
         assert fast == _route_report(linear, h, parts, max_n), (h.name, name)
         rep = check(h, max_n)
@@ -715,3 +721,138 @@ def test_lying_table_routes_are_fatal_at_small_n(monkeypatch):
     monkeypatch.setattr(eng, "_natural_by_tables", lambda entry, I: False)
     with pytest.raises(FatalInconsistency, match="naturality"):
         eng.check_naturality(make_L(), 3)
+
+
+# ---------------------------------------------------------------------------
+# the table routes of associativity and coassociativity
+
+_TABLE_AXIOMS = ("associative", "coassociative")
+
+
+def test_non_associative_blob_fails_past_the_oracle():
+    # a AND NOT b on {0, 1}: the two bracketings differ only for a = c = 1,
+    # so only with three nonempty parts and only at the last element of P[T]
+    sp = blob_system("zmax", 2).mu.species
+
+    def rule(S, T, x, y):
+        if not S or not T:
+            return x if S else y
+        return MapTo(S.union(T), (x.colors[0] & (1 - y.colors[0]),) * (len(S) + len(T)))
+
+    h = hopf_from(CatalogEntry("blob[andnot]", sp, MultSystem(sp, rule), None), "mu", "mu")
+    assert check_axiom(h, "associative", 2).ok
+    I = GroundSet.first(3)
+    witness = eng._assoc_terms(h, I, decompositions(I, 3))
+    assert witness["inputs"] == ["[1:1]", "[2:0]", "[3:1]"]
+    assert check_axiom(h, "associative", 3) == CheckReport(
+        "associative", h.name, 3, "fail", witness)
+
+
+def _levels():
+    """A species that fails associativity and coassociativity only at the
+    last instance at n = 3: the decomposition (empty, empty, I) and the last
+    element of P[I].
+
+    Over the empty set: e0 and e1.  Over a nonempty set: constant maps, to
+    {0, 1} below three points and to {0, 1, 2, 3} on three.  mu takes the
+    minimum of two values, e1 moves 3 to 2 on three points, and e1 e1 = e0;
+    pi restricts a value v to min(v, 1), and splits off the empty set as e0
+    while moving 3 to 2 and 2 to 1 on three points."""
+    e0, e1 = MapTo(EMPTY, ()), UnitElement()
+
+    def const(I, v):
+        return MapTo(I, (v,) * len(I))
+
+    def elements(I):
+        return [const(I, v) for v in range(4 if len(I) == 3 else 2)] if I else [e0, e1]
+
+    def mu(S, T, x, y):
+        if not S and not T:
+            return e0 if (x == e1) == (y == e1) else e1
+        if not S:
+            return const(T, 2) if x == e1 and len(T) == 3 and y.colors[0] == 3 else y
+        return const(S.union(T), min(x.colors[0], y.colors[0])) if T else x
+
+    def pi(S, T, z):
+        if not S and T:
+            v = z.colors[0]
+            return e0, const(T, {3: 2, 2: 1}.get(v, v))
+        if not T:
+            return z, e0
+        return const(S, min(z.colors[0], 1)), const(T, min(z.colors[0], 1))
+
+    sp = SetSpecies("levels", elements, lambda sigma, x: x)
+    return eng.LinearizedHopf("levels", sp, MultSystem(sp, mu), ComultSystem(sp, pi))
+
+
+@pytest.mark.parametrize("axiom", _TABLE_AXIOMS)
+def test_table_routes_fail_past_the_oracle_at_the_last_instance(axiom):
+    # A certifier that skipped the last decomposition, or the last element,
+    # would certify n = 3 here, where it runs alone.
+    h = _levels()
+    parts, kernel, _ = eng._AXIOM_ROUTES[axiom]
+    assert check_axiom(h, axiom, 2).ok
+    I = GroundSet.first(3)
+    decs = decompositions(I, parts)
+    witness = kernel(h, I, decs)
+    assert witness["decomposition"] == [[], [], [1, 2, 3]] == [list(p) for p in decs[-1]]
+    assert witness["inputs"][-1] == "[1:3,2:3,3:3]" == str(h.basis.elements(I)[-1])
+    assert eng._TABLE_ROUTES[axiom](h, I, decs) is False
+    assert check_axiom(h, axiom, 3) == CheckReport(axiom, "levels", 3, "fail", witness)
+
+
+def _reversing_pair():
+    # associativity and coassociativity both fail first at n = 2
+    sp = make_L().species
+    rev = MultSystem(sp, lambda S, T, x, y: LinearOrderElt(S.union(T), x.seq + y.seq[::-1]))
+    return eng.LinearizedHopf("reversing", sp, rev, _reversing_split(sp))
+
+
+@pytest.mark.parametrize("axiom", _TABLE_AXIOMS)
+def test_lying_table_certifier_is_fatal_at_small_n(monkeypatch, entries, axiom):
+    real = eng._TABLE_ROUTES[axiom]
+    h = _reversing_pair()
+    assert (check_axiom(h, axiom, 2).status, check_axiom(h, axiom, 2).n) == ("fail", 2)
+    monkeypatch.setitem(eng._TABLE_ROUTES, axiom,
+                        lambda h, I, decs: True if len(I) == 2 else real(h, I, decs))
+    with pytest.raises(FatalInconsistency, match="table"):
+        check_axiom(h, axiom, 2)
+    monkeypatch.setitem(eng._TABLE_ROUTES, axiom,
+                        lambda h, I, decs: False if len(I) == 2 else real(h, I, decs))
+    with pytest.raises(FatalInconsistency, match="table"):
+        check_axiom(hopf_from(entries["L"], "mu", "pi"), axiom, 2)
+
+
+def test_table_routes_leave_wrong_ground_to_the_kernel(entries):
+    # the results live over the wrong ground set only on three points, where
+    # the table route runs first: the kernel still raises
+    pi_entry = entries["Pi"]
+    sp, mu, pi = pi_entry.species, pi_entry.mu, pi_entry.pi
+    drops_y = MultSystem(sp, lambda S, T, x, y: x if len(S) == 2 and T else mu(S, T, x, y))
+    swaps = ComultSystem(sp, lambda S, T, z: pi(S, T, z)[::-1] if len(z.ground) == 3
+                         else pi(S, T, z))
+    h = eng.LinearizedHopf("bad", sp, drops_y, swaps)
+    for axiom in _TABLE_AXIOMS:
+        assert check_axiom(h, axiom, 2).ok
+        with pytest.raises(ValueError, match="lives over"):
+            check_axiom(h, axiom, 3)
+
+
+@pytest.mark.parametrize("spec", ["E", "E_C:2", "Pi", "L", "Perm", "S(X_C:2)"])
+def test_table_routes_need_no_kernel_above_the_oracle(monkeypatch, spec):
+    entry = parse_species(spec)
+    if spec == "S(X_C:2)":
+        entry = with_derived_pi(entry, 4)
+    seen = []
+    for axiom in _TABLE_AXIOMS:
+        parts, kernel, linear = eng._AXIOM_ROUTES[axiom]
+
+        def spy(h, I, decs, kernel=kernel, axiom=axiom):
+            seen.append((axiom, len(I)))
+            return kernel(h, I, decs)
+
+        monkeypatch.setitem(eng._AXIOM_ROUTES, axiom, (parts, spy, linear))
+    h = hopf_from(entry, "mu", "pi")
+    for axiom in _TABLE_AXIOMS:
+        assert check_axiom(h, axiom, 4).ok
+    assert seen == [(axiom, n) for axiom in _TABLE_AXIOMS for n in range(eng.ORACLE_MAX_N + 1)]
