@@ -24,6 +24,18 @@ from .core import (
 # ---------------------------------------------------------------------------
 # system wrappers
 
+def _positions(species: SetSpecies, ground: GroundSet, results: list) -> list[int]:
+    """The positions in P[ground] of rule results; ValueError for one outside it."""
+    index = species.index(ground)
+    out = [index.get(z) for z in results]
+    if None in out:
+        z = results[out.index(None)]
+        if z.ground != ground:
+            raise ValueError(f"rule result {z} lives over {z.ground}, not {ground}")
+        raise ValueError(f"rule result {z} is not an element of {species.name}[{ground}]")
+    return out
+
+
 @dataclass
 class MultSystem:
     """A natural family of maps P[S] x P[T] -> P[S u T], evaluated on demand.
@@ -42,10 +54,11 @@ class MultSystem:
 
     def table(self, S: GroundSet, T: GroundSet) -> list[int]:
         """mu_{S,T} on positions: entry a * dim(T) + b is the position in
-        P[S u T] of mu(x_a, y_b).  A result outside P[S u T] raises KeyError."""
+        P[S u T] of mu(x_a, y_b).  A result outside P[S u T] raises ValueError."""
         if (S, T) not in self._tables:
-            el, pos = self.species.elements, self.species.index(S.union(T))
-            self._tables[S, T] = [pos[self(S, T, x, y)] for x in el(S) for y in el(T)]
+            el = self.species.elements
+            results = [self(S, T, x, y) for x in el(S) for y in el(T)]
+            self._tables[S, T] = _positions(self.species, S.union(T), results)
         return self._tables[S, T]
 
     def fiber_map(self, S: GroundSet, T: GroundSet) -> dict:
@@ -93,11 +106,12 @@ class ComultSystem:
 
     def table(self, S: GroundSet, T: GroundSet) -> list[tuple[int, int]]:
         """pi_{S,T} on positions: entry c is the pair of positions in P[S] and
-        P[T] of pi(z_c).  A result outside them raises KeyError."""
+        P[T] of pi(z_c).  A result outside them raises ValueError."""
         if (S, T) not in self._tables:
-            ps, pt = self.species.index(S), self.species.index(T)
-            splits = (self(S, T, z) for z in self.species.elements(S.union(T)))
-            self._tables[S, T] = [(ps[a], pt[b]) for a, b in splits]
+            sp = self.species
+            pairs = [self(S, T, z) for z in sp.elements(S.union(T))]
+            self._tables[S, T] = list(zip(_positions(sp, S, [a for a, _ in pairs]),
+                                          _positions(sp, T, [b for _, b in pairs])))
         return self._tables[S, T]
 
     def fiber_map(self, S: GroundSet, T: GroundSet) -> dict:

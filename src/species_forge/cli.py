@@ -455,15 +455,23 @@ def _constants_dump(entry: CatalogEntry, h, max_n: int) -> list[dict]:
     return out
 
 
+def _order_undefined(entry: CatalogEntry, max_n: int) -> bool:
+    """Whether the order of entry is undefined, and if so why, on stderr: it
+    needs both systems and a commutative product."""
+    if entry.mu is None or entry.pi is None:
+        reason = "needs both systems"
+    elif not engine.check_axiom(engine.hopf_from(entry, "mu", "mu"),
+                                "commutative", min(max_n, 2)).ok:
+        reason = "product is not commutative"
+    else:
+        return False
+    print(f"order undefined for {entry.key}: {reason}", file=sys.stderr)
+    return True
+
+
 def cmd_hasse(args) -> int:
     entry = _maybe_derive_pi(parse_species(args.species), args.max_n)
-    if entry.mu is None or entry.pi is None:
-        print(f"order undefined for {entry.key}: needs both systems", file=sys.stderr)
-        return 1
-    if not engine.check_axiom(engine.hopf_from(entry, "mu", "mu"),
-                              "commutative", min(args.max_n, 2)).ok:
-        print(f"order undefined for {entry.key}: product is not commutative",
-              file=sys.stderr)
+    if _order_undefined(entry, args.max_n):
         return 1
     so = order_mod.SpeciesOrder(entry.mu, entry.pi, entry.key)
     sys.stdout.write(order_mod.hasse_dot(so, GroundSet.first(args.max_n), entry.key))
@@ -566,8 +574,7 @@ def cmd_fpi(args) -> int:
 
 def cmd_reconstruct_pi(args) -> int:
     entry = _maybe_derive_pi(parse_species(args.species), args.max_n)
-    if entry.mu is None or entry.pi is None:
-        print(f"reconstruction needs both systems on {entry.key}", file=sys.stderr)
+    if _order_undefined(entry, args.max_n):
         return 1
     rep = order_mod.check_reconstruct_roundtrip(entry, args.max_n)
     payload = {"command": "reconstruct-pi", "species": entry.key,
@@ -652,6 +659,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except FatalInconsistency as exc:
+        print(f"fatal: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ and the one its coproduct comes from, and reads the four (co)products'
 structure constants, each 0 or 1, straight from mu, pi and their fibers.
 Checks every axiom by brute force over all decompositions of {1..n}:
 (co)associativity, (co)commutativity, (co)unitality and Hopf compatibility,
-each compared as multisets of basis terms (the linear route is the oracle
-for n <= 2), (co)associativity first on compiled mu and pi index tables;
+each compared as multisets of basis positions read from the compiled mu and
+pi tables (the linear route, on elements, is the oracle for n <= 2);
 Hopf self-compatibility (two independent routes that must agree), structure
 constants, free self-duality, the invariant form, Takeuchi's antipode, and
 duality by transposition (which swaps the systems).
@@ -19,6 +19,7 @@ continuing would poison everything downstream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import Counter
@@ -195,11 +196,13 @@ def iterate_delta(h: LinearizedHopf, parts: tuple[GroundSet, ...], v: Vec) -> Te
 # Every structure constant of the four (co)products is 0 or 1, so both sides
 # of a diagram are sums of basis terms with nonnegative integer coefficients:
 # nothing cancels, and the diagram holds exactly when the two multisets of
-# terms are equal.  One kernel per diagram (``_*_terms``) compares them, for
-# all four variants: as lists first (one term a side for nabla^mu and
-# Delta^pi), counted only when the lists differ.  A failing side prints as
-# the Vec or TensorVec of its multiset, as in the linear checkers, which
-# build the vectors and run beside the kernel up to ORACLE_MAX_N.
+# terms are equal.  One kernel per diagram (``_*_terms``) compares them on
+# basis positions, for all four variants, reading the terms from the compiled
+# mu and pi tables: as lists first (one term a side for nabla^mu and
+# Delta^pi), counted only when the lists differ.  Elements appear only in a
+# witness, whose failing side prints as the Vec or TensorVec of its multiset,
+# as in the linear checkers, which build the vectors from mu, pi and their
+# fibers and run beside the kernel up to ORACLE_MAX_N.
 
 # Up to this n the linear checker also runs beside the kernel, and a split in
 # verdict or witness is fatal.
@@ -210,10 +213,10 @@ def check_axiom(h: LinearizedHopf, axiom: str, max_n: int = DEFAULT_MAX_N) -> Ch
     """Exhaustively verify one defining diagram over every {1..n}, n <= max_n.
 
     The witness, when present, is the first (hence size-minimal) failing
-    instance in the fixed enumeration order.  A table route certifies what it
-    can; the rest is compared as multisets of basis terms, with the linear
-    checker as an oracle for n <= ORACLE_MAX_N (``FatalInconsistency`` on a
-    split).  A mu or pi result over the wrong ground set raises ``ValueError``.
+    instance in the fixed enumeration order.  The diagram is compared as
+    multisets of basis positions, with the linear checker as an oracle for
+    n <= ORACLE_MAX_N (``FatalInconsistency`` on a split).  A mu or pi result
+    outside its component raises ``ValueError``, at every n.
     """
     guard_max_n(max_n)
     route = _AXIOM_ROUTES.get(axiom)
@@ -224,16 +227,9 @@ def check_axiom(h: LinearizedHopf, axiom: str, max_n: int = DEFAULT_MAX_N) -> Ch
 
 def _check_diagram(h: LinearizedHopf, name: str, max_n: int, parts: int,
                    kernel, linear) -> CheckReport:
-    tables = _TABLE_ROUTES.get(name)
     for n in range(max_n + 1):
         I = GroundSet.first(n)
         decs = decompositions(I, parts) if parts else ()
-        try:
-            certified = tables(h, I, decs) if tables else None
-        except Exception:  # a result outside its component or a rule that raises
-            certified = False
-        if certified and n > ORACLE_MAX_N:
-            continue
         witness = kernel(h, I, decs)
         if n <= ORACLE_MAX_N:
             oracle = linear(h, I, decs)
@@ -241,210 +237,184 @@ def _check_diagram(h: LinearizedHopf, name: str, max_n: int, parts: int,
                 raise FatalInconsistency(
                     f"set-level and linear {name} checks disagree for {h.name} at n={n}",
                     witness={"set_level": witness, "linear": oracle})
-            if certified is not None and certified != (witness is None):
-                raise FatalInconsistency(
-                    f"table and set-level {name} checks disagree for {h.name} at n={n}",
-                    witness={"tables_certify": certified, "set_level": witness})
         if witness is not None:
             return CheckReport(name, h.name, n, "fail", witness)
     return CheckReport(name, h.name, max_n, "pass")
 
 
-def _over(ground: GroundSet, z: Element) -> Element:
-    """z, checked to be the result of a rule over ``ground``."""
-    if z.ground != ground:
-        raise ValueError(f"rule result {z} lives over {z.ground}, not {ground}")
-    return z
+def _position_readers(h: LinearizedHopf):
+    """``products(S, T)`` and ``splits(S, T)``, each built once per (S, T):
+    entry a * dim(T) + b of the first holds the terms of nabla_{S,T}(x_a (x)
+    y_b) as positions in P[S u T], entry c of the second the terms of
+    Delta_{S,T}(z_c) as pairs of positions in P[S] and P[T].  nabla^mu and
+    Delta^pi read their system's table; nabla^pi and Delta^mu invert the other
+    system's table, which keeps each fiber in the species' element order."""
+    dim = h.basis.dim
 
+    @functools.cache
+    def products(S, T):
+        if isinstance(h.product, MultSystem):
+            return [(c,) for c in h.product.table(S, T)]
+        width, fibers = dim(T), [[] for _ in range(dim(S) * dim(T))]
+        for c, (a, b) in enumerate(h.product.table(S, T)):
+            fibers[a * width + b].append(c)
+        return list(map(tuple, fibers))
 
-def _readers(h: LinearizedHopf):
-    """``products(S, T, S u T, x, y)`` and ``splits(S, T, z)``: the terms of
-    h.products and h.splits, each direct mu or pi result checked to live over
-    its ground set.  A fiber is drawn from the species' own elements."""
-    if isinstance(h.product, MultSystem):
-        def products(S, T, ST, x, y, mu=h.product):
-            return (_over(ST, mu(S, T, x, y)),)
-    else:
-        def products(S, T, ST, x, y, fiber=h.product.fiber):
-            return fiber(S, T, (x, y))
-    if isinstance(h.coproduct, MultSystem):
-        return products, h.coproduct.fiber
+    @functools.cache
+    def splits(S, T):
+        if isinstance(h.coproduct, ComultSystem):
+            return [(p,) for p in h.coproduct.table(S, T)]
+        width, fibers = dim(T), [[] for _ in range(dim(S.union(T)))]
+        for k, c in enumerate(h.coproduct.table(S, T)):
+            fibers[c].append(divmod(k, width))
+        return list(map(tuple, fibers))
 
-    def splits(S, T, z, pi=h.coproduct):
-        a, b = pi(S, T, z)
-        return ((_over(S, a), _over(T, b)),)
     return products, splits
 
 
-def _printed(over, terms) -> str:
-    """The sum of ``terms`` as a Vec over one ground set or a TensorVec over parts."""
-    return str(Vec(over, Counter(terms)) if isinstance(over, GroundSet)
-               else TensorVec(over, Counter(terms)))
+def _printed(sp: SetSpecies, over, terms) -> str:
+    """The sum of the position ``terms`` as a Vec over one ground set or a
+    TensorVec over parts."""
+    if isinstance(over, GroundSet):
+        el = sp.elements(over)
+        return str(Vec(over, Counter(el[w] for w in terms)))
+    els = [sp.elements(part) for part in over]
+    return str(TensorVec(over, Counter(tuple(e[k] for e, k in zip(els, key)) for key in terms)))
 
 
 def _assoc_terms(h, I, decs):
-    products, _ = _readers(h)
-    elements = h.basis.elements
+    products, _ = _position_readers(h)
+    el, dim = h.basis.elements, h.basis.dim
     for R, S, T in decs:
         RS, ST = R.union(S), S.union(T)
-        ys, zs = elements(S), elements(T)
-        yzs = [[products(S, T, ST, y, z) for z in zs] for y in ys]
-        for x in elements(R):
-            for y, yz_row in zip(ys, yzs):
-                xy = products(R, S, RS, x, y)
-                for z, yz in zip(zs, yz_row):
-                    lhs = [w for u in xy for w in products(RS, T, I, u, z)]
-                    rhs = [w for v in yz for w in products(R, ST, I, x, v)]
+        dS, dT, dST = dim(S), dim(T), dim(ST)
+        xy, yz, left, right = products(R, S), products(S, T), products(RS, T), products(R, ST)
+        for a in range(dim(R)):
+            for b in range(dS):
+                ab = xy[a * dS + b]
+                for c in range(dT):
+                    lhs = [w for u in ab for w in left[u * dT + c]]
+                    rhs = [w for v in yz[b * dT + c] for w in right[a * dST + v]]
                     if lhs != rhs and Counter(lhs) != Counter(rhs):
                         return {"decomposition": [list(R), list(S), list(T)],
-                                "inputs": [str(x), str(y), str(z)],
-                                "lhs": _printed(I, lhs), "rhs": _printed(I, rhs)}
+                                "inputs": [str(el(R)[a]), str(el(S)[b]), str(el(T)[c])],
+                                "lhs": _printed(h.basis, I, lhs),
+                                "rhs": _printed(h.basis, I, rhs)}
     return None
 
 
 def _comm_terms(h, I, decs):
-    products, _ = _readers(h)
-    elements = h.basis.elements
+    products, _ = _position_readers(h)
+    el, dim = h.basis.elements, h.basis.dim
     for S, T in decs:
-        ys = elements(T)
-        for x in elements(S):
-            for y in ys:
-                lhs, rhs = products(S, T, I, x, y), products(T, S, I, y, x)
+        dS, dT, st, ts = dim(S), dim(T), products(S, T), products(T, S)
+        for a in range(dS):
+            for b in range(dT):
+                lhs, rhs = st[a * dT + b], ts[b * dS + a]
                 if lhs != rhs and Counter(lhs) != Counter(rhs):
                     return {"decomposition": [list(S), list(T)],
-                            "inputs": [str(x), str(y)],
-                            "lhs": _printed(I, lhs), "rhs": _printed(I, rhs)}
+                            "inputs": [str(el(S)[a]), str(el(T)[b])],
+                            "lhs": _printed(h.basis, I, lhs), "rhs": _printed(h.basis, I, rhs)}
     return None
 
 
 def _unital_terms(h, I, decs):
+    # the unit is the one element of P[empty], at position 0
     try:
-        u = h.unit()
+        h.unit()
     except ValueError as exc:
         return {"error": str(exc)}
-    products, _ = _readers(h)
-    for x in h.basis.elements(I):
-        left, right = products(EMPTY, I, I, u, x), products(I, EMPTY, I, x, u)
-        if left != (x,) or right != (x,):
-            return {"inputs": [str(x)], "left": _printed(I, left), "right": _printed(I, right)}
+    products, _ = _position_readers(h)
+    left, right = products(EMPTY, I), products(I, EMPTY)
+    for c, x in enumerate(h.basis.elements(I)):
+        if left[c] != (c,) or right[c] != (c,):
+            return {"inputs": [str(x)], "left": _printed(h.basis, I, left[c]),
+                    "right": _printed(h.basis, I, right[c])}
     return None
 
 
 def _coassoc_terms(h, I, decs):
-    _, splits = _readers(h)
-    zs = h.basis.elements(I)
+    _, splits = _position_readers(h)
     for R, S, T in decs:
-        RS, ST = R.union(S), S.union(T)
-        for z in zs:
-            lhs = [(a, b, t) for rs, t in splits(RS, T, z) for a, b in splits(R, S, rs)]
-            rhs = [(r, c, d) for r, st in splits(R, ST, z) for c, d in splits(S, T, st)]
+        left, rs = splits(R.union(S), T), splits(R, S)
+        right, st = splits(R, S.union(T)), splits(S, T)
+        for c, z in enumerate(h.basis.elements(I)):
+            lhs = [(a, b, t) for u, t in left[c] for a, b in rs[u]]
+            rhs = [(r, a, b) for r, v in right[c] for a, b in st[v]]
             if lhs != rhs and Counter(lhs) != Counter(rhs):
                 return {"decomposition": [list(R), list(S), list(T)],
                         "inputs": [str(z)],
-                        "lhs": _printed((R, S, T), lhs), "rhs": _printed((R, S, T), rhs)}
+                        "lhs": _printed(h.basis, (R, S, T), lhs),
+                        "rhs": _printed(h.basis, (R, S, T), rhs)}
     return None
 
 
 def _cocomm_terms(h, I, decs):
-    _, splits = _readers(h)
-    zs = h.basis.elements(I)
+    _, splits = _position_readers(h)
     for S, T in decs:
-        for z in zs:
-            lhs = list(splits(S, T, z))
-            rhs = [(b, a) for a, b in splits(T, S, z)]
+        st, ts = splits(S, T), splits(T, S)
+        for c, z in enumerate(h.basis.elements(I)):
+            lhs, rhs = list(st[c]), [(b, a) for a, b in ts[c]]
             if lhs != rhs and Counter(lhs) != Counter(rhs):
                 return {"decomposition": [list(S), list(T)],
                         "inputs": [str(z)],
-                        "lhs": _printed((S, T), lhs), "rhs": _printed((S, T), rhs)}
+                        "lhs": _printed(h.basis, (S, T), lhs),
+                        "rhs": _printed(h.basis, (S, T), rhs)}
     return None
 
 
 def _counital_terms(h, I, decs):
     try:
-        u = h.unit()
+        h.unit()
     except ValueError as exc:
         return {"error": str(exc)}
-    _, splits = _readers(h)
-    for z in h.basis.elements(I):
-        left, right = splits(EMPTY, I, z), splits(I, EMPTY, z)
-        if left != ((u, z),) or right != ((z, u),):
-            return {"inputs": [str(z)], "left": _printed((EMPTY, I), left),
-                    "right": _printed((I, EMPTY), right)}
+    _, splits = _position_readers(h)
+    left, right = splits(EMPTY, I), splits(I, EMPTY)
+    for c, z in enumerate(h.basis.elements(I)):
+        if left[c] != ((0, c),) or right[c] != ((c, 0),):
+            return {"inputs": [str(z)], "left": _printed(h.basis, (EMPTY, I), left[c]),
+                    "right": _printed(h.basis, (I, EMPTY), right[c])}
     return None
 
 
 def _hopf_terms(h, I, decs):
     # The twist of _hopf_compat: the bottom path multiplies the A-parts of x
     # and y together, then the B-parts.
-    products, splits = _readers(h)
-    elements = h.basis.elements
+    products, splits = _position_readers(h)
+    el, dim = h.basis.elements, h.basis.dim
     for R, Rp in decs:
-        xs, ys = elements(R), elements(Rp)
-        xys = [[products(R, Rp, I, x, y) for y in ys] for x in xs]
+        dRp, xy = dim(Rp), products(R, Rp)
         for S, Sp in decs:
             A, B = R.intersect(S), R.intersect(Sp)
             Ap, Bp = Rp.intersect(S), Rp.intersect(Sp)
-            dys = [splits(Ap, Bp, y) for y in ys]
-            for x, xy_row in zip(xs, xys):
-                dx = splits(A, B, x)
-                for y, xy, dy in zip(ys, xy_row, dys):
-                    top = [p for z in xy for p in splits(S, Sp, z)]
-                    bottom = [(c, d) for a, b in dx for ap, bp in dy
-                              for c in products(A, Ap, S, a, ap)
-                              for d in products(B, Bp, Sp, b, bp)]
+            dz, dx, dy = splits(S, Sp), splits(A, B), splits(Ap, Bp)
+            mA, mB, wA, wB = products(A, Ap), products(B, Bp), dim(Ap), dim(Bp)
+            for a in range(dim(R)):
+                for b in range(dRp):
+                    top = [p for z in xy[a * dRp + b] for p in dz[z]]
+                    bottom = [(c, d) for s, t in dx[a] for sp, tp in dy[b]
+                              for c in mA[s * wA + sp] for d in mB[t * wB + tp]]
                     if top != bottom and Counter(top) != Counter(bottom):
                         return {"R": list(R), "Rp": list(Rp), "S": list(S), "Sp": list(Sp),
-                                "inputs": [str(x), str(y)],
-                                "top": _printed((S, Sp), top),
-                                "bottom": _printed((S, Sp), bottom)}
+                                "inputs": [str(el(R)[a]), str(el(Rp)[b])],
+                                "top": _printed(h.basis, (S, Sp), top),
+                                "bottom": _printed(h.basis, (S, Sp), bottom)}
     return None
 
 
 def _delta_nabla_terms(h, I, decs):
-    products, splits = _readers(h)
-    elements = h.basis.elements
+    products, splits = _position_readers(h)
+    el, dim = h.basis.elements, h.basis.dim
     for S, T in decs:
-        ys = elements(T)
-        for x in elements(S):
-            for y in ys:
-                got = [p for z in products(S, T, I, x, y) for p in splits(S, T, z)]
-                if got != [(x, y)]:
+        dT, st, back = dim(T), products(S, T), splits(S, T)
+        for a in range(dim(S)):
+            for b in range(dT):
+                got = [p for z in st[a * dT + b] for p in back[z]]
+                if got != [(a, b)]:
                     return {"S": list(S), "T": list(T),
-                            "inputs": [str(x), str(y)], "got": _printed((S, T), got)}
+                            "inputs": [str(el(S)[a]), str(el(T)[b])],
+                            "got": _printed(h.basis, (S, T), got)}
     return None
-
-
-# (Co)associativity of nabla^mu (Delta^pi) by lookups in the compiled mu (pi)
-# tables: None for another variant, else whether every instance over I holds.
-
-def _assoc_by_tables(h, I, decs) -> Optional[bool]:
-    mu = h.product
-    if not isinstance(mu, MultSystem):
-        return None
-    dim = mu.species.dim
-    for R, S, T in decs:
-        RS, ST = R.union(S), S.union(T)
-        dT, dST, left, right = dim(T), dim(ST), mu.table(RS, T), mu.table(R, ST)
-        lhs = [w for u in mu.table(R, S) for w in left[u * dT:(u + 1) * dT]]
-        yz = mu.table(S, T)
-        if lhs != [right[a * dST + v] for a in range(dim(R)) for v in yz]:
-            return False
-    return True
-
-
-def _coassoc_by_tables(h, I, decs) -> Optional[bool]:
-    pi = h.coproduct
-    if not isinstance(pi, ComultSystem):
-        return None
-    for R, S, T in decs:
-        rs, st = pi.table(R, S), pi.table(S, T)
-        if ([(*rs[u], t) for u, t in pi.table(R.union(S), T)]
-                != [(r, *st[v]) for r, v in pi.table(R, S.union(T))]):
-            return False
-    return True
-
-
-_TABLE_ROUTES = {"associative": _assoc_by_tables, "coassociative": _coassoc_by_tables}
 
 
 # The linear checkers, the kernels' reference: each builds its diagram's

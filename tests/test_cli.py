@@ -219,6 +219,25 @@ def test_reconstruct_pi_command(capsys):
     assert payload["roundtrip"]["status"] == "pass"
 
 
+def test_reconstruct_pi_needs_a_commutative_product(capsys):
+    # the order, hence the reconstruction, is undefined for L, as for hasse
+    for command in ("reconstruct-pi", "hasse"):
+        code, out, err = run_cli(capsys, command, "--species", "L", "--max-n", "2")
+        assert (code, out, err) == (1, "", "order undefined for L: product is not commutative\n")
+
+
+def test_escaped_fatal_inconsistency_is_one_line_and_exit_2(capsys, monkeypatch):
+    from species_forge import order
+    from species_forge.engine import FatalInconsistency
+
+    def contradicted(entry, max_n):
+        raise FatalInconsistency("order closure mismatch for Pi over {1,2}")
+
+    monkeypatch.setattr(order, "check_reconstruct_roundtrip", contradicted)
+    code, out, err = run_cli(capsys, "reconstruct-pi", "--species", "Pi", "--max-n", "2")
+    assert (code, out, err) == (2, "", "fatal: order closure mismatch for Pi over {1,2}\n")
+
+
 def test_exit_codes_from_report_counts():
     from species_forge.catalog import make_Pi
     from species_forge.cli import Runner

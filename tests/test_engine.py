@@ -465,15 +465,9 @@ def _route_report(checker, h, parts, max_n):
 
 def _assert_routes_agree(h, max_n=3):
     """The kernel, the linear checker and the public check report the same
-    (status, n, witness) for every diagram, and a table route certifies
-    exactly the n where the kernel finds no witness; returns the failing
-    diagrams."""
+    (status, n, witness) for every diagram; returns the failing diagrams."""
     failing = []
     for name, (parts, kernel, linear, check) in _DIAGRAMS.items():
-        tables = eng._TABLE_ROUTES.get(name)
-        for I in map(GroundSet.first, range(max_n + 1) if tables else ()):
-            decs = decompositions(I, parts)
-            assert tables(h, I, decs) in (None, kernel(h, I, decs) is None), (h.name, name, I)
         fast = _route_report(kernel, h, parts, max_n)
         assert fast == _route_report(linear, h, parts, max_n), (h.name, name)
         rep = check(h, max_n)
@@ -724,7 +718,7 @@ def test_lying_table_routes_are_fatal_at_small_n(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the table routes of associativity and coassociativity
+# the position kernels past the oracle
 
 _TABLE_AXIOMS = ("associative", "coassociative")
 
@@ -787,8 +781,8 @@ def _levels():
 
 @pytest.mark.parametrize("axiom", _TABLE_AXIOMS)
 def test_table_routes_fail_past_the_oracle_at_the_last_instance(axiom):
-    # A certifier that skipped the last decomposition, or the last element,
-    # would certify n = 3 here, where it runs alone.
+    # A kernel that skipped the last decomposition, or the last element, would
+    # pass n = 3 here, where it runs without the linear oracle.
     h = _levels()
     parts, kernel, _ = eng._AXIOM_ROUTES[axiom]
     assert check_axiom(h, axiom, 2).ok
@@ -797,35 +791,12 @@ def test_table_routes_fail_past_the_oracle_at_the_last_instance(axiom):
     witness = kernel(h, I, decs)
     assert witness["decomposition"] == [[], [], [1, 2, 3]] == [list(p) for p in decs[-1]]
     assert witness["inputs"][-1] == "[1:3,2:3,3:3]" == str(h.basis.elements(I)[-1])
-    assert eng._TABLE_ROUTES[axiom](h, I, decs) is False
     assert check_axiom(h, axiom, 3) == CheckReport(axiom, "levels", 3, "fail", witness)
 
 
-def _reversing_pair():
-    # associativity and coassociativity both fail first at n = 2
-    sp = make_L().species
-    rev = MultSystem(sp, lambda S, T, x, y: LinearOrderElt(S.union(T), x.seq + y.seq[::-1]))
-    return eng.LinearizedHopf("reversing", sp, rev, _reversing_split(sp))
-
-
-@pytest.mark.parametrize("axiom", _TABLE_AXIOMS)
-def test_lying_table_certifier_is_fatal_at_small_n(monkeypatch, entries, axiom):
-    real = eng._TABLE_ROUTES[axiom]
-    h = _reversing_pair()
-    assert (check_axiom(h, axiom, 2).status, check_axiom(h, axiom, 2).n) == ("fail", 2)
-    monkeypatch.setitem(eng._TABLE_ROUTES, axiom,
-                        lambda h, I, decs: True if len(I) == 2 else real(h, I, decs))
-    with pytest.raises(FatalInconsistency, match="table"):
-        check_axiom(h, axiom, 2)
-    monkeypatch.setitem(eng._TABLE_ROUTES, axiom,
-                        lambda h, I, decs: False if len(I) == 2 else real(h, I, decs))
-    with pytest.raises(FatalInconsistency, match="table"):
-        check_axiom(hopf_from(entries["L"], "mu", "pi"), axiom, 2)
-
-
 def test_table_routes_leave_wrong_ground_to_the_kernel(entries):
-    # the results live over the wrong ground set only on three points, where
-    # the table route runs first: the kernel still raises
+    # the results live over the wrong ground set only on three points, past
+    # the oracle: compiling the table raises
     pi_entry = entries["Pi"]
     sp, mu, pi = pi_entry.species, pi_entry.mu, pi_entry.pi
     drops_y = MultSystem(sp, lambda S, T, x, y: x if len(S) == 2 and T else mu(S, T, x, y))
@@ -838,21 +809,59 @@ def test_table_routes_leave_wrong_ground_to_the_kernel(entries):
             check_axiom(h, axiom, 3)
 
 
-@pytest.mark.parametrize("spec", ["E", "E_C:2", "Pi", "L", "Perm", "S(X_C:2)"])
-def test_table_routes_need_no_kernel_above_the_oracle(monkeypatch, spec):
-    entry = parse_species(spec)
-    if spec == "S(X_C:2)":
-        entry = with_derived_pi(entry, 4)
-    seen = []
-    for axiom in _TABLE_AXIOMS:
-        parts, kernel, linear = eng._AXIOM_ROUTES[axiom]
+def _stray_color(stray):
+    """E_C:2 whose product returns the constant color 2, so no element of
+    P[S u T], on nonempty S and T with ``stray(S u T)``."""
+    entry = make_E_C(2)
 
-        def spy(h, I, decs, kernel=kernel, axiom=axiom):
-            seen.append((axiom, len(I)))
-            return kernel(h, I, decs)
+    def rule(S, T, x, y):
+        if S and T and stray(S.union(T)):
+            return MapTo(S.union(T), (2,) * (len(S) + len(T)))
+        return entry.mu(S, T, x, y)
 
-        monkeypatch.setitem(eng._AXIOM_ROUTES, axiom, (parts, spy, linear))
-    h = hopf_from(entry, "mu", "pi")
-    for axiom in _TABLE_AXIOMS:
-        assert check_axiom(h, axiom, 4).ok
-    assert seen == [(axiom, n) for axiom in _TABLE_AXIOMS for n in range(eng.ORACLE_MAX_N + 1)]
+    return CatalogEntry("stray", entry.species, MultSystem(entry.species, rule), entry.pi)
+
+
+@pytest.mark.parametrize("axiom,variant", [
+    ("associative", ("mu", "pi")), ("associative", ("mu", "mu")),
+    ("hopf_compatible", ("mu", "pi")), ("hopf_compatible", ("mu", "mu")),
+    ("hopf_compatible", ("pi", "mu")), ("commutative", ("mu", "pi")),
+], ids=str)
+def test_result_outside_its_component_raises_at_every_n(axiom, variant):
+    everywhere = hopf_from(_stray_color(lambda I: True), *variant)
+    with pytest.raises(ValueError, match="is not an element of E_C:2"):
+        check_axiom(everywhere, axiom, 2)
+    on_three = hopf_from(_stray_color(lambda I: len(I) == 3), *variant)
+    assert check_axiom(on_three, axiom, 2).ok
+    with pytest.raises(ValueError, match="is not an element of E_C:2"):
+        check_axiom(on_three, axiom, 3)
+
+
+def test_result_outside_its_component_is_an_error_row():
+    from species_forge.cli import Runner
+    entry = _stray_color(lambda I: len(I) == 3)
+    r = Runner(entry, 3, 0, False)
+    rep = r.run(False, check_axiom, hopf_from(entry, "mu", "pi"), "associative", 3)
+    assert (rep.check, rep.status, rep.witness["error"]) == ("associative", "fail", "ValueError")
+    assert rep.witness["message"] == (
+        "rule result [1:2,2:2,3:2] is not an element of E_C:2[{1,2,3}]")
+    assert r.exit_code() == 1
+
+
+def test_delta_mu_fails_hopf_compatibility_past_the_oracle():
+    # mu flips the color of a one-point first factor against a two-point
+    # second one, so (nabla^pi, Delta^mu) first fails on three points
+    entry = make_E_C(2)
+
+    def rule(S, T, x, y):
+        if len(S) == 1 and len(T) == 2:
+            x = MapTo(S, (1 - x.colors[0],))
+        return entry.mu(S, T, x, y)
+
+    flip = CatalogEntry("flip", entry.species, MultSystem(entry.species, rule), entry.pi)
+    h = hopf_from(flip, "pi", "mu")
+    assert check_axiom(h, "hopf_compatible", 2).ok
+    assert check_axiom(h, "hopf_compatible", 3) == CheckReport(
+        "hopf_compatible", h.name, 3, "fail",
+        {"R": [1, 2], "Rp": [3], "S": [1], "Sp": [2, 3], "inputs": ["[1:0,2:0]", "[3:0]"],
+         "top": "[1:1] (x) [2:0,3:0]", "bottom": "[1:0] (x) [2:0,3:0]"})
