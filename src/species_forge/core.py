@@ -3,11 +3,12 @@
 The substrate every species computation runs on: immutable value types in
 canonical form (so equality is structural and iteration order never drifts)
 and exact rational linear combinations.  There is no floating point anywhere
-in this package.
+in this package: coefficients stay ``int`` until a ``Fraction`` is passed in.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,9 +56,7 @@ class GroundSet:
         return not set(self.labels) & set(other.labels)
 
     def union(self, other: "GroundSet") -> "GroundSet":
-        if not self.disjoint_from(other):
-            raise ValueError(f"ground sets overlap: {self} and {other}")
-        return GroundSet(tuple(sorted(self.labels + other.labels)))
+        return _union(self.labels, other.labels)
 
     def intersect(self, other: "GroundSet") -> "GroundSet":
         keep = set(other.labels)
@@ -75,6 +74,15 @@ class GroundSet:
 
 
 EMPTY = GroundSet()
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _union(a: tuple[int, ...], b: tuple[int, ...]) -> GroundSet:
+    """The union of two disjoint label tuples, memoized; an overlap raises
+    (and is not cached).  The subsets of {1..n} give 3^n disjoint pairs."""
+    if not set(a).isdisjoint(b):
+        raise ValueError(f"ground sets overlap: {GroundSet(a)} and {GroundSet(b)}")
+    return GroundSet(tuple(sorted(a + b)))
 
 
 def union_all(parts: Iterable[GroundSet]) -> GroundSet:
@@ -351,26 +359,28 @@ class LabeledPartitionElt(Element):
 # ---------------------------------------------------------------------------
 # exact linear combinations
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _exact(c) -> int | Fraction:
+    """An exact coefficient: an int or a Fraction as given, a bool as int."""
+    if type(c) is int or isinstance(c, Fraction):
         return c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
 class Vec:
-    """An exact rational combination of basis elements over one ground set."""
+    """An exact rational combination of basis elements over one ground set;
+    its coefficients are ints unless a Fraction was passed in."""
 
     __slots__ = ("ground", "terms")
 
     def __init__(self, ground: GroundSet, terms=()):
-        acc: dict[Element, Fraction] = {}
+        acc: dict[Element, int | Fraction] = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for el, c in items:
             if el.ground != ground:
                 raise ValueError(f"element over {el.ground} in Vec over {ground}")
-            c = _as_fraction(c)
+            c = _exact(c)
             if c == 0:
                 continue
             c0 = acc.get(el)
@@ -389,10 +399,10 @@ class Vec:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, el: Element) -> Fraction:
-        return self.terms.get(el, Fraction(0))
+    def coeff(self, el: Element) -> int | Fraction:
+        return self.terms.get(el, 0)
 
-    def items(self) -> list[tuple[Element, Fraction]]:
+    def items(self) -> list[tuple[Element, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda p: p[0].sort_key())
 
     def __add__(self, other: "Vec") -> "Vec":
@@ -400,7 +410,7 @@ class Vec:
             raise ValueError("ground sets differ")
         acc = dict(self.terms)
         for e, c in other.terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + c
+            acc[e] = acc.get(e, 0) + c
         return Vec(self.ground, acc)
 
     def __sub__(self, other: "Vec") -> "Vec":
@@ -410,7 +420,7 @@ class Vec:
         return self.scale(-1)
 
     def scale(self, c) -> "Vec":
-        c = _as_fraction(c)
+        c = _exact(c)
         return Vec(self.ground, {e: k * c for e, k in self.terms.items()})
 
     def __rmul__(self, c) -> "Vec":
@@ -446,7 +456,7 @@ class TensorVec:
             if seen & set(p.labels):
                 raise ValueError("tensor parts must be pairwise disjoint")
             seen |= set(p.labels)
-        acc: dict[tuple[Element, ...], Fraction] = {}
+        acc: dict[tuple[Element, ...], int | Fraction] = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for key, c in items:
             key = tuple(key)
@@ -455,7 +465,7 @@ class TensorVec:
             for el, p in zip(key, parts):
                 if el.ground != p:
                     raise ValueError(f"element over {el.ground} in slot for {p}")
-            c = _as_fraction(c)
+            c = _exact(c)
             if c == 0:
                 continue
             c0 = acc.get(key)
@@ -478,7 +488,7 @@ class TensorVec:
         terms = []
         for combo in itertools.product(*(v.terms.items() for v in vecs)):
             key = tuple(e for e, _ in combo)
-            c = Fraction(1)
+            c = 1
             for _, k in combo:
                 c *= k
             terms.append((key, c))
@@ -496,10 +506,10 @@ class TensorVec:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, key: Sequence[Element]) -> Fraction:
-        return self.terms.get(tuple(key), Fraction(0))
+    def coeff(self, key: Sequence[Element]) -> int | Fraction:
+        return self.terms.get(tuple(key), 0)
 
-    def items(self) -> list[tuple[tuple[Element, ...], Fraction]]:
+    def items(self) -> list[tuple[tuple[Element, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda p: tuple(e.sort_key() for e in p[0]))
 
     def twist(self, perm: Sequence[int]) -> "TensorVec":
@@ -521,14 +531,14 @@ class TensorVec:
             raise ValueError("tensor parts differ")
         acc = dict(self.terms)
         for k, c in other.terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
+            acc[k] = acc.get(k, 0) + c
         return TensorVec(self.parts, acc)
 
     def __sub__(self, other: "TensorVec") -> "TensorVec":
         return self + other.scale(-1)
 
     def scale(self, c) -> "TensorVec":
-        c = _as_fraction(c)
+        c = _exact(c)
         return TensorVec(self.parts, {k: v * c for k, v in self.terms.items()})
 
     def __rmul__(self, c) -> "TensorVec":
@@ -553,19 +563,19 @@ class TensorVec:
     __repr__ = __str__
 
 
-def vec_dot(a: Vec, b: Vec) -> Fraction:
+def vec_dot(a: Vec, b: Vec) -> int | Fraction:
     """Pairing in which the basis is orthonormal (conjugation is trivial over Q)."""
     if a.ground != b.ground:
         raise ValueError("ground sets differ")
     small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    return sum((c * big.get(e, Fraction(0)) for e, c in small.items()), Fraction(0))
+    return sum(c * big.get(e, 0) for e, c in small.items())
 
 
-def tensor_dot(a: TensorVec, b: TensorVec) -> Fraction:
+def tensor_dot(a: TensorVec, b: TensorVec) -> int | Fraction:
     if a.parts != b.parts:
         raise ValueError("tensor parts differ")
     small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    return sum((c * big.get(k, Fraction(0)) for k, c in small.items()), Fraction(0))
+    return sum(c * big.get(k, 0) for k, c in small.items())
 
 
 # ---------------------------------------------------------------------------

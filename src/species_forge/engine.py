@@ -8,9 +8,12 @@ Checks every axiom by brute force over all decompositions of {1..n}:
 (co)associativity, (co)commutativity, (co)unitality and Hopf compatibility,
 each compared as multisets of basis positions read from the compiled mu and
 pi tables (the linear route, on elements, is the oracle for n <= 2);
-Hopf self-compatibility (two independent routes that must agree), structure
-constants, free self-duality, the invariant form, Takeuchi's antipode, and
-duality by transposition (which swaps the systems).
+Hopf self-compatibility (two independent routes that must agree; the local
+one compares positions of the mu tables), structure constants, free
+self-duality, the invariant form, Takeuchi's antipode, duality by
+transposition (which swaps the systems), and the preorder rectangle on the
+mu and pi tables.  The local route and the rectangle keep their element
+routes as the oracle for n <= 2.
 
 A check that contradicts a theorem that is supposed to hold at desk scale
 raises ``FatalInconsistency``: that always means an implementation bug, and
@@ -26,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .catalog import CatalogEntry, ComultSystem, MultSystem
+from .catalog import CatalogEntry, ComultSystem, MultSystem, _positions
 from .core import (
     EMPTY, TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, FatalInconsistency,
     GroundSet, SetSpecies, TensorVec, Vec, decompositions, nonempty_compositions,
@@ -204,8 +207,9 @@ def iterate_delta(h: LinearizedHopf, parts: tuple[GroundSet, ...], v: Vec) -> Te
 # as in the linear checkers, which build the vectors from mu, pi and their
 # fibers and run beside the kernel up to ORACLE_MAX_N.
 
-# Up to this n the linear checker also runs beside the kernel, and a split in
-# verdict or witness is fatal.
+# Up to this n the linear checker (or, for the local self-compatibility
+# conditions and the rectangle, the element route) also runs beside the
+# kernel, and a split in verdict or witness is fatal.
 ORACLE_MAX_N = 2
 
 
@@ -226,17 +230,17 @@ def check_axiom(h: LinearizedHopf, axiom: str, max_n: int = DEFAULT_MAX_N) -> Ch
 
 
 def _check_diagram(h: LinearizedHopf, name: str, max_n: int, parts: int,
-                   kernel, linear) -> CheckReport:
+                   kernel, oracle) -> CheckReport:
     for n in range(max_n + 1):
         I = GroundSet.first(n)
         decs = decompositions(I, parts) if parts else ()
         witness = kernel(h, I, decs)
         if n <= ORACLE_MAX_N:
-            oracle = linear(h, I, decs)
-            if oracle != witness:
+            expected = oracle(h, I, decs)
+            if expected != witness:
                 raise FatalInconsistency(
-                    f"set-level and linear {name} checks disagree for {h.name} at n={n}",
-                    witness={"set_level": witness, "linear": oracle})
+                    f"table and element {name} checks disagree for {h.name} at n={n}",
+                    witness={"table": witness, "element": expected})
         if witness is not None:
             return CheckReport(name, h.name, n, "fail", witness)
     return CheckReport(name, h.name, max_n, "pass")
@@ -335,18 +339,29 @@ def _unital_terms(h, I, decs):
 
 def _coassoc_terms(h, I, decs):
     _, splits = _position_readers(h)
+    pi = h.coproduct if isinstance(h.coproduct, ComultSystem) else None
     for R, S, T in decs:
+        if pi is not None:  # Delta^pi: a single triple a side
+            left, rs = pi.table(R.union(S), T), pi.table(R, S)
+            right, st = pi.table(R, S.union(T)), pi.table(S, T)
+            for c, ((u, t), (r, v)) in enumerate(zip(left, right)):
+                if rs[u] + (t,) != (r,) + st[v]:
+                    return _coassoc_witness(h, I, (R, S, T), c, [rs[u] + (t,)], [(r,) + st[v]])
+            continue
         left, rs = splits(R.union(S), T), splits(R, S)
         right, st = splits(R, S.union(T)), splits(S, T)
-        for c, z in enumerate(h.basis.elements(I)):
+        for c in range(len(left)):
             lhs = [(a, b, t) for u, t in left[c] for a, b in rs[u]]
             rhs = [(r, a, b) for r, v in right[c] for a, b in st[v]]
             if lhs != rhs and Counter(lhs) != Counter(rhs):
-                return {"decomposition": [list(R), list(S), list(T)],
-                        "inputs": [str(z)],
-                        "lhs": _printed(h.basis, (R, S, T), lhs),
-                        "rhs": _printed(h.basis, (R, S, T), rhs)}
+                return _coassoc_witness(h, I, (R, S, T), c, lhs, rhs)
     return None
+
+
+def _coassoc_witness(h, I, parts, c, lhs, rhs):
+    return {"decomposition": [list(p) for p in parts],
+            "inputs": [str(h.basis.elements(I)[c])],
+            "lhs": _printed(h.basis, parts, lhs), "rhs": _printed(h.basis, parts, rhs)}
 
 
 def _cocomm_terms(h, I, decs):
@@ -559,7 +574,8 @@ def check_naturality(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> CheckRe
     transport sigma|S : S -> sigma(S) is tabulated once, so a square is a few
     lookups.  What the tables cannot certify goes to the exhaustive route, which finds
     the first failing square; up to n = TABLE_ORACLE_MAX_N it always runs,
-    and wherever both routes run a split raises ``FatalInconsistency``.
+    and wherever both routes run a split raises ``FatalInconsistency``.  A mu
+    or pi result outside its component raises ``ValueError``, at every n.
     """
     guard_max_n(max_n)
     for n in range(max_n + 1):
@@ -584,26 +600,23 @@ def _natural_by_tables(entry: CatalogEntry, I: GroundSet) -> bool:
 
     def table(b: Bijection) -> list[int]:
         if b not in moved:
-            moved[b] = [sp.index(b.target)[sp.transport(b, x)] for x in sp.elements(b.source)]
+            moved[b] = _positions(sp, b.target, [sp.transport(b, x) for x in sp.elements(b.source)])
         return moved[b]
 
     decs = decompositions(I, 2)
-    try:
-        for sigma in Bijection.all_endo(I):
-            p = table(sigma)
-            for S, T in decs:
-                rs, rt = sigma.restrict(S), sigma.restrict(T)
-                ps, pt, Sp, Tp = table(rs), table(rt), rs.target, rt.target
-                if mu is not None:
-                    mt, mp, width = mu.table(S, T), mu.table(Sp, Tp), sp.dim(Tp)
-                    if [p[k] for k in mt] != [mp[a * width + b] for a in ps for b in pt]:
-                        return False
-                if pi is not None:
-                    pp = pi.table(Sp, Tp)
-                    if [(ps[a], pt[b]) for a, b in pi.table(S, T)] != [pp[k] for k in p]:
-                        return False
-    except Exception:  # a result outside its component or a rule that raises
-        return False
+    for sigma in Bijection.all_endo(I):
+        p = table(sigma)
+        for S, T in decs:
+            rs, rt = sigma.restrict(S), sigma.restrict(T)
+            ps, pt, Sp, Tp = table(rs), table(rt), rs.target, rt.target
+            if mu is not None:
+                mt, mp, width = mu.table(S, T), mu.table(Sp, Tp), sp.dim(Tp)
+                if [p[k] for k in mt] != [mp[a * width + b] for a in ps for b in pt]:
+                    return False
+            if pi is not None:
+                pp = pi.table(Sp, Tp)
+                if [(ps[a], pt[b]) for a, b in pi.table(S, T)] != [pp[k] for k in p]:
+                    return False
     return True
 
 
@@ -679,9 +692,13 @@ def check_self_compatible(mu: MultSystem, mode: str = "both",
                        "pass" if ok else "fail", witness)
 
 
+def _mu_mu(mu: MultSystem) -> LinearizedHopf:
+    """(nabla^mu, Delta^mu) on mu's own species."""
+    return hopf_from(CatalogEntry(mu.species.name, mu.species, mu, None), "mu", "mu")
+
+
 def _selfcompat_precondition(mu: MultSystem, max_n: int) -> Optional[dict]:
-    entry = CatalogEntry(mu.species.name, mu.species, mu, None)
-    h = hopf_from(entry, "mu", "mu")
+    h = _mu_mu(mu)
     for axiom in ("associative", "unital"):
         rep = check_axiom(h, axiom, max_n)
         if not rep.ok:
@@ -690,45 +707,83 @@ def _selfcompat_precondition(mu: MultSystem, max_n: int) -> Optional[dict]:
 
 
 def _selfcompat_direct(mu: MultSystem, max_n: int):
-    entry = CatalogEntry(mu.species.name, mu.species, mu, None)
-    rep = check_axiom(hopf_from(entry, "mu", "mu"), "hopf_compatible", max_n)
+    rep = check_axiom(_mu_mu(mu), "hopf_compatible", max_n)
     return rep.ok, None if rep.ok else {"mode": "direct", "n": rep.n, **rep.witness}
 
 
 def _selfcompat_local(mu: MultSystem, max_n: int):
-    sp = mu.species
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
-        for S, T in decompositions(I, 2):
-            seen = {}
-            for x in sp.elements(S):
-                for y in sp.elements(T):
-                    z = mu(S, T, x, y)
-                    zz = mu(T, S, y, x)
-                    if z != zz:
-                        return False, {"mode": "local", "condition": "commutative", "n": n,
-                                       "inputs": [str(x), str(y)],
-                                       "lhs": str(z), "rhs": str(zz)}
-                    if z in seen:
-                        return False, {"mode": "local", "condition": "injective", "n": n,
-                                       "collision": [list(map(str, seen[z])), [str(x), str(y)]],
-                                       "value": str(z)}
-                    seen[z] = (x, y)
-        for S, Sp in decompositions(I, 2):
-            for A, B in decompositions(I, 2):
-                image = mu.image(A, B)
-                img_s = mu.image(A.intersect(S), B.intersect(S))
-                img_sp = mu.image(A.intersect(Sp), B.intersect(Sp))
-                for lam in sp.elements(S):
-                    for lam2 in sp.elements(Sp):
-                        if mu(S, Sp, lam, lam2) not in image:
-                            continue
-                        if lam not in img_s or lam2 not in img_sp:
-                            return False, {
-                                "mode": "local", "condition": "image", "n": n,
+    """The three local conditions on positions of the compiled mu tables, with
+    the element route as the oracle for n <= ORACLE_MAX_N."""
+    rep = _check_diagram(_mu_mu(mu), "self_compatible[local]", max_n, 2,
+                         _local_terms, _local_elements)
+    return rep.ok, rep.witness
+
+
+def _local_terms(h, I, decs):
+    mu, el, dim, n = h.product, h.basis.elements, h.basis.dim, len(I)
+    for S, T in decs:
+        dS, dT, st, ts = dim(S), dim(T), mu.table(S, T), mu.table(T, S)
+        seen = {}
+        for a in range(dS):
+            for b in range(dT):
+                z, zz = st[a * dT + b], ts[b * dS + a]
+                if z != zz:
+                    return {"mode": "local", "condition": "commutative", "n": n,
+                            "inputs": [str(el(S)[a]), str(el(T)[b])],
+                            "lhs": str(el(I)[z]), "rhs": str(el(I)[zz])}
+                if z in seen:
+                    p, q = seen[z]
+                    return {"mode": "local", "condition": "injective", "n": n,
+                            "collision": [[str(el(S)[p]), str(el(T)[q])],
+                                          [str(el(S)[a]), str(el(T)[b])]],
+                            "value": str(el(I)[z])}
+                seen[z] = (a, b)
+    image = functools.cache(lambda S, T: frozenset(mu.table(S, T)))
+    for S, Sp in decs:
+        width, products = dim(Sp), mu.table(S, Sp)
+        for A, B in decs:
+            img, img_s = image(A, B), image(A.intersect(S), B.intersect(S))
+            img_sp = image(A.intersect(Sp), B.intersect(Sp))
+            for k, z in enumerate(products):
+                a, b = divmod(k, width)
+                if z in img and (a not in img_s or b not in img_sp):
+                    return {"mode": "local", "condition": "image", "n": n,
+                            "S": list(S), "Sp": list(Sp), "A": list(A), "B": list(B),
+                            "inputs": [str(el(S)[a]), str(el(Sp)[b])]}
+    return None
+
+
+def _local_elements(h, I, decs):
+    mu, sp, n = h.product, h.basis, len(I)
+    for S, T in decs:
+        seen = {}
+        for x in sp.elements(S):
+            for y in sp.elements(T):
+                z = mu(S, T, x, y)
+                zz = mu(T, S, y, x)
+                if z != zz:
+                    return {"mode": "local", "condition": "commutative", "n": n,
+                            "inputs": [str(x), str(y)],
+                            "lhs": str(z), "rhs": str(zz)}
+                if z in seen:
+                    return {"mode": "local", "condition": "injective", "n": n,
+                            "collision": [list(map(str, seen[z])), [str(x), str(y)]],
+                            "value": str(z)}
+                seen[z] = (x, y)
+    for S, Sp in decs:
+        for A, B in decs:
+            image = mu.image(A, B)
+            img_s = mu.image(A.intersect(S), B.intersect(S))
+            img_sp = mu.image(A.intersect(Sp), B.intersect(Sp))
+            for lam in sp.elements(S):
+                for lam2 in sp.elements(Sp):
+                    if mu(S, Sp, lam, lam2) not in image:
+                        continue
+                    if lam not in img_s or lam2 not in img_sp:
+                        return {"mode": "local", "condition": "image", "n": n,
                                 "S": list(S), "Sp": list(Sp), "A": list(A), "B": list(B),
                                 "inputs": [str(lam), str(lam2)]}
-    return True, None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -931,36 +986,103 @@ RECTANGLE_PARTS = (2, 3)
 
 def check_preorder_rectangle(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     """mu-then-pi over crossed decompositions equals per-part pi, twist,
-    per-part mu; the set-level rectangle behind transitivity of the order."""
+    per-part mu; the set-level rectangle behind transitivity of the order.
+
+    Compared on positions of the compiled mu and pi tables, with the element
+    route as the oracle for n <= ORACLE_MAX_N (``FatalInconsistency`` on a
+    split); a mu or pi result outside its component raises ``ValueError``."""
     guard_max_n(max_n)
     if entry.mu is None or entry.pi is None:
         return CheckReport("preorder_rectangle", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
-    mu, pi, sp = entry.mu, entry.pi, entry.species
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
-        for k in RECTANGLE_PARTS:
-            rdecs = decompositions(I, k)
-            for l in RECTANGLE_PARTS:
-                sdecs = decompositions(I, l)
-                for rparts in rdecs:
-                    pools = [sp.elements(R) for R in rparts]
-                    for xs in itertools.product(*pools):
-                        lam = mu.fold(rparts, xs)
-                        for sparts in sdecs:
-                            lhs = pi.fold(sparts, lam)
-                            cells = [pi.fold(tuple(R.intersect(Sj) for Sj in sparts), x)
-                                     for R, x in zip(rparts, xs)]
-                            rhs = tuple(
-                                mu.fold(tuple(R.intersect(Sj) for R in rparts),
-                                        tuple(cells[i][j] for i in range(k)))
-                                for j, Sj in enumerate(sparts))
-                            if tuple(lhs) != rhs:
-                                return CheckReport(
-                                    "preorder_rectangle", entry.key, n, "fail",
-                                    {"R_parts": [list(R) for R in rparts],
-                                     "S_parts": [list(S) for S in sparts],
-                                     "inputs": [str(x) for x in xs],
-                                     "lhs": [str(e) for e in lhs],
-                                     "rhs": [str(e) for e in rhs]})
-    return CheckReport("preorder_rectangle", entry.key, max_n, "pass")
+    h = LinearizedHopf(entry.key, entry.species, entry.mu, entry.pi)
+    return _check_diagram(h, "preorder_rectangle", max_n, 0,
+                          _rectangle_terms, _rectangle_elements)
+
+
+def _rectangle_terms(h, I, decs):
+    mu, pi, el, dim = h.product, h.coproduct, h.basis.elements, h.basis.dim
+
+    @functools.cache
+    def mu_steps(parts):
+        """mu.fold over ``parts`` as (table, width) lookups after the first part."""
+        steps, ground = [], parts[0]
+        for part in parts[1:]:
+            steps.append((mu.table(ground, part), dim(part)))
+            ground = ground.union(part)
+        return steps
+
+    @functools.cache
+    def pi_folds(parts):
+        """pi.fold over ``parts`` of every position of P[union], as position tuples."""
+        rest, tables = union_all(parts), []
+        size = dim(rest)
+        for part in parts[:-1]:
+            rest = rest.minus(part)
+            tables.append(pi.table(part, rest))
+        folds = []
+        for c in range(size):
+            xs, r = [], c
+            for table in tables:  # peel the next part off the rest
+                x, r = table[r]
+                xs.append(x)
+            folds.append((*xs, r))
+        return folds
+
+    def fold(steps, xs):
+        acc = xs[0]
+        for (table, width), x in zip(steps, xs[1:]):
+            acc = table[acc * width + x]
+        return acc
+
+    for k in RECTANGLE_PARTS:
+        rdecs = decompositions(I, k)
+        for l in RECTANGLE_PARTS:
+            sdecs = decompositions(I, l)
+            for rparts in rdecs:
+                plans = []
+                for sparts in sdecs:
+                    grid = [tuple(R.intersect(Sj) for Sj in sparts) for R in rparts]
+                    plans.append((sparts, pi_folds(sparts), [pi_folds(row) for row in grid],
+                                  [mu_steps(col) for col in zip(*grid)]))
+                steps = mu_steps(rparts)
+                for xs in itertools.product(*(range(dim(R)) for R in rparts)):
+                    lam = fold(steps, xs)
+                    for sparts, lhs_of, cells_of, cols in plans:
+                        lhs = lhs_of[lam]
+                        cells = [of[x] for of, x in zip(cells_of, xs)]
+                        rhs = tuple(fold(col, row) for col, row in zip(cols, zip(*cells)))
+                        if lhs != rhs:
+                            return {"R_parts": [list(R) for R in rparts],
+                                    "S_parts": [list(S) for S in sparts],
+                                    "inputs": [str(el(R)[x]) for R, x in zip(rparts, xs)],
+                                    "lhs": [str(el(S)[p]) for S, p in zip(sparts, lhs)],
+                                    "rhs": [str(el(S)[p]) for S, p in zip(sparts, rhs)]}
+    return None
+
+
+def _rectangle_elements(h, I, decs):
+    mu, pi, sp = h.product, h.coproduct, h.basis
+    for k in RECTANGLE_PARTS:
+        rdecs = decompositions(I, k)
+        for l in RECTANGLE_PARTS:
+            sdecs = decompositions(I, l)
+            for rparts in rdecs:
+                pools = [sp.elements(R) for R in rparts]
+                for xs in itertools.product(*pools):
+                    lam = mu.fold(rparts, xs)
+                    for sparts in sdecs:
+                        lhs = pi.fold(sparts, lam)
+                        cells = [pi.fold(tuple(R.intersect(Sj) for Sj in sparts), x)
+                                 for R, x in zip(rparts, xs)]
+                        rhs = tuple(
+                            mu.fold(tuple(R.intersect(Sj) for R in rparts),
+                                    tuple(cells[i][j] for i in range(k)))
+                            for j, Sj in enumerate(sparts))
+                        if tuple(lhs) != rhs:
+                            return {"R_parts": [list(R) for R in rparts],
+                                    "S_parts": [list(S) for S in sparts],
+                                    "inputs": [str(x) for x in xs],
+                                    "lhs": [str(e) for e in lhs],
+                                    "rhs": [str(e) for e in rhs]}
+    return None

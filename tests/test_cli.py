@@ -304,7 +304,7 @@ def test_raising_check_is_a_fail_row_and_the_suite_goes_on():
                         ("transport", 2, "pass"), ("naturality", 2, "fail")]
     assert r.reports[3].expected is False
     assert r.reports[3].witness == {"error": "ValueError",
-                                    "message": "blocks do not cover the ground set"}
+                                    "message": "rule result {} lives over {}, not {1}"}
     assert ("coassociative", 2, "pass") in rows   # later checks still ran
     assert len(rows) == 4 + len(AXIOMS) + 1
     assert set(r.summary()) == {"pass", "fail_expected", "fail_unexpected", "fatal", "skip"}

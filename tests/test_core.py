@@ -35,6 +35,10 @@ def test_ground_set_algebra():
     assert a.minus(GroundSet.of([3])).labels == (1,)
     with pytest.raises(ValueError):
         a.union(GroundSet.of([3]))
+    # unions are memoized only when disjoint: the overlap still raises
+    assert a.union(b) is a.union(b) and b.union(a) == a.union(b)
+    with pytest.raises(ValueError):
+        a.union(GroundSet.of([3]))
 
 
 def test_bijection_compose_invert():
@@ -168,6 +172,44 @@ def test_vec_drops_zero_terms():
     v = _vec((Fraction(0), Fraction(3)))
     assert len(v.terms) == 1
     assert v.coeff(SetPartitionElt.of([[1], [2]])) == 0
+
+
+def test_int_coefficients_stay_int_until_a_fraction_enters():
+    x, y = SetPartitionElt.of([[1]]), SetPartitionElt.of([[2]])
+    v = Vec.basis(x).scale(2) + Vec.basis(x)
+    assert v.coeff(x) == 3 and type(v.coeff(x)) is int
+    t = TensorVec.tensor(v, Vec.basis(y).scale(-4))
+    assert t.coeff((x, y)) == -12 and type(t.coeff((x, y))) is int
+    assert type((v - v).coeff(x)) is int and type(t.coeff((y, x))) is int
+    half = Vec(x.ground, [(x, Fraction(1, 2))])
+    assert (v + half).coeff(x) == Fraction(7, 2)
+    assert type(v.scale(Fraction(2)).coeff(x)) is Fraction
+    assert type(Vec(x.ground, [(x, Fraction(2))]).coeff(x)) is Fraction
+    assert type(TensorVec.tensor(half, Vec.basis(y)).coeff((x, y))) is Fraction
+
+
+def test_bool_coefficients_become_int_and_floats_are_rejected():
+    x, y = SetPartitionElt.of([[1]]), SetPartitionElt.of([[2]])
+    v = Vec(x.ground, [(x, True)])
+    assert v.coeff(x) == 1 and type(v.coeff(x)) is int
+    assert type(Vec.basis(x).scale(True).coeff(x)) is int
+    t = TensorVec((x.ground, y.ground), [((x, y), True)])
+    assert type(t.coeff((x, y))) is int
+    with pytest.raises(TypeError):
+        Vec(x.ground, [(x, 1.0)])
+    with pytest.raises(TypeError):
+        Vec.basis(x).scale(0.5)
+    with pytest.raises(TypeError):
+        TensorVec((x.ground, y.ground), [((x, y), 2.0)])
+
+
+def test_int_and_fraction_coefficients_print_alike():
+    x, y = SetPartitionElt.of([[1]]), SetPartitionElt.of([[2]])
+    for c in (2, -3, 1):
+        assert str(Vec(x.ground, [(x, c)])) == str(Vec(x.ground, [(x, Fraction(c))]))
+        assert str(TensorVec.basis((x, y)).scale(c)) == \
+            str(TensorVec.basis((x, y)).scale(Fraction(c)))
+    assert str(Vec(x.ground, [(x, 2)])) == "2*{1}"
 
 
 def test_tensor_bilinear():

@@ -865,3 +865,159 @@ def test_delta_mu_fails_hopf_compatibility_past_the_oracle():
         "hopf_compatible", h.name, 3, "fail",
         {"R": [1, 2], "Rp": [3], "S": [1], "Sp": [2, 3], "inputs": ["[1:0,2:0]", "[3:0]"],
          "top": "[1:1] (x) [2:0,3:0]", "bottom": "[1:0] (x) [2:0,3:0]"})
+
+
+def test_result_outside_its_component_is_a_naturality_error_row():
+    from species_forge.cli import Runner
+    for n in (2, 3):
+        entry = _stray_color(lambda I, n=n: len(I) == n)
+        r = Runner(entry, n, 0, False)
+        rep = r.run(False, eng.check_naturality, entry, n)
+        assert (rep.check, rep.status, rep.witness["error"]) == ("naturality", "fail", "ValueError")
+        assert rep.witness["message"].endswith(f"is not an element of E_C:2[{GroundSet.first(n)}]")
+        assert r.exit_code() == 1
+
+
+# ---------------------------------------------------------------------------
+# local self-compatibility and the rectangle on positions, with their element
+# oracles
+
+def _pi_mutant():
+    """Pi whose pi sends {1|2,3} over ({1,2}, {3}) to ({1,2}, {3}), not
+    ({1|2}, {3}): one value changed, on three points."""
+    entry = make_Pi()
+    z, S = SetPartitionElt.of([[1], [2, 3]]), GroundSet.of([1, 2])
+
+    def rule(S_, T_, w):
+        if S_ == S and w == z:
+            return SetPartitionElt.of([[1, 2]]), SetPartitionElt.of([[3]])
+        return entry.pi(S_, T_, w)
+
+    return CatalogEntry("Pi-mutant", entry.species, entry.mu, ComultSystem(entry.species, rule))
+
+
+def _counit_mutant():
+    """Pi whose pi over ({}, {1,2,3}) sends the last element to the first:
+    not counital, which the rectangle sees only at its last S-decomposition."""
+    entry = make_Pi()
+    I = GroundSet.first(3)
+    first, last = entry.species.elements(I)[0], entry.species.elements(I)[-1]
+
+    def rule(S, T, w):
+        if T == I and w == last:
+            return entry.pi(S, T, first)
+        return entry.pi(S, T, w)
+
+    return CatalogEntry("Pi-counit", entry.species, entry.mu, ComultSystem(entry.species, rule))
+
+
+def _glued():
+    """Pi whose product of two nonempty factors is the one-block partition:
+    associative, unital and commutative, but not injective."""
+    entry = make_Pi()
+
+    def rule(S, T, x, y):
+        if S and T:
+            return SetPartitionElt.of([S.union(T).labels])
+        return entry.mu(S, T, x, y)
+
+    return CatalogEntry("Pi-glued", entry.species, MultSystem(entry.species, rule), entry.pi)
+
+
+def _faded():
+    """E_C:2 whose product of two nonempty factors has color 0 everywhere."""
+    entry = make_E_C(2)
+
+    def rule(S, T, x, y):
+        if S and T:
+            return MapTo(S.union(T), (0,) * (len(S) + len(T)))
+        return entry.mu(S, T, x, y)
+
+    return CatalogEntry("E_C:2-faded", entry.species, MultSystem(entry.species, rule), entry.pi)
+
+
+def _local_agree(mu, max_n=3):
+    fast = _route_report(eng._local_terms, eng._mu_mu(mu), 2, max_n)
+    assert fast == _route_report(eng._local_elements, eng._mu_mu(mu), 2, max_n), mu.species.name
+    return fast
+
+
+def _rectangle_agree(entry, max_n=3):
+    h = eng.LinearizedHopf(entry.key, entry.species, entry.mu, entry.pi)
+    fast = _route_report(eng._rectangle_terms, h, 0, max_n)
+    assert fast == _route_report(eng._rectangle_elements, h, 0, max_n), entry.key
+    return fast
+
+
+@pytest.mark.parametrize("family,args", _grid(), ids=str)
+def test_local_routes_agree_on_control_systems(family, args):
+    ps = _MAKERS[family](*args)
+    status, _, witness = _local_agree(ps.mu)
+    assert status == "fail" and witness["condition"] == ps.breaks
+    assert check_self_compatible(ps.mu, "local", 3, species_key=ps.key).witness == witness
+
+
+def test_local_routes_agree_on_catalog_and_mutants():
+    for spec in ("E", "E_C:2", "Pi", "L", "Perm", "S(E_C:2)"):
+        assert _local_agree(parse_species(spec).mu)[0] == ("fail" if spec == "L" else "pass")
+    assert _local_agree(_glued().mu) == ("fail", 3, {
+        "mode": "local", "condition": "injective", "n": 3,
+        "collision": [["{1,2}", "{3}"], ["{1|2}", "{3}"]], "value": "{1,2,3}"})
+    assert _local_agree(_faded().mu) == ("fail", 2, {
+        "mode": "local", "condition": "injective", "n": 2,
+        "collision": [["[1:0]", "[2:0]"], ["[1:0]", "[2:1]"]], "value": "[1:0,2:0]"})
+    assert _local_agree(make_L().mu)[2]["condition"] == "commutative"
+
+
+def test_rectangle_routes_agree_on_catalog_and_mutants():
+    for spec in ("E", "E_C:2", "Pi", "L", "Perm"):
+        assert _rectangle_agree(parse_species(spec)) == ("pass", 3, None)
+    assert _rectangle_agree(with_derived_pi(parse_species("S(X_C:2)"), 3))[0] == "pass"
+    # the witnesses the element route gave before the table route existed
+    assert _rectangle_agree(_pi_mutant()) == ("fail", 3, {
+        "R_parts": [[1], [2, 3]], "S_parts": [[1, 2], [3]], "inputs": ["{1}", "{2,3}"],
+        "lhs": ["{1,2}", "{3}"], "rhs": ["{1|2}", "{3}"]})
+    assert _rectangle_agree(_glued()) == ("fail", 3, {
+        "R_parts": [[1, 2], [3]], "S_parts": [[1, 2], [3]], "inputs": ["{1|2}", "{3}"],
+        "lhs": ["{1,2}", "{3}"], "rhs": ["{1|2}", "{3}"]})
+    assert _rectangle_agree(_faded()) == ("fail", 2, {
+        "R_parts": [[1], [2]], "S_parts": [[1], [2]], "inputs": ["[1:0]", "[2:1]"],
+        "lhs": ["[1:0]", "[2:0]"], "rhs": ["[1:0]", "[2:1]"]})
+    status, n, witness = _rectangle_agree(_counit_mutant())
+    assert (status, n, witness["S_parts"]) == ("fail", 3, [[], [1, 2, 3]])
+    rep = check_preorder_rectangle(_pi_mutant(), 3)
+    assert (rep.status, rep.n) == ("fail", 3) and rep.witness["S_parts"] == [[1, 2], [3]]
+
+
+def test_element_oracles_run_in_every_call(monkeypatch, entries):
+    seen = []
+    for name in ("_local_elements", "_rectangle_elements"):
+        def spy(h, I, decs, route=getattr(eng, name)):
+            seen.append(len(I))
+            return route(h, I, decs)
+        monkeypatch.setattr(eng, name, spy)
+    for _ in range(2):
+        assert check_self_compatible(entries["Pi"].mu, "local", 3, species_key="Pi").ok
+        assert check_preorder_rectangle(entries["Pi"], 3).ok
+    assert seen == list(range(eng.ORACLE_MAX_N + 1)) * 4
+
+
+@pytest.mark.parametrize("name", ["_local_terms", "_rectangle_terms"])
+def test_table_split_from_element_oracle_is_fatal(monkeypatch, entries, name):
+    route = getattr(eng, name)
+
+    def lies_at(n):
+        return lambda h, I, decs: {"forced": True} if len(I) == n else route(h, I, decs)
+
+    def check():
+        if name == "_local_terms":
+            return check_self_compatible(entries["Pi"].mu, "local", 3, species_key="Pi")
+        return check_preorder_rectangle(entries["Pi"], 3)
+
+    monkeypatch.setattr(eng, name, lies_at(eng.ORACLE_MAX_N))
+    with pytest.raises(FatalInconsistency, match="table and element"):
+        check()
+    # past the oracle the table route alone decides
+    monkeypatch.setattr(eng, name, lies_at(eng.ORACLE_MAX_N + 1))
+    rep = check()
+    assert (rep.status, rep.witness) == ("fail", {"forced": True})
