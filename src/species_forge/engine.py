@@ -1000,12 +1000,15 @@ def check_preorder_rectangle(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) ->
                           _rectangle_terms, _rectangle_elements)
 
 
-def _rectangle_terms(h, I, decs):
-    mu, pi, el, dim = h.product, h.coproduct, h.basis.elements, h.basis.dim
+def _fold_readers(mu: MultSystem, pi: ComultSystem):
+    """``mu_steps(parts)`` and ``pi_folds(parts)``, each built once per
+    decomposition from the compiled tables: mu.fold over ``parts`` as
+    (table, width) lookups after the first part, for ``_fold_positions``, and
+    pi.fold over ``parts`` of every position of P[union] as a position tuple."""
+    dim = mu.species.dim
 
     @functools.cache
     def mu_steps(parts):
-        """mu.fold over ``parts`` as (table, width) lookups after the first part."""
         steps, ground = [], parts[0]
         for part in parts[1:]:
             steps.append((mu.table(ground, part), dim(part)))
@@ -1014,7 +1017,6 @@ def _rectangle_terms(h, I, decs):
 
     @functools.cache
     def pi_folds(parts):
-        """pi.fold over ``parts`` of every position of P[union], as position tuples."""
         rest, tables = union_all(parts), []
         size = dim(rest)
         for part in parts[:-1]:
@@ -1029,12 +1031,20 @@ def _rectangle_terms(h, I, decs):
             folds.append((*xs, r))
         return folds
 
-    def fold(steps, xs):
-        acc = xs[0]
-        for (table, width), x in zip(steps, xs[1:]):
-            acc = table[acc * width + x]
-        return acc
+    return mu_steps, pi_folds
 
+
+def _fold_positions(steps, xs) -> int:
+    """mu.fold of the positions ``xs`` along ``mu_steps``."""
+    acc = xs[0]
+    for (table, width), x in zip(steps, xs[1:]):
+        acc = table[acc * width + x]
+    return acc
+
+
+def _rectangle_terms(h, I, decs):
+    el, dim = h.basis.elements, h.basis.dim
+    mu_steps, pi_folds = _fold_readers(h.product, h.coproduct)
     for k in RECTANGLE_PARTS:
         rdecs = decompositions(I, k)
         for l in RECTANGLE_PARTS:
@@ -1047,11 +1057,12 @@ def _rectangle_terms(h, I, decs):
                                   [mu_steps(col) for col in zip(*grid)]))
                 steps = mu_steps(rparts)
                 for xs in itertools.product(*(range(dim(R)) for R in rparts)):
-                    lam = fold(steps, xs)
+                    lam = _fold_positions(steps, xs)
                     for sparts, lhs_of, cells_of, cols in plans:
                         lhs = lhs_of[lam]
                         cells = [of[x] for of, x in zip(cells_of, xs)]
-                        rhs = tuple(fold(col, row) for col, row in zip(cols, zip(*cells)))
+                        rhs = tuple(_fold_positions(col, row)
+                                    for col, row in zip(cols, zip(*cells)))
                         if lhs != rhs:
                             return {"R_parts": [list(R) for R in rparts],
                                     "S_parts": [list(S) for S in sparts],

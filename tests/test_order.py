@@ -1,5 +1,6 @@
 """The order, its lattice/interval properties, reconstruction, and the bases."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -8,14 +9,14 @@ import pytest
 
 from species_forge import order as order_mod
 from species_forge.catalog import (
-    MultSystem, _mapto_merge, make_E_C, make_Perm, make_Pi, make_S, make_X_C,
+    MultSystem, _mapto_merge, make_E, make_E_C, make_Perm, make_Pi, make_S, make_X_C,
     with_derived_pi,
 )
 from species_forge.classify import f_mu
 from species_forge.cli import main
 from species_forge.core import (
     Bijection, GroundSet, MapTo, PermutationElt, SetPartitionElt, TensorVec, Vec,
-    decompositions,
+    decompositions, set_partitions,
 )
 from species_forge.engine import FatalInconsistency, hopf_from
 from species_forge.order import (
@@ -275,7 +276,7 @@ def test_Perm_interval_shape_comparability(entries, orders):
     so = orders["Perm"]
     I = GroundSet.first(4)
     for lam in entry.species.elements(I):
-        rep = check_lower_lattice(so, entry.mu, entry.pi, I, lam, fm)
+        rep = check_lower_lattice(so, I, lam, fm)
         assert rep.ok
         assert rep.witness["shape_map_injective"] is True
 
@@ -388,3 +389,267 @@ def test_hasse_deterministic(orders):
     a = hasse_dot(orders["Pi"], GroundSet.first(3))
     b = hasse_dot(orders["Pi"], GroundSet.first(3))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# failure witnesses, pinned on doctored slices (each a partial order)
+
+def _doctor(so, I, add=(), drop=()):
+    """Replace the slice of ``so`` over I: the pairs in ``drop`` removed and
+    those in ``add`` added, each element named by its str."""
+    sl = so.slice(I)
+    named = {str(e): e for e in sl.elements}
+
+    def pairs(names):
+        return {(named[a], named[b]) for a, b in names}
+
+    so._slices[I] = OrderSlice(I, sl.elements, frozenset((sl.strict - pairs(drop)) | pairs(add)))
+
+
+def _pi_unbalanced():
+    """(A:bijection) fails: {1|2|3} no longer below {1,2|3}."""
+    e = make_Pi()
+    _doctor(order_mod.order_of(e), GroundSet.first(3), drop=[("{1|2|3}", "{1,2|3}")])
+    return e, 3
+
+
+def _E_C_twisted():
+    """(A:order) fails: the singleton orders reversed, and {1,2} totally
+    ordered so that every rectangle still maps onto its lower interval."""
+    e = make_E_C(2)
+    so = order_mod.order_of(e)
+    _doctor(so, GroundSet.of([1]), add=[("[1:1]", "[1:0]")])
+    _doctor(so, GroundSet.of([2]), add=[("[2:1]", "[2:0]")])
+    chain = ["[1:1,2:1]", "[1:0,2:1]", "[1:1,2:0]", "[1:0,2:0]"]
+    _doctor(so, GroundSet.first(2), add=list(itertools.combinations(chain, 2)))
+    return e, 2
+
+
+def _pi_two_maxima():
+    """(B) fails: {1,2|3,4} no longer below the top."""
+    e = make_Pi()
+    _doctor(order_mod.order_of(e), GroundSet.first(4), drop=[("{1,2|3,4}", "{1,2,3,4}")])
+    return e, 4
+
+
+_E_C3 = ("[1:0,2:0,3:0]", "[1:0,2:0,3:1]", "[1:0,2:1,3:0]",
+         "[1:0,2:1,3:1]", "[1:1,2:0,3:0]", "[1:1,2:0,3:1]")
+
+
+def _E_C_no_meet():
+    """Below the top, a and b have two maximal lower bounds c1 and c2."""
+    e = make_E_C(2)
+    top, a, b, c1, c2, bot = _E_C3
+    add = [(x, top) for x in (a, b, c1, c2, bot)]
+    add += [(c, x) for c in (c1, c2, bot) for x in (a, b)] + [(bot, c1), (bot, c2)]
+    _doctor(order_mod.order_of(e), GroundSet.first(3), add=add)
+    return e, 3
+
+
+def _E_C_one_pair():
+    """A comparable pair whose shapes are equal."""
+    e = make_E_C(2)
+    _doctor(order_mod.order_of(e), GroundSet.first(2), add=[("[1:0,2:1]", "[1:0,2:0]")])
+    return e, 2
+
+
+def _pi_skewed():
+    """{1,2|3} < {1,3|2} added, which is transitive."""
+    e = make_Pi()
+    _doctor(order_mod.order_of(e), GroundSet.first(3), add=[("{1,2|3}", "{1,3|2}")])
+    return e, 3
+
+
+def test_AB_bijection_witness():
+    e, n = _pi_unbalanced()
+    rep = check_AB(order_mod.order_of(e), e.mu, n)
+    assert (rep.status, rep.n) == ("fail", 3)
+    assert rep.witness == {"property": "A:bijection", "S": [1, 2], "T": [3],
+                           "inputs": ["{1,2}", "{3}"]}
+
+
+def test_AB_order_witness():
+    e, n = _E_C_twisted()
+    rep = check_AB(order_mod.order_of(e), e.mu, n)
+    assert (rep.status, rep.n) == ("fail", 2)
+    assert rep.witness == {"property": "A:order", "S": [1], "T": [2],
+                           "pairs": [["[1:0]", "[2:1]"], ["[1:1]", "[2:0]"]]}
+
+
+def test_AB_B_witness_has_two_maxima():
+    e, n = _pi_two_maxima()
+    rep = check_AB(order_mod.order_of(e), e.mu, n)
+    assert (rep.status, rep.n) == ("fail", 4)
+    assert rep.witness == {"property": "B", "S": [1, 2], "T": [3, 4], "lambda": "{1,2,3,4}",
+                           "maximal": ["{1,2|3|4}", "{1|2|3,4}"]}
+
+
+def test_AB_non_injective_product_witness(entries, orders):
+    # {1,2} and {1|2} times {3} give one product: the rectangle of ({1,2},
+    # {3}) covers the lower interval of its product twice
+    e = entries["Pi"]
+    S, T = GroundSet.of([1, 2]), GroundSet.of([3])
+
+    def merging(S2, T2, x, y):
+        return e.mu(S2, T2, SetPartitionElt.of([[1], [2]]) if (S2, T2) == (S, T) else x, y)
+
+    rep = check_AB(orders["Pi"], MultSystem(e.species, merging), 3)
+    assert (rep.status, rep.n) == ("fail", 3)
+    assert rep.witness == {"property": "A:bijection", "S": [1, 2], "T": [3],
+                           "inputs": ["{1,2}", "{3}"]}
+
+
+def test_lower_lattice_maximal_lower_bounds_witness():
+    e, n = _E_C_no_meet()
+    rep = check_all_lower_lattices(e, n)
+    top, a, b, c1, c2, _ = _E_C3
+    assert (rep.status, rep.n) == ("fail", 3)
+    assert rep.witness == {"lambda": top, "pair": [a, b], "maximal_lower_bounds": [c1, c2]}
+
+
+def test_lower_lattice_shape_comparability_witness():
+    e, n = _E_C_one_pair()
+    rep = check_all_lower_lattices(e, n)
+    assert (rep.status, rep.n) == ("fail", 2)
+    assert rep.witness == {"lambda": "[1:0,2:0]", "law": "shape comparability",
+                           "pair": ["[1:0,2:0]", "[1:0,2:1]"], "shapes": ["{1|2}", "{1|2}"]}
+
+
+def test_reconstruct_roundtrip_witness():
+    e, n = _pi_skewed()
+    rep = check_reconstruct_roundtrip(e, n)
+    assert (rep.status, rep.n) == ("fail", 3)
+    assert rep.witness == {"S": [1, 2], "T": [3], "lambda": "{1,3|2}",
+                           "rebuilt": ["{1,2}", "{3}"], "original": ["{1|2}", "{3}"]}
+
+
+def test_hasse_covers_of_doctored_slice():
+    e, n = _pi_skewed()
+    dot = hasse_dot(order_mod.order_of(e), GroundSet.first(n))
+    assert [line for line in dot.splitlines() if "->" in line] == [
+        '  "{1|2|3}" -> "{1|2,3}";', '  "{1|2|3}" -> "{1,2|3}";',
+        '  "{1|2,3}" -> "{1,2,3}";', '  "{1,2|3}" -> "{1,3|2}";',
+        '  "{1,3|2}" -> "{1,2,3}";']
+
+
+# ---------------------------------------------------------------------------
+# the mask routes against the element routes
+
+def _outcome(run):
+    """(status, n, witness) of a report (or of a tuple), or the error raised."""
+    try:
+        got = run()
+    except ValueError as exc:
+        return ("error", str(exc))
+    return got if isinstance(got, tuple) else (got.status, got.n, got.witness)
+
+
+def _first_failure(max_n, witness_at):
+    for n in range(max_n + 1):
+        w = witness_at(GroundSet.first(n))
+        if w is not None:
+            return ("fail", n, w)
+    return ("pass", max_n, None)
+
+
+def _lower_lattices_by_elements(entry, so, max_n):
+    fmu = f_mu(entry.mu, max_n, check_preconditions=False, species_key=entry.key)
+    surjective = True
+    for n in range(max_n + 1):
+        I = GroundSet.first(n)
+        for lam in entry.species.elements(I):
+            rep = order_mod._lower_lattice_elements(so, I, lam, fmu)
+            if not rep.ok:
+                return (rep.status, rep.n, rep.witness)
+            surjective = surjective and rep.witness["shape_map_surjective"]
+    return ("pass", max_n, {"shape_map_surjective_everywhere": surjective})
+
+
+_AGREEMENT_CASES = {
+    "Pi": lambda: (make_Pi(), 3),
+    "Perm": lambda: (make_Perm(), 3),
+    "E_C:2": lambda: (make_E_C(2), 3),
+    "E": lambda: (make_E(), 3),
+    "S(X_C:2)": lambda: (with_derived_pi(make_S(make_X_C(2)), 3), 3),
+    "doctored A:bijection": _pi_unbalanced,
+    "doctored A:order": _E_C_twisted,
+    "doctored B": _pi_two_maxima,
+    "doctored meet": _E_C_no_meet,
+    "doctored shapes": _E_C_one_pair,
+    "doctored roundtrip": _pi_skewed,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AGREEMENT_CASES))
+def test_mask_and_element_routes_agree(monkeypatch, case):
+    entry, max_n = _AGREEMENT_CASES[case]()
+    so, sp = order_mod.order_of(entry), entry.species
+    decs = functools.cache(lambda I: decompositions(I, 2))
+    by_elements = {
+        "order_transport": _first_failure(
+            max_n, lambda I: order_mod._transport_elements(sp, so.slice(I))),
+        "property_AB": _first_failure(
+            max_n, lambda I: order_mod._AB_elements(so, entry.mu, I, decs(I))),
+        "reconstruct_roundtrip": _outcome(lambda: _first_failure(
+            max_n, lambda I: order_mod._roundtrip_elements(so, entry, decs(I)))),
+        "lower_lattice": _lower_lattices_by_elements(entry, so, max_n),
+    }
+    # the masks alone decide; the element routes then run only for a witness
+    monkeypatch.setattr(order_mod, "TABLE_ORACLE_MAX_N", -1)
+    by_masks = {
+        "order_transport": _outcome(lambda: check_order_transport(so, max_n)),
+        "property_AB": _outcome(lambda: check_AB(so, entry.mu, max_n)),
+        "reconstruct_roundtrip": _outcome(lambda: check_reconstruct_roundtrip(entry, max_n)),
+        "lower_lattice": _outcome(lambda: check_all_lower_lattices(entry, max_n)),
+    }
+    assert by_masks == by_elements
+    for n in range(max_n + 1):  # the meets alone, without shapes
+        I = GroundSet.first(n)
+        for lam in entry.species.elements(I):
+            rep = order_mod._lower_lattice_elements(so, I, lam, None)
+            assert order_mod._lower_lattice_masks(so.slice(I), lam, None) == (
+                rep.witness if rep.ok else None)
+    if not case.startswith("doctored"):
+        for n in range(max_n + 1):
+            I = GroundSet.first(n)
+            assert so.slice(I).strict == order_mod._order_elements(
+                entry.mu, entry.pi, I, entry.key, set_partitions(I),
+                decompositions(I, 2, nonempty=True))
+
+
+# per mask route: the size of the ground set it was called on, its lie, and
+# a check that reaches it at n = 3
+_LIES = {
+    "_order_tables": (lambda a: len(a[2]), lambda strict: strict - {min(strict, key=str)},
+                     lambda e: SpeciesOrder(e.mu, e.pi, "Pi").slice(GroundSet.first(3))),
+    "_transport_masks": (lambda a: len(a[1].I), lambda ok: not ok,
+                         lambda e: check_order_transport(order_mod.order_of(e), 3)),
+    "_lower_lattice_masks": (lambda a: len(a[0].I), lambda info: None,
+                             lambda e: check_all_lower_lattices(e, 3)),
+    "_AB_masks": (lambda a: len(a[2]), lambda ok: not ok,
+                  lambda e: check_AB(order_mod.order_of(e), e.mu, 3)),
+    "_roundtrip_masks": (lambda a: len(a[3]), lambda ok: not ok,
+                         lambda e: check_reconstruct_roundtrip(e, 3)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_LIES))
+def test_mask_route_lying_at_n3_is_fatal(monkeypatch, route):
+    size, lie, run = _LIES[route]
+    real = getattr(order_mod, route)
+
+    def lying(*args):
+        got = real(*args)
+        return lie(got) if size(args) == 3 else got
+
+    monkeypatch.setattr(order_mod, route, lying)
+    with pytest.raises(FatalInconsistency, match="disagree"):
+        run(make_Pi())
+
+
+def test_mask_route_failure_unconfirmed_above_the_oracle_is_fatal(monkeypatch):
+    # above TABLE_ORACLE_MAX_N the element route runs only where the masks
+    # report a failure, and it must find one
+    monkeypatch.setattr(order_mod, "_transport_masks", lambda sp, sl: len(sl.I) < 4)
+    with pytest.raises(FatalInconsistency, match="disagree"):
+        check_order_transport(order_mod.order_of(make_Pi()), 4)
