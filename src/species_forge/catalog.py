@@ -24,18 +24,6 @@ from .core import (
 # ---------------------------------------------------------------------------
 # system wrappers
 
-def _positions(species: SetSpecies, ground: GroundSet, results: list) -> list[int]:
-    """The positions in P[ground] of rule results; ValueError for one outside it."""
-    index = species.index(ground)
-    out = [index.get(z) for z in results]
-    if None in out:
-        z = results[out.index(None)]
-        if z.ground != ground:
-            raise ValueError(f"rule result {z} lives over {z.ground}, not {ground}")
-        raise ValueError(f"rule result {z} is not an element of {species.name}[{ground}]")
-    return out
-
-
 @dataclass
 class MultSystem:
     """A natural family of maps P[S] x P[T] -> P[S u T], evaluated on demand.
@@ -58,7 +46,7 @@ class MultSystem:
         if (S, T) not in self._tables:
             el = self.species.elements
             results = [self(S, T, x, y) for x in el(S) for y in el(T)]
-            self._tables[S, T] = _positions(self.species, S.union(T), results)
+            self._tables[S, T] = self.species.positions(S.union(T), results)
         return self._tables[S, T]
 
     def fiber_map(self, S: GroundSet, T: GroundSet) -> dict:
@@ -110,8 +98,8 @@ class ComultSystem:
         if (S, T) not in self._tables:
             sp = self.species
             pairs = [self(S, T, z) for z in sp.elements(S.union(T))]
-            self._tables[S, T] = list(zip(_positions(sp, S, [a for a, _ in pairs]),
-                                          _positions(sp, T, [b for _, b in pairs])))
+            self._tables[S, T] = list(zip(sp.positions(S, [a for a, _ in pairs]),
+                                          sp.positions(T, [b for _, b in pairs])))
         return self._tables[S, T]
 
     def fiber_map(self, S: GroundSet, T: GroundSet) -> dict:

@@ -20,7 +20,7 @@ import time
 
 from . import classify, controls, engine, order as order_mod
 from .catalog import CatalogEntry, parse_species, with_derived_pi
-from .core import CheckReport, GroundSet, Bijection, decompositions, transport_check
+from .core import CheckReport, GroundSet, Bijection, _swap, decompositions, transport_check
 from .engine import FatalInconsistency
 
 SUITES = ("axioms", "ssd", "lsd", "order", "bases", "full")
@@ -422,15 +422,20 @@ def cmd_table(args) -> int:
 
 
 def _orbit_count(entry: CatalogEntry, I: GroundSet) -> int:
-    elems = entry.species.elements(I)
-    seen: set = set()
-    orbits = 0
-    for e in elems:
-        if e in seen:
+    """The S_n-orbits on P[I]: the components of the moves by the adjacent
+    transpositions (which generate S_n; transport is a functor), read off
+    their transport tables."""
+    sp = entry.species
+    moves = [sp.transport_table(Bijection(I, I, _swap(I.labels, i))) for i in range(len(I) - 1)]
+    seen, orbits = set(), 0
+    for k in range(sp.dim(I)):
+        if k in seen:
             continue
         orbits += 1
-        for sigma in Bijection.all_endo(I):
-            seen.add(entry.species.transport(sigma, e))
+        todo = {k}
+        while todo:
+            seen |= todo
+            todo = {move[j] for move in moves for j in todo} - seen
     return orbits
 
 

@@ -587,7 +587,7 @@ class SetSpecies:
 
     ``elements_fn(I)`` must return the component over I in a deterministic
     order; ``transport_fn(sigma, x)`` must implement a functorial relabeling.
-    Components and their element to position maps are cached per ground set.
+    Components, their element to position maps and transport tables are cached.
     """
 
     name: str
@@ -595,6 +595,7 @@ class SetSpecies:
     transport_fn: Callable[[Bijection, Element], Element]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _moved: dict = field(default_factory=dict, repr=False, compare=False)
 
     def elements(self, I: GroundSet) -> tuple[Element, ...]:
         got = self._cache.get(I)
@@ -611,11 +612,33 @@ class SetSpecies:
             self._index[I] = got
         return got
 
+    def positions(self, I: GroundSet, results: list) -> list[int]:
+        """The positions in P[I] of rule results; ValueError for one outside it."""
+        index = self.index(I)
+        out = [index.get(z) for z in results]
+        if None in out:
+            z = results[out.index(None)]
+            if z.ground != I:
+                raise ValueError(f"rule result {z} lives over {z.ground}, not {I}")
+            raise ValueError(f"rule result {z} is not an element of {self.name}[{I}]")
+        return out
+
     def dim(self, I: GroundSet) -> int:
         return len(self.elements(I))
 
     def transport(self, sigma: Bijection, x: Element) -> Element:
         return self.transport_fn(sigma, x)
+
+    def transport_table(self, b: Bijection) -> list[int]:
+        """p[b] on positions: entry k is the position in P[b.target] of the
+        transport of the k-th element of P[b.source].  Built once per
+        bijection, so every check of a run reads the same table; a result
+        outside P[b.target] raises ValueError."""
+        got = self._moved.get(b)
+        if got is None:
+            got = self.positions(b.target, [self.transport(b, x) for x in self.elements(b.source)])
+            self._moved[b] = got
+        return got
 
     def unit_element(self) -> Element:
         es = self.elements(EMPTY)
@@ -722,45 +745,68 @@ class FatalInconsistency(Exception):
         self.witness = witness
 
 
-# Up to this n the exhaustive transport and naturality routes also run beside
-# the table routes, and a split in verdict is fatal.
+# Up to this n the exhaustive transport and naturality routes, and the element
+# routes of the order checks, run beside their table routes in ``cross_check``.
 TABLE_ORACLE_MAX_N = 3
+
+
+def cross_check(check: str, key: str, grounds: Iterable[GroundSet], table, element,
+                oracle_max_n: int) -> CheckReport:
+    """Run ``check`` over each ground set I of ``grounds`` in turn, by two routes.
+
+    ``table(I)``, the fast route, returns None when the check holds over I,
+    False when it fails without naming a witness, and otherwise the witness.
+    ``element(I)``, the independent route, returns the first failure over I
+    or None; it runs when n <= ``oracle_max_n`` and wherever ``table(I)`` is
+    False.  Where both run, a split in verdict, or in witness when the table
+    route named one, raises ``FatalInconsistency``.  The first failure is the
+    report; a pass carries the size of the last ground set.
+    """
+    n = 0
+    for I in grounds:
+        n = len(I)
+        witness = table(I)
+        if witness is not False and n > oracle_max_n:
+            if witness is not None:
+                return CheckReport(check, key, n, "fail", witness)
+            continue
+        expected = element(I)
+        if expected is None if witness is False else witness != expected:
+            raise FatalInconsistency(
+                f"table and element {check} checks disagree for {key} at n={n}",
+                witness={"table": witness, "element": expected})
+        if expected is not None:
+            return CheckReport(check, key, n, "fail", expected)
+    return CheckReport(check, key, n, "pass")
 
 
 def transport_check(P: SetSpecies, I: GroundSet) -> CheckReport:
     """Verify the identity, composition and bijectivity laws of transport on I.
 
-    Tabulates p[sigma] on indices into P[I] once per endo-bijection sigma and
-    certifies p[id] = id, that each table permutes P[I], and p[sigma o s_i] =
-    p[sigma] o p[s_i] for each adjacent transposition s_i, which gives
-    p[sigma o tau] = p[sigma] o p[tau] by induction on a word for tau.  What
-    the tables cannot certify goes to the exhaustive route over all pairs,
-    which finds the witness; up to n = TABLE_ORACLE_MAX_N it always runs, and
-    wherever both routes run a split raises ``FatalInconsistency``.
-    Violations are reported with a witness, never raised.
+    Reads p[sigma] on indices into P[I] (``SetSpecies.transport_table``) for
+    each endo-bijection sigma and certifies p[id] = id, that each table
+    permutes P[I], and p[sigma o s_i] = p[sigma] o p[s_i] for each adjacent
+    transposition s_i, which gives p[sigma o tau] = p[sigma] o p[tau] by
+    induction on a word for tau.  The exhaustive route over all pairs finds
+    the witness, and is the oracle up to n = TABLE_ORACLE_MAX_N
+    (``cross_check``).  Violations are reported with a witness, never raised.
     """
-    certified = _transport_certified(P, I)
-    if certified and len(I) > TABLE_ORACLE_MAX_N:
-        return CheckReport("transport", P.name, len(I), "pass")
-    rep = _transport_exhaustive(P, I)
-    if rep.ok != certified:
-        raise FatalInconsistency(
-            f"table and exhaustive transport checks disagree for {P.name} on {I}",
-            witness={"tables_certify": certified, "exhaustive": rep.witness})
-    return rep
+    return cross_check("transport", P.name, [I], lambda I: _transport_certified(P, I),
+                       lambda I: _transport_exhaustive(P, I).witness, TABLE_ORACLE_MAX_N)
 
 
-def _transport_certified(P: SetSpecies, I: GroundSet) -> bool:
-    index, elems = P.index(I), P.elements(I)
+def _transport_certified(P: SetSpecies, I: GroundSet) -> bool | None:
+    """None when the tables certify the laws over I, else False."""
     try:
-        p = {s.images: [index[P.transport(s, x)] for x in elems] for s in Bijection.all_endo(I)}
+        p = {s.images: P.transport_table(s) for s in Bijection.all_endo(I)}
     except Exception:  # a result outside P[I] or a transport that raises
         return False
     gens = [p[_swap(I.labels, i)] for i in range(len(I) - 1)]
-    return p[I.labels] == list(range(len(index))) and all(
+    ok = p[I.labels] == list(range(P.dim(I))) and all(
         len(set(row)) == len(row)
         and all(p[_swap(images, i)] == [row[k] for k in g] for i, g in enumerate(gens))
         for images, row in p.items())
+    return None if ok else False
 
 
 def _swap(images: tuple, i: int) -> tuple:

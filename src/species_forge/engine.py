@@ -29,11 +29,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .catalog import CatalogEntry, ComultSystem, MultSystem, _positions
+from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
     EMPTY, TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, FatalInconsistency,
-    GroundSet, SetSpecies, TensorVec, Vec, decompositions, nonempty_compositions,
-    tensor_dot, union_all, vec_dot,
+    GroundSet, SetSpecies, TensorVec, Vec, cross_check, decompositions,
+    nonempty_compositions, tensor_dot, union_all, vec_dot,
 )
 
 DEFAULT_MAX_N = 4
@@ -205,7 +205,8 @@ def iterate_delta(h: LinearizedHopf, parts: tuple[GroundSet, ...], v: Vec) -> Te
 # Delta^pi), counted only when the lists differ.  Elements appear only in a
 # witness, whose failing side prints as the Vec or TensorVec of its multiset,
 # as in the linear checkers, which build the vectors from mu, pi and their
-# fibers and run beside the kernel up to ORACLE_MAX_N.
+# fibers.  ``_check_diagram`` hands the kernel and its linear checker to
+# ``core.cross_check``, which runs the checker up to ORACLE_MAX_N.
 
 # Up to this n the linear checker (or, for the local self-compatibility
 # conditions and the rectangle, the element route) also runs beside the
@@ -231,19 +232,11 @@ def check_axiom(h: LinearizedHopf, axiom: str, max_n: int = DEFAULT_MAX_N) -> Ch
 
 def _check_diagram(h: LinearizedHopf, name: str, max_n: int, parts: int,
                    kernel, oracle) -> CheckReport:
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
-        decs = decompositions(I, parts) if parts else ()
-        witness = kernel(h, I, decs)
-        if n <= ORACLE_MAX_N:
-            expected = oracle(h, I, decs)
-            if expected != witness:
-                raise FatalInconsistency(
-                    f"table and element {name} checks disagree for {h.name} at n={n}",
-                    witness={"table": witness, "element": expected})
-        if witness is not None:
-            return CheckReport(name, h.name, n, "fail", witness)
-    return CheckReport(name, h.name, max_n, "pass")
+    # one decompositions(I, parts) call per n, shared by both routes
+    decs = functools.cache(lambda I: decompositions(I, parts) if parts else ())
+    return cross_check(name, h.name, map(GroundSet.first, range(max_n + 1)),
+                       lambda I: kernel(h, I, decs(I)), lambda I: oracle(h, I, decs(I)),
+                       ORACLE_MAX_N)
 
 
 def _position_readers(h: LinearizedHopf):
@@ -571,38 +564,22 @@ def check_naturality(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> CheckRe
     """The naturality squares of mu and pi under every endo-bijection sigma.
 
     mu and pi are read from their compiled tables, and each restricted
-    transport sigma|S : S -> sigma(S) is tabulated once, so a square is a few
-    lookups.  What the tables cannot certify goes to the exhaustive route, which finds
-    the first failing square; up to n = TABLE_ORACLE_MAX_N it always runs,
-    and wherever both routes run a split raises ``FatalInconsistency``.  A mu
-    or pi result outside its component raises ``ValueError``, at every n.
+    transport sigma|S : S -> sigma(S) from ``SetSpecies.transport_table``, so
+    a square is a few lookups.  The exhaustive route finds the witness, and
+    is the oracle up to n = TABLE_ORACLE_MAX_N (``cross_check``).  A mu, pi
+    or transport result outside its component raises ``ValueError``, at
+    every n.
     """
     guard_max_n(max_n)
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
-        certified = _natural_by_tables(entry, I)
-        if certified and n > TABLE_ORACLE_MAX_N:
-            continue
-        witness = _naturality_exhaustive(entry, I)
-        if certified != (witness is None):
-            raise FatalInconsistency(
-                f"table and exhaustive naturality checks disagree for {entry.key} at n={n}",
-                witness={"tables_certify": certified, "exhaustive": witness})
-        if witness is not None:
-            return CheckReport("naturality", entry.key, n, "fail", witness)
-    return CheckReport("naturality", entry.key, max_n, "pass")
+    return cross_check("naturality", entry.key, map(GroundSet.first, range(max_n + 1)),
+                       lambda I: _natural_by_tables(entry, I),
+                       lambda I: _naturality_exhaustive(entry, I), TABLE_ORACLE_MAX_N)
 
 
-def _natural_by_tables(entry: CatalogEntry, I: GroundSet) -> bool:
-    """Whether every square over I holds on the index tables."""
+def _natural_by_tables(entry: CatalogEntry, I: GroundSet) -> bool | None:
+    """None when every square over I holds on the index tables, else False."""
     sp, mu, pi = entry.species, entry.mu, entry.pi
-    moved: dict = {}
-
-    def table(b: Bijection) -> list[int]:
-        if b not in moved:
-            moved[b] = _positions(sp, b.target, [sp.transport(b, x) for x in sp.elements(b.source)])
-        return moved[b]
-
+    table = sp.transport_table
     decs = decompositions(I, 2)
     for sigma in Bijection.all_endo(I):
         p = table(sigma)
@@ -617,7 +594,7 @@ def _natural_by_tables(entry: CatalogEntry, I: GroundSet) -> bool:
                 pp = pi.table(Sp, Tp)
                 if [(ps[a], pt[b]) for a, b in pi.table(S, T)] != [pp[k] for k in p]:
                     return False
-    return True
+    return None
 
 
 def _naturality_exhaustive(entry: CatalogEntry, I: GroundSet) -> Optional[dict]:

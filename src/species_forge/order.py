@@ -10,14 +10,14 @@ entry, so each slice is computed (by both routes) once per run.
 The order is built and checked on positions in ``elements(I)``: the folds
 are chains of compiled mu/pi table lookups, the closure is Warshall on
 bitmasks, and each slice keeps, per position, the bitmask of the elements
-strictly above it and of those strictly below.  Transport, the lower-interval
-lattices, (A)/(B) and the reconstruction round trip are decided on those
-masks.  Each keeps its element route, which compares elements through
-``le``/``lt``, that is through the pairs in ``strict``: it runs beside
-the masks up to n = TABLE_ORACLE_MAX_N, and wherever the masks see a
-failure, to find the witness; a split raises ``FatalInconsistency``.  The
-mask routes rely on what ``compute_order`` certifies, that the relation is
-a strict partial order.
+strictly above it and of those strictly below.  Transport (on the species'
+transport tables), the lower-interval lattices, (A)/(B) and the round trip
+are decided on those masks.  Each keeps its element route, which compares
+elements through ``le``/``lt``, that is through the pairs in ``strict``:
+``core.cross_check`` runs it up to n = TABLE_ORACLE_MAX_N, and wherever the
+masks see a failure, to find the witness (the lattices do the same, and
+compare the data they surface too).  The mask routes rely on what
+``compute_order`` certifies, that the relation is a strict partial order.
 
 On top of the order: lower-interval lattice checks, the two interval
 properties that let the coproduct be rebuilt from the product alone, the
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
     TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, GroundSet, SetPartitionElt,
-    TensorVec, Vec, decompositions, set_partitions,
+    TensorVec, Vec, cross_check, decompositions, set_partitions,
 )
 from .engine import (
     DEFAULT_MAX_N, FatalInconsistency, LinearizedHopf, _fold_positions, _fold_readers,
@@ -259,40 +259,23 @@ def order_of(entry: CatalogEntry) -> SpeciesOrder:
 def check_order_transport(order: SpeciesOrder, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     """(a, b) in the order iff (sigma a, sigma b) is, for every endo-bijection.
 
-    Decided on the masks, with one position table per sigma."""
+    Decided on the masks, with the species' transport table of each sigma."""
     guard_max_n(max_n)
     sp = order.mu.species
-    return _decide("order_transport", order.key, max_n,
-                   lambda I: _transport_masks(sp, order.slice(I)),
-                   lambda I: _transport_elements(sp, order.slice(I)))
+    return cross_check("order_transport", order.key, map(GroundSet.first, range(max_n + 1)),
+                       lambda I: _transport_masks(sp, order.slice(I)),
+                       lambda I: _transport_elements(sp, order.slice(I)), TABLE_ORACLE_MAX_N)
 
 
-def _decide(check: str, key: str, max_n: int, masks, elements) -> CheckReport:
-    """A check over every {1..n}, n <= max_n: ``masks(I)`` decides whether it
-    holds over I; ``elements(I)``, its first failure over I or None, runs up
-    to n = TABLE_ORACLE_MAX_N and wherever the masks see a failure, to find
-    the witness.  A split raises ``FatalInconsistency``."""
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
-        certified = masks(I)
-        if certified and n > TABLE_ORACLE_MAX_N:
-            continue
-        witness = elements(I)
-        if certified != (witness is None):
-            raise FatalInconsistency(
-                f"mask and element {check} checks disagree for {key} at n={n}",
-                witness={"masks_certify": certified, "element": witness})
-        if witness is not None:
-            return CheckReport(check, key, n, "fail", witness)
-    return CheckReport(check, key, max_n, "pass")
-
-
-def _transport_masks(sp, sl: OrderSlice) -> bool:
-    """Whether every sigma moves the ``above`` masks onto themselves."""
+def _transport_masks(sp, sl: OrderSlice) -> bool | None:
+    """None when every sigma moves the ``above`` masks onto themselves."""
     ups = [_bits(m) for m in sl.above]
     for sigma in Bijection.all_endo(sl.I):
-        p = [sl.index.get(sp.transport(sigma, e)) for e in sl.elements]
-        if None in p or len(set(p)) != len(p):
+        try:
+            p = sp.transport_table(sigma)
+        except ValueError:  # a transport result outside the component
+            return False
+        if len(set(p)) != len(p):
             return False
         bit = [1 << k for k in p]
         moved = [0] * len(p)
@@ -300,7 +283,7 @@ def _transport_masks(sp, sl: OrderSlice) -> bool:
             moved[p[i]] = sum(bit[j] for j in up)
         if moved != sl.above:
             return False
-    return True
+    return None
 
 
 def _transport_elements(sp, sl: OrderSlice) -> dict | None:
@@ -456,9 +439,9 @@ def check_AB(order: SpeciesOrder, mu: MultSystem, max_n: int = DEFAULT_MAX_N) ->
     Decided on the masks and the compiled mu tables."""
     guard_max_n(max_n)
     decs = functools.cache(lambda I: decompositions(I, 2))
-    return _decide("property_AB", order.key, max_n,
-                   lambda I: _AB_masks(order, mu, I, decs(I)),
-                   lambda I: _AB_elements(order, mu, I, decs(I)))
+    return cross_check("property_AB", order.key, map(GroundSet.first, range(max_n + 1)),
+                       lambda I: _AB_masks(order, mu, I, decs(I)),
+                       lambda I: _AB_elements(order, mu, I, decs(I)), TABLE_ORACLE_MAX_N)
 
 
 def _greatest_in_image(sl: OrderSlice, image: int) -> list[int | None]:
@@ -468,10 +451,10 @@ def _greatest_in_image(sl: OrderSlice, image: int) -> list[int | None]:
     return [top.get((down | 1 << k) & image) for k, down in enumerate(sl.below)]
 
 
-def _AB_masks(order: SpeciesOrder, mu: MultSystem, I: GroundSet, decs) -> bool:
-    """Whether (A) and (B) hold over I: mu maps each rectangle of lower
-    intervals one to one onto the lower interval of its product, and every
-    element has a greatest product image below it.
+def _AB_masks(order: SpeciesOrder, mu: MultSystem, I: GroundSet, decs) -> bool | None:
+    """None when (A) and (B) hold over I, else False: mu maps each rectangle
+    of lower intervals one to one onto the lower interval of its product,
+    and every element has a greatest product image below it.
 
     The order half of (A) is not compared, because on partial orders it
     follows: if x <= x' in a rectangle, x lies in rect(x'), whose image is
@@ -493,7 +476,7 @@ def _AB_masks(order: SpeciesOrder, mu: MultSystem, I: GroundSet, decs) -> bool:
                     return False
         if None in _greatest_in_image(sl, sum(1 << c for c in set(table))):
             return False
-    return True
+    return None
 
 
 def _AB_elements(order: SpeciesOrder, mu: MultSystem, I: GroundSet, decs) -> dict | None:
@@ -568,15 +551,15 @@ def check_reconstruct_roundtrip(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N)
                            {"reason": "needs both systems"})
     order = order_of(entry)
     decs = functools.cache(lambda I: decompositions(I, 2))
-    return _decide("reconstruct_roundtrip", entry.key, max_n,
-                   lambda I: _roundtrip_masks(order, entry.mu, entry.pi, I, decs(I)),
-                   lambda I: _roundtrip_elements(order, entry, decs(I)))
+    return cross_check("reconstruct_roundtrip", entry.key, map(GroundSet.first, range(max_n + 1)),
+                       lambda I: _roundtrip_masks(order, entry.mu, entry.pi, I, decs(I)),
+                       lambda I: _roundtrip_elements(order, entry, decs(I)), TABLE_ORACLE_MAX_N)
 
 
 def _roundtrip_masks(order: SpeciesOrder, mu: MultSystem, pi: ComultSystem,
-                     I: GroundSet, decs) -> bool:
-    """Whether, for every (S, T) and lam, the greatest product image below
-    lam has one preimage under mu, and it is pi(lam)."""
+                     I: GroundSet, decs) -> bool | None:
+    """None when, for every (S, T) and lam, the greatest product image below
+    lam has one preimage under mu, and it is pi(lam); else False."""
     sl = order.slice(I)
     for S, T in decs:
         table, width = mu.table(S, T), order.mu.species.dim(T)
@@ -586,7 +569,7 @@ def _roundtrip_masks(order: SpeciesOrder, mu: MultSystem, pi: ComultSystem,
         greatest = _greatest_in_image(sl, sum(1 << c for c in preimage))
         if [preimage.get(m) for m in greatest] != pi.table(S, T):
             return False
-    return True
+    return None
 
 
 def _roundtrip_elements(order: SpeciesOrder, entry: CatalogEntry, decs) -> dict | None:

@@ -124,6 +124,21 @@ def test_table_dims(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("spec", ["E_C:2", "L", "Perm", "Pi", "S(X_C:2)", "S(E_C:2)"])
+def test_orbit_count_matches_every_sigma(spec):
+    # the orbits are read off the adjacent transpositions alone; here every
+    # sigma transports every element
+    from species_forge.catalog import parse_species
+    from species_forge.cli import _orbit_count
+    from species_forge.core import Bijection, GroundSet
+    entry = parse_species(spec)
+    for n in range(5):
+        I = GroundSet.first(n)
+        orbits = {frozenset(entry.species.transport(s, x) for s in Bijection.all_endo(I))
+                  for x in entry.species.elements(I)}
+        assert _orbit_count(entry, I) == len(orbits), (spec, n)
+
+
 def test_table_perm_dims(capsys):
     code, out, _ = run_cli(capsys, "table", "--species", "Perm", "--max-n", "4")
     payload = json.loads(out)

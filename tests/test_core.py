@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from species_forge.core import (
-    EMPTY, Bijection, GroundSet, LinearOrderElt, MapTo, PermutationElt,
-    SetPartitionElt, TensorVec, UnitElement, Vec, decompositions,
+    EMPTY, Bijection, FatalInconsistency, GroundSet, LinearOrderElt, MapTo, PermutationElt,
+    SetPartitionElt, TensorVec, UnitElement, Vec, cross_check, decompositions,
     nonempty_compositions, set_partitions, transport_check,
 )
 from species_forge.catalog import make_Perm, make_Pi
@@ -234,6 +234,53 @@ def test_tensor_rejects_overlapping_parts():
     x = Vec.basis(SetPartitionElt.of([[1]]))
     with pytest.raises(ValueError):
         TensorVec.tensor(x, x)
+
+
+# ---------------------------------------------------------------------------
+# cross_check: a fast route beside an independent one
+
+def _cross_check_demo(table_at, element_at):
+    """cross_check over {1..n}, n <= 4, with the oracle bound 2, where each
+    route answers at n from its dict (None where n is absent): the report as
+    (status, n, witness), and the n at which the element route ran."""
+    ran = []
+
+    def element(I):
+        ran.append(len(I))
+        return element_at.get(len(I))
+
+    rep = cross_check("demo", "K", map(GroundSet.first, range(5)),
+                      lambda I: table_at.get(len(I)), element, 2)
+    return (rep.status, rep.n, rep.witness), ran
+
+
+@pytest.mark.parametrize("table_at, element_at, report, ran", [
+    pytest.param({}, {}, ("pass", 4, None), [0, 1, 2], id="holds"),
+    pytest.param({2: {"w": 2}}, {2: {"w": 2}}, ("fail", 2, {"w": 2}), [0, 1, 2],
+                 id="witnesses-agree-at-bound"),
+    pytest.param({1: False}, {1: {"e": 1}}, ("fail", 1, {"e": 1}), [0, 1],
+                 id="false-takes-element-witness-at-bound"),
+    pytest.param({3: {"w": 3}}, {3: {"e": 3}}, ("fail", 3, {"w": 3}), [0, 1, 2],
+                 id="table-witness-trusted-above-bound"),
+    pytest.param({3: False}, {3: {"e": 3}}, ("fail", 3, {"e": 3}), [0, 1, 2, 3],
+                 id="false-takes-element-witness-above-bound"),
+])
+def test_cross_check_reports(table_at, element_at, report, ran):
+    assert _cross_check_demo(table_at, element_at) == (report, ran)
+
+
+@pytest.mark.parametrize("table_at, element_at, n", [
+    pytest.param({2: {"w": 2}}, {2: {"e": 2}}, 2, id="witness-split-at-bound"),
+    pytest.param({}, {1: {"e": 1}}, 1, id="table-holds-element-fails"),
+    pytest.param({0: {"w": 0}}, {}, 0, id="table-fails-element-holds"),
+    pytest.param({2: False}, {}, 2, id="false-unconfirmed-at-bound"),
+    pytest.param({4: False}, {}, 4, id="false-unconfirmed-above-bound"),
+])
+def test_cross_check_split_is_fatal(table_at, element_at, n):
+    with pytest.raises(FatalInconsistency) as exc:
+        _cross_check_demo(table_at, element_at)
+    assert str(exc.value) == f"table and element demo checks disagree for K at n={n}"
+    assert exc.value.witness == {"table": table_at.get(n), "element": element_at.get(n)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from species_forge.catalog import (
     make_S, parse_species, with_derived_pi,
 )
 from species_forge.core import (
-    EMPTY, CheckReport, GroundSet, LinearOrderElt, MapTo, SetPartitionElt, SetSpecies,
+    EMPTY, Bijection, CheckReport, GroundSet, LinearOrderElt, MapTo, SetPartitionElt, SetSpecies,
     TensorVec, UnitElement, Vec, decompositions,
 )
 from species_forge.controls import _MAKERS, _grid, blob_system, perturbed_systems
@@ -700,17 +700,38 @@ def test_naturality_controls_fail_as_the_exhaustive_route(n, system):
     assert eng.check_naturality(entry, n - 1).ok
 
 
+def test_transport_tables_are_shared_per_bijection():
+    entry = make_Perm()
+    sp, I, calls = entry.species, GroundSet.first(4), []
+    rule = sp.transport_fn
+
+    def counted(sigma, x):
+        calls.append(sigma)
+        return rule(sigma, x)
+
+    sp.transport_fn = counted
+    assert eng._natural_by_tables(entry, I) is None
+    assert calls
+    calls.clear()
+    assert eng._natural_by_tables(entry, I) is None
+    assert core._transport_certified(sp, I) is None
+    assert core.transport_check(sp, I).ok  # above the oracle: tables only
+    assert calls == []
+    sigma = Bijection(I, I, (2, 3, 4, 1))
+    assert sp.transport_table(sigma) is sp.transport_table(Bijection(I, I, (2, 3, 4, 1)))
+
+
 def test_lying_table_routes_are_fatal_at_small_n(monkeypatch):
     I = GroundSet.first(3)
-    monkeypatch.setattr(core, "_transport_certified", lambda P, I: True)
+    monkeypatch.setattr(core, "_transport_certified", lambda P, I: None)
     with pytest.raises(FatalInconsistency, match="transport"):
         core.transport_check(_twisted_L(_three_cycle(3)), I)
     monkeypatch.setattr(core, "_transport_certified", lambda P, I: False)
     with pytest.raises(FatalInconsistency, match="transport"):
         core.transport_check(make_L().species, I)
-    monkeypatch.setattr(eng, "_natural_by_tables", lambda entry, I: True)
+    monkeypatch.setattr(eng, "_natural_by_tables", lambda entry, I: None)
     for system in ("mu", "pi"):
-        with pytest.raises(FatalInconsistency, match="naturality"):
+        with pytest.raises(FatalInconsistency, match="naturality .* at n=3"):
             eng.check_naturality(_twisted_entry(3, system), 3)
     monkeypatch.setattr(eng, "_natural_by_tables", lambda entry, I: False)
     with pytest.raises(FatalInconsistency, match="naturality"):

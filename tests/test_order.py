@@ -617,18 +617,24 @@ def test_mask_and_element_routes_agree(monkeypatch, case):
                 decompositions(I, 2, nonempty=True))
 
 
+def _flipped(verdict):
+    """A mask route's lie: False (fails, no witness) for None (holds), and
+    None for False."""
+    return False if verdict is None else None
+
+
 # per mask route: the size of the ground set it was called on, its lie, and
 # a check that reaches it at n = 3
 _LIES = {
     "_order_tables": (lambda a: len(a[2]), lambda strict: strict - {min(strict, key=str)},
                      lambda e: SpeciesOrder(e.mu, e.pi, "Pi").slice(GroundSet.first(3))),
-    "_transport_masks": (lambda a: len(a[1].I), lambda ok: not ok,
+    "_transport_masks": (lambda a: len(a[1].I), _flipped,
                          lambda e: check_order_transport(order_mod.order_of(e), 3)),
     "_lower_lattice_masks": (lambda a: len(a[0].I), lambda info: None,
                              lambda e: check_all_lower_lattices(e, 3)),
-    "_AB_masks": (lambda a: len(a[2]), lambda ok: not ok,
+    "_AB_masks": (lambda a: len(a[2]), _flipped,
                   lambda e: check_AB(order_mod.order_of(e), e.mu, 3)),
-    "_roundtrip_masks": (lambda a: len(a[3]), lambda ok: not ok,
+    "_roundtrip_masks": (lambda a: len(a[3]), _flipped,
                          lambda e: check_reconstruct_roundtrip(e, 3)),
 }
 
@@ -650,6 +656,7 @@ def test_mask_route_lying_at_n3_is_fatal(monkeypatch, route):
 def test_mask_route_failure_unconfirmed_above_the_oracle_is_fatal(monkeypatch):
     # above TABLE_ORACLE_MAX_N the element route runs only where the masks
     # report a failure, and it must find one
-    monkeypatch.setattr(order_mod, "_transport_masks", lambda sp, sl: len(sl.I) < 4)
-    with pytest.raises(FatalInconsistency, match="disagree"):
+    monkeypatch.setattr(order_mod, "_transport_masks",
+                        lambda sp, sl: None if len(sl.I) < 4 else False)
+    with pytest.raises(FatalInconsistency, match="disagree .* at n=4"):
         check_order_transport(order_mod.order_of(make_Pi()), 4)
