@@ -52,9 +52,6 @@ class GroundSet:
     def __contains__(self, x) -> bool:
         return x in self.labels
 
-    def disjoint_from(self, other: "GroundSet") -> bool:
-        return not set(self.labels) & set(other.labels)
-
     def union(self, other: "GroundSet") -> "GroundSet":
         return _union(self.labels, other.labels)
 
@@ -125,8 +122,13 @@ class Bijection:
         return self.images[self.source.labels.index(x)]
 
     def invert(self) -> "Bijection":
-        pairs = sorted(zip(self.images, self.source.labels))
-        return Bijection(self.target, self.source, tuple(p[1] for p in pairs))
+        """The inverse, built once and kept outside the fields (so outside eq and hash)."""
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            pairs = sorted(zip(self.images, self.source.labels))
+            inv = Bijection(self.target, self.source, tuple(p[1] for p in pairs))
+            object.__setattr__(self, "_inverse", inv)
+        return inv
 
     def after(self, inner: "Bijection") -> "Bijection":
         """self after inner (apply inner first)."""
@@ -368,25 +370,44 @@ def _exact(c) -> int | Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
+def _added(a: dict, b: dict) -> dict:
+    """The termwise sum of two dicts of nonzero coefficients, zeros dropped."""
+    acc = dict(a)
+    for k, c in b.items():
+        acc[k] = acc.get(k, 0) + c
+    return {k: c for k, c in acc.items() if c != 0} if 0 in acc.values() else acc
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _check_disjoint(parts: tuple[GroundSet, ...]) -> None:
+    """Raise unless the parts are pairwise disjoint; only successes are cached."""
+    if len({x for p in parts for x in p.labels}) != sum(map(len, parts)):
+        raise ValueError("tensor parts must be pairwise disjoint")
+
+
 class Vec:
     """An exact rational combination of basis elements over one ground set;
-    its coefficients are ints unless a Fraction was passed in."""
+    its coefficients are ints unless a Fraction was passed in.
+
+    The public constructor checks every term.  ``_trusted`` is for vectors
+    derived from checked ones: ``terms`` is then a dict of nonzero exact
+    coefficients over ``ground``, taken as is."""
 
     __slots__ = ("ground", "terms")
 
-    def __init__(self, ground: GroundSet, terms=()):
-        acc: dict[Element, int | Fraction] = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for el, c in items:
-            if el.ground != ground:
-                raise ValueError(f"element over {el.ground} in Vec over {ground}")
-            c = _exact(c)
-            if c == 0:
-                continue
-            c0 = acc.get(el)
-            acc[el] = c if c0 is None else c0 + c
+    def __init__(self, ground: GroundSet, terms=(), *, _trusted: bool = False):
         self.ground = ground
-        self.terms = {e: c for e, c in acc.items() if c != 0}
+        if _trusted:
+            self.terms = terms
+            return
+        acc: dict[Element, int | Fraction] = {}
+        for el, c in (terms.items() if hasattr(terms, "items") else terms):
+            if el.ground is not ground and el.ground != ground:
+                raise ValueError(f"element over {el.ground} in Vec over {ground}")
+            c = c if type(c) is int else _exact(c)
+            if c != 0:
+                acc[el] = acc.get(el, 0) + c
+        self.terms = {e: c for e, c in acc.items() if c != 0} if 0 in acc.values() else acc
 
     @staticmethod
     def zero(ground: GroundSet) -> "Vec":
@@ -394,7 +415,7 @@ class Vec:
 
     @staticmethod
     def basis(el: Element) -> "Vec":
-        return Vec(el.ground, [(el, 1)])
+        return Vec(el.ground, {el: 1}, _trusted=True)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -408,10 +429,7 @@ class Vec:
     def __add__(self, other: "Vec") -> "Vec":
         if self.ground != other.ground:
             raise ValueError("ground sets differ")
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return Vec(self.ground, acc)
+        return Vec(self.ground, _added(self.terms, other.terms), _trusted=True)
 
     def __sub__(self, other: "Vec") -> "Vec":
         return self + other.scale(-1)
@@ -421,7 +439,8 @@ class Vec:
 
     def scale(self, c) -> "Vec":
         c = _exact(c)
-        return Vec(self.ground, {e: k * c for e, k in self.terms.items()})
+        return Vec(self.ground, {e: k * c for e, k in self.terms.items()} if c else {},
+                   _trusted=True)
 
     def __rmul__(self, c) -> "Vec":
         return self.scale(c)
@@ -445,33 +464,31 @@ class Vec:
 
 
 class TensorVec:
-    """An exact combination of tuples of basis elements over disjoint parts."""
+    """An exact combination of tuples of basis elements over disjoint parts.
+
+    As for ``Vec``, ``_trusted`` takes a tuple of disjoint parts and a dict
+    of nonzero exact coefficients as they are."""
 
     __slots__ = ("parts", "terms")
 
-    def __init__(self, parts: tuple[GroundSet, ...], terms=()):
-        parts = tuple(parts)
-        seen: set[int] = set()
-        for p in parts:
-            if seen & set(p.labels):
-                raise ValueError("tensor parts must be pairwise disjoint")
-            seen |= set(p.labels)
+    def __init__(self, parts: tuple[GroundSet, ...], terms=(), *, _trusted: bool = False):
+        if _trusted:
+            self.parts, self.terms = parts, terms
+            return
+        self.parts = parts = tuple(parts)
+        _check_disjoint(parts)
         acc: dict[tuple[Element, ...], int | Fraction] = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for key, c in items:
+        for key, c in (terms.items() if hasattr(terms, "items") else terms):
             key = tuple(key)
             if len(key) != len(parts):
                 raise ValueError("term arity does not match parts")
             for el, p in zip(key, parts):
-                if el.ground != p:
+                if el.ground is not p and el.ground != p:
                     raise ValueError(f"element over {el.ground} in slot for {p}")
-            c = _exact(c)
-            if c == 0:
-                continue
-            c0 = acc.get(key)
-            acc[key] = c if c0 is None else c0 + c
-        self.parts = parts
-        self.terms = {k: c for k, c in acc.items() if c != 0}
+            c = c if type(c) is int else _exact(c)
+            if c != 0:
+                acc[key] = acc.get(key, 0) + c
+        self.terms = {k: c for k, c in acc.items() if c != 0} if 0 in acc.values() else acc
 
     @staticmethod
     def zero(parts: Sequence[GroundSet]) -> "TensorVec":
@@ -485,23 +502,22 @@ class TensorVec:
     @staticmethod
     def tensor(*vecs: Vec) -> "TensorVec":
         parts = tuple(v.ground for v in vecs)
-        terms = []
+        _check_disjoint(parts)
+        # distinct factors give distinct keys, and nonzero factors a nonzero product
+        terms = {}
         for combo in itertools.product(*(v.terms.items() for v in vecs)):
-            key = tuple(e for e, _ in combo)
             c = 1
             for _, k in combo:
                 c *= k
-            terms.append((key, c))
-        return TensorVec(parts, terms)
+            terms[tuple(e for e, _ in combo)] = c
+        return TensorVec(parts, terms, _trusted=True)
 
     @staticmethod
     def concat(a: "TensorVec", b: "TensorVec") -> "TensorVec":
         parts = a.parts + b.parts
-        terms = []
-        for ka, ca in a.terms.items():
-            for kb, cb in b.terms.items():
-                terms.append((ka + kb, ca * cb))
-        return TensorVec(parts, terms)
+        _check_disjoint(parts)
+        terms = {ka + kb: ca * cb for ka, ca in a.terms.items() for kb, cb in b.terms.items()}
+        return TensorVec(parts, terms, _trusted=True)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -518,8 +534,8 @@ class TensorVec:
         if sorted(perm) != list(range(len(self.parts))):
             raise ValueError("perm must permute the part indices")
         parts = tuple(self.parts[p] for p in perm)
-        terms = [(tuple(k[p] for p in perm), c) for k, c in self.terms.items()]
-        return TensorVec(parts, terms)
+        terms = {tuple(k[p] for p in perm): c for k, c in self.terms.items()}
+        return TensorVec(parts, terms, _trusted=True)
 
     def as_vec(self) -> Vec:
         if len(self.parts) != 1:
@@ -529,17 +545,15 @@ class TensorVec:
     def __add__(self, other: "TensorVec") -> "TensorVec":
         if self.parts != other.parts:
             raise ValueError("tensor parts differ")
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc.get(k, 0) + c
-        return TensorVec(self.parts, acc)
+        return TensorVec(self.parts, _added(self.terms, other.terms), _trusted=True)
 
     def __sub__(self, other: "TensorVec") -> "TensorVec":
         return self + other.scale(-1)
 
     def scale(self, c) -> "TensorVec":
         c = _exact(c)
-        return TensorVec(self.parts, {k: v * c for k, v in self.terms.items()})
+        return TensorVec(self.parts, {k: v * c for k, v in self.terms.items()} if c else {},
+                         _trusted=True)
 
     def __rmul__(self, c) -> "TensorVec":
         return self.scale(c)

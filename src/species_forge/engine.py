@@ -429,14 +429,21 @@ def _delta_nabla_terms(h, I, decs):
 # vectors, and runs only for n <= ORACLE_MAX_N.
 
 def _assoc(h, I, decs):
+    # Each memo is filled on first use, so the rules are called in the same
+    # order as without it, and a rule that raises raises at the same instance.
     for R, S, T in decs:
+        RS, ST, yzs = R.union(S), S.union(T), {}
         for x in h.basis.elements(R):
-            for y in h.basis.elements(S):
-                for z in h.basis.elements(T):
-                    xy = _nabla_basis(h, R, S, x, y)
-                    lhs = h.nabla(R.union(S), T, TensorVec.tensor(xy, Vec.basis(z)))
-                    yz = _nabla_basis(h, S, T, y, z)
-                    rhs = h.nabla(R, S.union(T), TensorVec.tensor(Vec.basis(x), yz))
+            vx = Vec.basis(x)
+            for b, y in enumerate(h.basis.elements(S)):
+                xy = None
+                for c, z in enumerate(h.basis.elements(T)):
+                    if xy is None:
+                        xy = _nabla_basis(h, R, S, x, y)
+                    lhs = h.nabla(RS, T, TensorVec.tensor(xy, Vec.basis(z)))
+                    if (b, c) not in yzs:
+                        yzs[b, c] = _nabla_basis(h, S, T, y, z)
+                    rhs = h.nabla(R, ST, TensorVec.tensor(vx, yzs[b, c]))
                     if lhs != rhs:
                         return {"decomposition": [list(R), list(S), list(T)],
                                 "inputs": [str(x), str(y), str(z)],
@@ -509,17 +516,23 @@ def _counital(h, I, decs):
 
 def _hopf_compat(h, I, decs):
     # The bottom path twists (A, B, A', B') -> (A, A', B, B'); this is the
-    # displayed convention, and _hopf_terms follows it.
+    # displayed convention, and _hopf_terms follows it.  The memos are filled
+    # on first use, as in _assoc.
     for R, Rp in decs:
+        xys = {}
         for S, Sp in decs:
             A, B = R.intersect(S), R.intersect(Sp)
             Ap, Bp = Rp.intersect(S), Rp.intersect(Sp)
-            for x in h.basis.elements(R):
+            dys = {}
+            for a, x in enumerate(h.basis.elements(R)):
                 dx = _delta_basis(h, A, B, x)
-                for y in h.basis.elements(Rp):
-                    top = h.delta(S, Sp, _nabla_basis(h, R, Rp, x, y))
-                    dy = _delta_basis(h, Ap, Bp, y)
-                    four = TensorVec.concat(dx, dy).twist((0, 2, 1, 3))
+                for b, y in enumerate(h.basis.elements(Rp)):
+                    if (a, b) not in xys:
+                        xys[a, b] = _nabla_basis(h, R, Rp, x, y)
+                    top = h.delta(S, Sp, xys[a, b])
+                    if b not in dys:
+                        dys[b] = _delta_basis(h, Ap, Bp, y)
+                    four = TensorVec.concat(dx, dys[b]).twist((0, 2, 1, 3))
                     merged = apply_nabla_at(h, four, 0)   # (A u A', B, B')
                     bottom = apply_nabla_at(h, merged, 1)  # (A u A', B u B')
                     if top != bottom:

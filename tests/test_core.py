@@ -1,5 +1,6 @@
 """Substrate tests: ground sets, bijections, decompositions, exact arithmetic."""
 
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -50,6 +51,10 @@ def test_bijection_compose_invert():
         assert st_.apply(x) == s.apply(t.apply(x))
     assert s.after(s.invert()).images == I.labels
     assert s.restrict(GroundSet.of([1, 3])).images == (2, 1)
+    # the inverse is built once and kept off the fields
+    fresh = Bijection(I, I, (2, 3, 1))
+    assert s.invert() is s.invert() and s.invert() == fresh.invert()
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(Bijection(I, I, (2, 3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +239,61 @@ def test_tensor_rejects_overlapping_parts():
     x = Vec.basis(SetPartitionElt.of([[1]]))
     with pytest.raises(ValueError):
         TensorVec.tensor(x, x)
+
+
+def test_concat_rejects_overlapping_parts():
+    x = TensorVec.basis((SetPartitionElt.of([[1]]),))
+    y = TensorVec.basis((SetPartitionElt.of([[2]]),))
+    assert TensorVec.concat(x, y).parts == (GroundSet.of([1]), GroundSet.of([2]))
+    for a, b in ((x, x), (TensorVec.concat(x, y), y)):
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            TensorVec.concat(a, b)
+
+
+# The derived vectors (tensor, concat, twist, +, scale) skip the checks of the
+# public constructor; rebuilding their terms through it must give the same.
+
+_GROUNDS = (GroundSet.of([1]), GroundSet.of([2, 3]), GroundSet.of([4]))
+_small = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+
+
+def _vecs(G: GroundSet):
+    els = [MapTo(G, cs) for cs in itertools.product((0, 1), repeat=len(G))]
+    return st.lists(st.tuples(st.sampled_from(els), _small), max_size=6).map(
+        lambda terms: Vec(G, terms))
+
+
+def _typed(v) -> dict:
+    return {k: (type(c), c) for k, c in v.terms.items()}
+
+
+def _same(got, want):
+    assert type(got) is type(want)
+    for attr in ("ground", "parts"):
+        assert getattr(got, attr, None) == getattr(want, attr, None)
+    assert _typed(got) == _typed(want) and 0 not in got.terms.values()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_vecs(_GROUNDS[0]), _vecs(_GROUNDS[0]), _vecs(_GROUNDS[1]), _vecs(_GROUNDS[2]),
+       _small, st.permutations(range(3)))
+def test_derived_vectors_match_the_validating_constructor(u, u2, v, w, s, perm):
+    G = u.ground
+    d = u2 - u                          # u + d cancels every term of u outside u2
+    _same(u + d, Vec(G, [*u.terms.items(), *d.terms.items()]))
+    assert u + d == u2
+    _same(u.scale(s), Vec(G, [(e, c * s) for e, c in u.terms.items()]))
+    t = TensorVec.tensor(u, v)
+    _same(t, TensorVec((G, v.ground), [((a, b), c * e) for a, c in u.terms.items()
+                                       for b, e in v.terms.items()]))
+    t3 = TensorVec.concat(t, TensorVec.tensor(w))
+    _same(t3, TensorVec(t.parts + (w.ground,), [(k + (z,), c * e) for k, c in t.terms.items()
+                                                for z, e in w.terms.items()]))
+    _same(t3.twist(perm), TensorVec(tuple(t3.parts[p] for p in perm),
+                                    [(tuple(k[p] for p in perm), c) for k, c in t3.terms.items()]))
+    t2 = TensorVec.tensor(u2, v) - t
+    _same(t + t2, TensorVec(t.parts, [*t.terms.items(), *t2.terms.items()]))
+    _same(t.scale(s), TensorVec(t.parts, [(k, c * s) for k, c in t.terms.items()]))
 
 
 # ---------------------------------------------------------------------------

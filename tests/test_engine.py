@@ -495,6 +495,30 @@ def test_concat_and_mirror_systems_are_named_apart():
                      "orders[mirror][nabla^mu,Delta^mu]"]
 
 
+@pytest.mark.parametrize("family,args", _grid(), ids=str)
+def test_linear_oracle_agrees_on_the_whole_control_grid(family, args):
+    # at n <= ORACLE_MAX_N cross_check runs the kernel and the linear oracle
+    # together, and a split in verdict or witness raises FatalInconsistency;
+    # the collapse systems first fail Hopf compatibility on three points
+    ps = _MAKERS[family](*args)
+    h = eng._mu_mu(ps.mu)
+    assert check_axiom(h, "associative", 2).ok and check_axiom(h, "unital", 2).ok
+    rep = check_axiom(h, "hopf_compatible", 2)
+    assert (rep.status, rep.n) == (("pass", 2) if ps.breaks == "image" else ("fail", 2))
+
+
+def test_kernel_that_misses_a_control_failure_is_fatal(monkeypatch):
+    parts, kernel, linear = eng._AXIOM_ROUTES["hopf_compatible"]
+
+    def misses_at_2(h, I, decs):
+        return None if len(I) == 2 else kernel(h, I, decs)
+
+    monkeypatch.setitem(eng._AXIOM_ROUTES, "hopf_compatible", (parts, misses_at_2, linear))
+    h = eng._mu_mu(_MAKERS["concat"](False).mu)
+    with pytest.raises(FatalInconsistency):
+        check_axiom(h, "hopf_compatible", 2)
+
+
 # (spec, variant) -> the diagrams that fail at n <= 3; every other passes
 _CATALOG_FAILURES = {
     ("L", "mu-pi"): ["commutative"],
@@ -575,6 +599,23 @@ def test_set_level_rejects_result_over_wrong_ground(entries):
                 kernel(h, I, decompositions(I, 3))
             with pytest.raises(ValueError, match="lives over"):
                 check_axiom(h, axiom, 2)
+
+
+def test_linear_maps_reject_rule_results_over_wrong_ground(entries):
+    # rule results enter the linear layer through the validating constructors
+    pi_entry = entries["Pi"]
+    sp = pi_entry.species
+    drops_y = MultSystem(sp, lambda S, T, x, y: x)
+    swaps = ComultSystem(sp, lambda S, T, z: pi_entry.pi(S, T, z)[::-1])
+    h = eng.LinearizedHopf("bad", sp, drops_y, swaps)
+    S, T = GroundSet.of([1]), GroundSet.of([2])
+    xy = TensorVec.basis((SetPartitionElt.of([[1]]), SetPartitionElt.of([[2]])))
+    z = Vec.basis(SetPartitionElt.of([[1], [2]]))
+    for apply in (lambda: h.nabla(S, T, xy), lambda: h.delta(S, T, z),
+                  lambda: eng.apply_nabla_at(h, xy, 0),
+                  lambda: eng.apply_delta_at(h, TensorVec.tensor(z), 0, S, T)):
+        with pytest.raises(ValueError, match="element over"):
+            apply()
 
 
 def test_fiber_kernel_split_from_oracle_is_fatal(monkeypatch, entries):
