@@ -657,8 +657,8 @@ def main(argv=None) -> int:
             print(f"max-n {args.max_n} exceeds the ceiling {ceiling} "
                   f"(set SPECIES_FORGE_CEILING for CI soak runs)", file=sys.stderr)
             return 1
-        if args.max_n == 5:
-            print("warning: n = 5 components are large; expect a long run",
+        if args.max_n >= 5:
+            print(f"warning: n = {args.max_n} components are large; expect a long run",
                   file=sys.stderr)
         return args.fn(args)
     except ValueError as exc:

@@ -18,21 +18,49 @@ from typing import Callable, Iterable, Iterator, Sequence
 # ---------------------------------------------------------------------------
 # ground sets
 
-@dataclass(frozen=True)
+_GROUND_SETS: dict[tuple[int, ...], "GroundSet"] = {}
+
+
 class GroundSet:
-    """A finite set of nonnegative integer labels, stored strictly increasing."""
+    """A finite set of nonnegative integer labels, stored strictly increasing.
 
-    labels: tuple[int, ...] = ()
+    Canonical: there is one instance per label tuple, so equality is
+    identity.  The hash is the one a frozen dataclass with the single field
+    ``labels`` would have, computed once."""
 
-    def __post_init__(self):
-        if not isinstance(self.labels, tuple):
-            object.__setattr__(self, "labels", tuple(self.labels))
-        ls = self.labels
-        for a, b in zip(ls, ls[1:]):
+    __slots__ = ("labels", "_hash")
+
+    def __new__(cls, labels: Iterable[int] = ()):
+        if type(labels) is not tuple:
+            labels = tuple(labels)
+        got = _GROUND_SETS.get(labels)
+        if got is not None:
+            return got
+        for a, b in zip(labels, labels[1:]):
             if b <= a:
-                raise ValueError(f"labels not strictly increasing: {ls}")
-        if ls and ls[0] < 0:
-            raise ValueError(f"labels must be nonnegative: {ls}")
+                raise ValueError(f"labels not strictly increasing: {labels}")
+        if labels and labels[0] < 0:
+            raise ValueError(f"labels must be nonnegative: {labels}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_hash", hash((labels,)))
+        # setdefault: concurrent first calls still agree on one instance
+        return _GROUND_SETS.setdefault(labels, self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroundSet is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GroundSet is immutable: cannot delete {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return GroundSet, (self.labels,)
+
+    def __repr__(self) -> str:
+        return f"GroundSet(labels={self.labels!r})"
 
     @staticmethod
     def of(labels: Iterable[int]) -> "GroundSet":
@@ -56,8 +84,7 @@ class GroundSet:
         return _union(self.labels, other.labels)
 
     def intersect(self, other: "GroundSet") -> "GroundSet":
-        keep = set(other.labels)
-        return GroundSet(tuple(x for x in self.labels if x in keep))
+        return _intersect(self.labels, other.labels)
 
     def minus(self, other: "GroundSet") -> "GroundSet":
         drop = set(other.labels)
@@ -80,6 +107,13 @@ def _union(a: tuple[int, ...], b: tuple[int, ...]) -> GroundSet:
     if not set(a).isdisjoint(b):
         raise ValueError(f"ground sets overlap: {GroundSet(a)} and {GroundSet(b)}")
     return GroundSet(tuple(sorted(a + b)))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _intersect(a: tuple[int, ...], b: tuple[int, ...]) -> GroundSet:
+    """The intersection of two label tuples, memoized like ``_union``."""
+    keep = set(b)
+    return GroundSet(tuple(x for x in a if x in keep))
 
 
 def union_all(parts: Iterable[GroundSet]) -> GroundSet:
@@ -402,7 +436,7 @@ class Vec:
             return
         acc: dict[Element, int | Fraction] = {}
         for el, c in (terms.items() if hasattr(terms, "items") else terms):
-            if el.ground is not ground and el.ground != ground:
+            if el.ground is not ground:
                 raise ValueError(f"element over {el.ground} in Vec over {ground}")
             c = c if type(c) is int else _exact(c)
             if c != 0:
@@ -483,7 +517,7 @@ class TensorVec:
             if len(key) != len(parts):
                 raise ValueError("term arity does not match parts")
             for el, p in zip(key, parts):
-                if el.ground is not p and el.ground != p:
+                if el.ground is not p:
                     raise ValueError(f"element over {el.ground} in slot for {p}")
             c = c if type(c) is int else _exact(c)
             if c != 0:

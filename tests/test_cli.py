@@ -43,6 +43,16 @@ def test_bad_ceiling_variable_is_one_error_line(capsys, monkeypatch):
     assert "SPECIES_FORGE_CEILING" in err
 
 
+@pytest.mark.parametrize("max_n, warned", [(4, False), (5, True), (6, True)])
+def test_large_n_warns_once_on_stderr(capsys, monkeypatch, max_n, warned):
+    monkeypatch.setenv("SPECIES_FORGE_CEILING", "6")
+    code, out, err = run_cli(capsys, "table", "--species", "E", "--max-n", str(max_n))
+    assert code == 0 and "warning" not in out
+    lines = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+    assert lines == ([f"warning: n = {max_n} components are large; expect a long run"]
+                     if warned else [])
+
+
 def test_check_axioms_json_shape(capsys):
     code, out, _ = run_cli(capsys, "check", "--species", "Pi",
                            "--suite", "axioms", "--max-n", "2")

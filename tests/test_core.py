@@ -1,6 +1,10 @@
 """Substrate tests: ground sets, bijections, decompositions, exact arithmetic."""
 
+import copy
 import itertools
+import pickle
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -40,6 +44,79 @@ def test_ground_set_algebra():
     assert a.union(b) is a.union(b) and b.union(a) == a.union(b)
     with pytest.raises(ValueError):
         a.union(GroundSet.of([3]))
+
+
+def test_equal_ground_sets_are_one_object():
+    a, b = GroundSet.of([1, 3]), GroundSet.of([2, 5])
+    c, d = GroundSet.of([1, 2, 3]), GroundSet.of([2, 3, 4])
+    assert GroundSet((1, 2)) is GroundSet([1, 2]) is GroundSet.of([2, 1, 2]) is GroundSet.first(2)
+    assert GroundSet(labels=(1, 2)) is GroundSet.first(2)
+    assert a.union(b) is GroundSet((1, 2, 3, 5))
+    assert c.intersect(d) is GroundSet((2, 3)) and d.intersect(c) is GroundSet((2, 3))
+    assert c.minus(d) is GroundSet((1,)) and c.minus(c) is EMPTY
+    I = GroundSet.first(3)
+    assert Bijection(I, I, (2, 3, 1)).image_of(GroundSet((1, 2))) is GroundSet((2, 3))
+    for parts in decompositions(I, 3) + set_partitions(I):
+        for p in parts:
+            assert p is GroundSet(p.labels) is GroundSet.of(p)
+    assert EMPTY is GroundSet() is GroundSet(())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=6), st.lists(st.integers(0, 6), max_size=6))
+def test_ground_set_identity_is_label_equality(a, b):
+    same = sorted(set(a)) == sorted(set(b))
+    assert (GroundSet.of(a) is GroundSet.of(b)) == same
+    assert (GroundSet.of(a) == GroundSet.of(b)) == same
+    assert (GroundSet.of(a) != GroundSet.of(b)) == (not same)
+
+
+@pytest.mark.parametrize("labels", [(), (1,), (1, 2), (0, 3, 7)])
+def test_ground_set_hash_is_the_dataclass_hash(labels):
+    assert hash(GroundSet(labels)) == hash((labels,))
+    assert repr(GroundSet(labels)) == f"GroundSet(labels={labels!r})"
+
+
+def test_ground_set_is_immutable_and_copies_to_itself():
+    for _ in range(2):  # an invalid tuple is never registered, so it raises every time
+        with pytest.raises(ValueError):
+            GroundSet((2, 1))
+    a = GroundSet((1, 4))
+    with pytest.raises(AttributeError):
+        a.labels = (1, 5)
+    with pytest.raises(AttributeError):
+        del a.labels
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a.labels == (1, 4)
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert copy.deepcopy(MapTo(a, (0, 1))).ground is a
+
+
+def test_concurrent_first_calls_share_one_instance():
+    # labels no other test builds, so every call below races to register them
+    fresh = [tuple(range(1000 + 10 * k, 1004 + 10 * k)) for k in range(1000)]
+    got: dict[int, list] = {}
+    gate = threading.Barrier(8)
+
+    def build(w: int) -> None:
+        gate.wait(timeout=10)
+        got[w] = [GroundSet(t) for t in fresh]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(w,)) for w in range(8)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=20)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in workers) and len(got) == 8
+    for k, t in enumerate(fresh):
+        assert all(got[w][k] is GroundSet(t) for w in range(8))
 
 
 def test_bijection_compose_invert():
