@@ -15,9 +15,8 @@ from .catalog import (
 from .engine import (
     AXIOMS, FatalInconsistency, LinearizedHopf, check_axiom,
     check_antipode_convolution, check_delta_nabla_identity, check_dual_tables,
-    check_fsd, check_naturality, check_preorder_rectangle,
-    check_self_compatible, dual_transpose, hopf_from, iterate_delta,
-    iterate_nabla, structure_constants, takeuchi_antipode,
+    check_fsd, check_naturality, check_preorder_rectangle, check_self_compatible,
+    dual_transpose, hopf_from, iterate_delta, iterate_nabla, takeuchi_antipode,
 )
 from .classify import (
     FMu, FPi, NablaXDecomposition, check_fmu_intertwines,

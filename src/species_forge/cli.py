@@ -444,18 +444,11 @@ def _constants_dump(entry: CatalogEntry, h, max_n: int) -> list[dict]:
     for m in range(max_n + 1):
         I = GroundSet.first(m)
         for S, T in decompositions(I, 2):
-            sc = engine.structure_constants(h, S, T)
             entries = []
-            for (x, y, z), v in sorted(
-                    sc.product.items(),
-                    key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key(),
-                                    kv[0][2].sort_key())):
-                entries.append(f"a[{x},{y};{z}] = {v}")
-            for (x, y, z), v in sorted(
-                    sc.coproduct.items(),
-                    key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key(),
-                                    kv[0][2].sort_key())):
-                entries.append(f"b[{x},{y};{z}] = {v}")
+            for tag, table in (("a", engine.product_table(h, S, T)),
+                               ("b", engine.coproduct_table(h, S, T))):
+                for x, y, z in sorted(table, key=engine.constant_sort_key):
+                    entries.append(f"{tag}[{x},{y};{z}] = {table[x, y, z]}")
             out.append({"S": str(S), "T": str(T), "entries": entries})
     return out
 

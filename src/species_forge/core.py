@@ -611,21 +611,6 @@ class TensorVec:
     __repr__ = __str__
 
 
-def vec_dot(a: Vec, b: Vec) -> int | Fraction:
-    """Pairing in which the basis is orthonormal (conjugation is trivial over Q)."""
-    if a.ground != b.ground:
-        raise ValueError("ground sets differ")
-    small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    return sum(c * big.get(e, 0) for e, c in small.items())
-
-
-def tensor_dot(a: TensorVec, b: TensorVec) -> int | Fraction:
-    if a.parts != b.parts:
-        raise ValueError("tensor parts differ")
-    small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    return sum(c * big.get(k, 0) for k, c in small.items())
-
-
 # ---------------------------------------------------------------------------
 # set species
 

@@ -10,10 +10,11 @@ each compared as multisets of basis positions read from the compiled mu and
 pi tables (the linear route, on elements, is the oracle for n <= 2);
 Hopf self-compatibility (two independent routes that must agree; the local
 one compares positions of the mu tables), structure constants, free
-self-duality, the invariant form, Takeuchi's antipode, duality by
-transposition (which swaps the systems), and the preorder rectangle on the
-mu and pi tables.  The local route and the rectangle keep their element
-routes as the oracle for n <= 2.
+self-duality (product and coproduct constants compared on positions),
+Takeuchi's antipode, duality by transposition (which swaps the systems), and
+the preorder rectangle on the mu and pi tables.  The local route, free
+self-duality and the rectangle keep their element routes as the oracle for
+n <= 2.
 
 A check that contradicts a theorem that is supposed to hold at desk scale
 raises ``FatalInconsistency``: that always means an implementation bug, and
@@ -33,7 +34,7 @@ from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
     EMPTY, TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, FatalInconsistency,
     GroundSet, SetSpecies, TensorVec, Vec, cross_check, decompositions,
-    nonempty_compositions, tensor_dot, union_all, vec_dot,
+    nonempty_compositions, union_all,
 )
 
 DEFAULT_MAX_N = 4
@@ -653,13 +654,13 @@ def check_self_compatible(mu: MultSystem, mode: str = "both",
     is a theorem that desk-scale computation cannot contradict.
     """
     guard_max_n(max_n)
+    if mode not in ("direct", "local", "both"):
+        raise ValueError("mode must be direct, local, or both")
     key = species_key or mu.species.name
     pre = _selfcompat_precondition(mu, max_n)
     if pre is not None:
         return CheckReport("self_compatible", key, max_n, "skip",
                            {"precondition": pre})
-    if mode not in ("direct", "local", "both"):
-        raise ValueError("mode must be direct, local, or both")
     direct = local = None
     if mode in ("direct", "both"):
         direct = _selfcompat_direct(mu, max_n)
@@ -777,17 +778,12 @@ def _local_elements(h, I, decs):
 
 
 # ---------------------------------------------------------------------------
-# structure constants, free self-duality, the invariant form
-
-@dataclass
-class StructureConstants:
-    """Product and coproduct tables over one decomposition (S, T)."""
-
-    S: GroundSet
-    T: GroundSet
-    product: dict      # (x, y, z) -> 1
-    coproduct: dict    # (x, y, z) -> 1
-
+# structure constants and free self-duality
+#
+# Every structure constant is 0 or 1, so free self-duality is the equality of
+# two relations: z_c is a term of nabla_{S,T}(x_a (x) y_b) exactly when
+# (x_a, y_b) is a term of Delta_{S,T}(z_c).  The invariant-form pairings
+# <nabla(x (x) y), z> and <x (x) y, Delta z> are these two constants.
 
 def product_table(h: LinearizedHopf, S: GroundSet, T: GroundSet) -> dict:
     return {(x, y, z): 1 for x in h.basis.elements(S) for y in h.basis.elements(T)
@@ -799,70 +795,72 @@ def coproduct_table(h: LinearizedHopf, S: GroundSet, T: GroundSet) -> dict:
             for x, y in h.splits(S, T, z)}
 
 
-def structure_constants(h: LinearizedHopf, S: GroundSet, T: GroundSet) -> StructureConstants:
-    return StructureConstants(S, T, product_table(h, S, T), coproduct_table(h, S, T))
+def constant_sort_key(key: tuple) -> tuple:
+    """The sort key of a structure constant's (x, y, z)."""
+    return tuple(e.sort_key() for e in key)
 
 
 def check_fsd(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> CheckReport:
-    """Free self-duality: the product and coproduct tables coincide.
+    """Free self-duality: the product and coproduct structure constants coincide.
 
     Requires Hopf compatibility first (self-duality is a property of Hopf
-    monoids), then runs two routes that must agree: direct table comparison,
-    and invariance of the basis pairing <nabla x, y> = <x, Delta y>.
+    monoids).  Then, over every (S, T), the terms of nabla_{S,T} and of
+    Delta_{S,T} are compared as one relation on basis positions, with the
+    element tables (``product_table``, ``coproduct_table``) as the oracle for
+    n <= ORACLE_MAX_N and as the witness finder.
     """
     guard_max_n(max_n)
     rep = check_axiom(h, "hopf_compatible", max_n)
     if not rep.ok:
         return CheckReport("fsd", h.name, rep.n, "fail",
                            {"reason": "not hopf compatible", **rep.witness})
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
-        for S, T in decompositions(I, 2):
-            sc = structure_constants(h, S, T)
-            by_tables = sc.product == sc.coproduct
-            mismatch = None
-            zs = [(z, Vec.basis(z)) for z in h.basis.elements(I)]
-            deltas = [h.delta(S, T, bz) for _, bz in zs]
-            for x, y in itertools.product(h.basis.elements(S), h.basis.elements(T)):
-                tv = TensorVec.basis((x, y))
-                left = h.nabla(S, T, tv)
-                for (z, bz), dz in zip(zs, deltas):
-                    lhs, rhs = vec_dot(left, bz), tensor_dot(tv, dz)
-                    if lhs != rhs:
-                        mismatch = {"S": list(S), "T": list(T),
-                                    "x": str(x), "y": str(y), "z": str(z),
-                                    "form_left": str(lhs), "form_right": str(rhs)}
-                        break
-                if mismatch:
-                    break
-            by_form = mismatch is None
-            if by_tables != by_form:
-                raise FatalInconsistency(
-                    f"FSD routes disagree for {h.name} on ({S},{T})",
-                    witness={"tables": by_tables, "form": by_form})
-            if not by_tables:
-                keys = set(sc.product) ^ set(sc.coproduct)
-                sample = next(iter(sorted(
-                    keys or {k for k in sc.product if sc.product[k] != sc.coproduct.get(k)},
-                    key=lambda k: (k[0].sort_key(), k[1].sort_key(), k[2].sort_key()))))
-                return CheckReport(
-                    "fsd", h.name, n, "fail",
-                    {"S": list(S), "T": list(T),
-                     "entry": [str(sample[0]), str(sample[1]), str(sample[2])],
-                     "product_constant": str(sc.product.get(sample, 0)),
-                     "coproduct_constant": str(sc.coproduct.get(sample, 0)),
-                     "form_mismatch": mismatch})
-    return CheckReport("fsd", h.name, max_n, "pass")
+    return _fsd_tables(h, max_n)
+
+
+def _fsd_tables(h: LinearizedHopf, max_n: int) -> CheckReport:
+    return _check_diagram(h, "fsd", max_n, 2, _fsd_terms, _fsd_elements)
+
+
+def _fsd_terms(h, I, decs):
+    products, splits = _position_readers(h)
+    for S, T in decs:
+        width = h.basis.dim(T)
+        by_product = sorted((c, k) for k, cs in enumerate(products(S, T)) for c in cs)
+        by_coproduct = sorted((c, a * width + b)
+                              for c, pairs in enumerate(splits(S, T)) for a, b in pairs)
+        if by_product != by_coproduct:
+            return False
+    return None
+
+
+def _fsd_elements(h, I, decs):
+    el = h.basis.elements
+    for S, T in decs:
+        prod, cop = product_table(h, S, T), coproduct_table(h, S, T)
+        keys = prod.keys() ^ cop.keys()
+        if not keys:
+            continue
+        entry = min(keys, key=constant_sort_key)
+        x, y, z = next(k for k in itertools.product(el(S), el(T), el(I)) if k in keys)
+        return {"S": list(S), "T": list(T), "entry": [str(e) for e in entry],
+                "product_constant": str(prod.get(entry, 0)),
+                "coproduct_constant": str(cop.get(entry, 0)),
+                "form_mismatch": {"S": list(S), "T": list(T),
+                                  "x": str(x), "y": str(y), "z": str(z),
+                                  "form_left": str(prod.get((x, y, z), 0)),
+                                  "form_right": str(cop.get((x, y, z), 0))}}
+    return None
 
 
 def check_ssd_conditions(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> CheckReport:
-    """The elementary characterization of strong self-duality in this basis:
-    (a) basis elements multiply to single basis elements, and (b) every basis
-    element is a basis product or is killed by the coproduct.
+    """The elementary characterization of strong self-duality in this basis,
+    read on elements: (a) basis elements multiply to single basis elements,
+    and (b) every basis element is a basis product or is killed by the
+    coproduct.
 
-    For a Hopf-compatible triple this is equivalent to self-duality with a
-    linearized product, so the outcome is cross-checked against the
-    structure-constant route; a split verdict is fatal.
+    For a Hopf-compatible triple with a linearized product, (b) is equivalent
+    to free self-duality, so it is cross-checked against ``check_fsd``'s
+    comparison on positions (``_fsd_tables``); a split verdict is fatal.
     """
     guard_max_n(max_n)
     witness_a = witness_b = None
@@ -888,7 +886,7 @@ def check_ssd_conditions(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> Check
     ok = witness_a is None and witness_b is None
     if witness_a is None and check_axiom(h, "hopf_compatible", max_n).ok:
         # with a linearized product on a Hopf triple, (b) must match FSD
-        fsd_ok = check_fsd(h, max_n).ok
+        fsd_ok = _fsd_tables(h, max_n).ok
         if (witness_b is None) != fsd_ok:
             raise FatalInconsistency(
                 f"SSD characterizations disagree for {h.name}",

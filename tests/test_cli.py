@@ -156,13 +156,17 @@ def test_table_perm_dims(capsys):
 
 
 def test_table_constants(capsys):
-    code, out, _ = run_cli(capsys, "table", "--species", "Pi", "--max-n", "2",
-                           "--constants")
-    payload = json.loads(out)
-    assert payload["variant"] == "nabla^mu,Delta^pi"
-    entries = [e for block in payload["constants"] for e in block["entries"]]
-    assert any(e.startswith("a[") for e in entries)
-    assert any(e.startswith("b[") for e in entries)
+    # the ({1}, {2}) block in full: the b entries are sorted by sort_key, which
+    # for Pi is not the element order ({1,2} comes before {1|2} in P[{1,2}])
+    blocks = {"Pi": ["a[{1},{2};{1|2}] = 1", "b[{1},{2};{1|2}] = 1", "b[{1},{2};{1,2}] = 1"],
+              "L": ["a[(1),(2);(1,2)] = 1", "b[(1),(2);(1,2)] = 1", "b[(1),(2);(2,1)] = 1"]}
+    for spec, entries in blocks.items():
+        code, out, _ = run_cli(capsys, "table", "--species", spec, "--max-n", "2",
+                               "--constants")
+        payload = json.loads(out)
+        assert code == 0 and payload["variant"] == "nabla^mu,Delta^pi"
+        got = {(b["S"], b["T"]): b["entries"] for b in payload["constants"]}
+        assert got["{1}", "{2}"] == entries, spec
 
 
 def test_hasse_requires_commutative(capsys):

@@ -7,7 +7,7 @@ import pytest
 from species_forge import core, engine as eng
 from species_forge.catalog import (
     CatalogEntry, ComultSystem, MultSystem, make_E, make_E_C, make_L, make_Perm, make_Pi,
-    make_S, parse_species, with_derived_pi,
+    make_S, make_X_C, parse_species, with_derived_pi,
 )
 from species_forge.core import (
     EMPTY, Bijection, CheckReport, GroundSet, LinearOrderElt, MapTo, SetPartitionElt, SetSpecies,
@@ -240,6 +240,17 @@ def test_selfcompat_precondition_reported():
     assert rep.witness["precondition"]["axiom"] == "associative"
 
 
+@pytest.mark.parametrize("system", ["interleave", "Pi"])
+def test_invalid_mode_raises_before_the_precondition(monkeypatch, entries, system):
+    # the interleave product fails the precondition; Pi's passes it
+    mu = _interleave_system() if system == "interleave" else entries["Pi"].mu
+    calls = []
+    monkeypatch.setattr(eng, "check_axiom", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="mode must be"):
+        check_self_compatible(mu, "bogus", 3, species_key=system)
+    assert calls == []
+
+
 def test_mode_disagreement_is_fatal(monkeypatch, entries):
     from species_forge import engine as eng
 
@@ -267,8 +278,11 @@ def test_fsd_fails_for_mixed_Pi(entries):
     rep = check_fsd(hopf_from(entries["Pi"], "mu", "pi"), 2)
     assert rep.status == "fail"
     # splitting the one-block partition: coproduct constant with no product mate
-    assert rep.witness["coproduct_constant"] == "1"
-    assert rep.witness["product_constant"] == "0"
+    assert rep.witness == {
+        "S": [1], "T": [2], "entry": ["{1}", "{2}", "{1,2}"],
+        "product_constant": "0", "coproduct_constant": "1",
+        "form_mismatch": {"S": [1], "T": [2], "x": "{1}", "y": "{2}", "z": "{1,2}",
+                          "form_left": "0", "form_right": "1"}}
 
 
 def test_fsd_mixed_E_C(entries):
@@ -289,6 +303,36 @@ def test_fsd_implies_coco(entries):
             if check_fsd(h, 3).ok:
                 assert check_axiom(h, "commutative", 3).ok, (key, p, c)
                 assert check_axiom(h, "cocommutative", 3).ok, (key, p, c)
+
+
+def _variants(key):
+    entry = with_derived_pi(make_S(make_X_C(2)), 3) if key == "S(X_C:2)" else parse_species(key)
+    return [hopf_from(entry, p, c) for p, c in _ALL_VARIANTS]
+
+
+@pytest.mark.parametrize("key", ["E", "E_C:2", "Pi", "L", "Perm", "S(X_C:2)"])
+def test_fsd_element_route_finds_the_witness_without_the_oracle(monkeypatch, key):
+    # with no oracle bound the element route runs only where the position
+    # kernel fails, and finds the same first witness (the mu-pi and pi-mu
+    # failures of Pi, L and Perm)
+    want = [check_fsd(h, 3) for h in _variants(key)]
+    monkeypatch.setattr(eng, "ORACLE_MAX_N", -1)
+    got = [check_fsd(h, 3) for h in _variants(key)]
+    assert [(r.status, r.n, r.witness) for r in got] == \
+        [(r.status, r.n, r.witness) for r in want]
+
+
+def test_ssd_conditions_run_hopf_compatibility_once(monkeypatch, entries):
+    from species_forge.engine import check_ssd_conditions
+    axioms, real = [], eng.check_axiom
+
+    def spy(h, axiom, max_n=eng.DEFAULT_MAX_N):
+        axioms.append(axiom)
+        return real(h, axiom, max_n)
+
+    monkeypatch.setattr(eng, "check_axiom", spy)
+    assert check_ssd_conditions(hopf_from(entries["Pi"], "mu", "mu"), 3).ok
+    assert axioms == ["hopf_compatible"]
 
 
 # ---------------------------------------------------------------------------
@@ -1053,7 +1097,7 @@ def test_rectangle_routes_agree_on_catalog_and_mutants():
 
 def test_element_oracles_run_in_every_call(monkeypatch, entries):
     seen = []
-    for name in ("_local_elements", "_rectangle_elements"):
+    for name in ("_local_elements", "_rectangle_elements", "_fsd_elements"):
         def spy(h, I, decs, route=getattr(eng, name)):
             seen.append(len(I))
             return route(h, I, decs)
@@ -1061,24 +1105,48 @@ def test_element_oracles_run_in_every_call(monkeypatch, entries):
     for _ in range(2):
         assert check_self_compatible(entries["Pi"].mu, "local", 3, species_key="Pi").ok
         assert check_preorder_rectangle(entries["Pi"], 3).ok
-    assert seen == list(range(eng.ORACLE_MAX_N + 1)) * 4
+        assert check_fsd(hopf_from(entries["Pi"], "mu", "mu"), 3).ok
+    assert seen == list(range(eng.ORACLE_MAX_N + 1)) * 6
+    # past the bound the FSD element route runs only where the kernel fails:
+    # Pi's mu-pi triple fails at n = 2
+    seen.clear()
+    monkeypatch.setattr(eng, "ORACLE_MAX_N", 0)
+    rep = check_fsd(hopf_from(entries["Pi"], "mu", "pi"), 3)
+    assert (rep.status, rep.n, seen) == ("fail", 2, [0, 2])
 
 
-@pytest.mark.parametrize("name", ["_local_terms", "_rectangle_terms"])
+@pytest.mark.parametrize("name", ["_local_terms", "_rectangle_terms", "_fsd_terms"])
 def test_table_split_from_element_oracle_is_fatal(monkeypatch, entries, name):
     route = getattr(eng, name)
 
-    def lies_at(n):
-        return lambda h, I, decs: {"forced": True} if len(I) == n else route(h, I, decs)
+    def lie(h, I, decs):
+        # the FSD kernel never names a witness: it flips None and False
+        if name == "_fsd_terms":
+            return False if route(h, I, decs) is None else None
+        return {"forced": True}
 
-    def check():
+    def lies_at(n):
+        return lambda h, I, decs: lie(h, I, decs) if len(I) == n else route(h, I, decs)
+
+    def check(variant=("mu", "mu")):
         if name == "_local_terms":
             return check_self_compatible(entries["Pi"].mu, "local", 3, species_key="Pi")
+        if name == "_fsd_terms":
+            return check_fsd(hopf_from(entries["Pi"], *variant), 3)
         return check_preorder_rectangle(entries["Pi"], 3)
 
     monkeypatch.setattr(eng, name, lies_at(eng.ORACLE_MAX_N))
     with pytest.raises(FatalInconsistency, match="table and element"):
         check()
+    if name == "_fsd_terms":
+        # the reverse flip is fatal too (Pi's mu-pi triple fails at n = 2), and
+        # past the oracle a False is fatal unless the element route confirms it
+        with pytest.raises(FatalInconsistency, match="table and element fsd"):
+            check(("mu", "pi"))
+        monkeypatch.setattr(eng, name, lies_at(eng.ORACLE_MAX_N + 1))
+        with pytest.raises(FatalInconsistency, match=f"fsd checks .* at n={eng.ORACLE_MAX_N + 1}"):
+            check()
+        return
     # past the oracle the table route alone decides
     monkeypatch.setattr(eng, name, lies_at(eng.ORACLE_MAX_N + 1))
     rep = check()
