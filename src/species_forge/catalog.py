@@ -401,19 +401,27 @@ def with_derived_pi(entry: CatalogEntry, max_n: int = 4) -> CatalogEntry:
 
 _FIXED = {"E": make_E, "Pi": make_Pi, "L": make_L, "Perm": make_Perm}
 _VALID = "E | E_C:<colors> | X_C:<colors> | Perm | L | Pi | S(<spec>)"
+MAX_NESTING = 8   # S(...) levels a spec may nest; each level deepens every recursion
 
 
 def parse_species(spec: str) -> CatalogEntry:
     """Resolve a species spec string like ``Pi``, ``E_C:2`` or ``S(X_C:2)``."""
+    return _parse(spec, MAX_NESTING)
+
+
+def _parse(spec: str, levels: int) -> CatalogEntry:
     spec = spec.strip()
     if spec in _FIXED:
         return _FIXED[spec]()
     if spec.startswith("S(") and spec.endswith(")"):
-        return make_S(parse_species(spec[2:-1]))
+        if not levels:
+            raise ValueError(f"spec nests S(...) more than {MAX_NESTING} deep; "
+                             f"valid specs: {_VALID}")
+        return make_S(_parse(spec[2:-1], levels - 1))
     for prefix, maker in (("E_C:", make_E_C), ("X_C:", make_X_C)):
         if spec.startswith(prefix):
             arg = spec[len(prefix):]
-            if not arg.isdigit():
+            if not (arg.isascii() and arg.isdigit()):
                 raise ValueError(f"bad color count {arg!r} in {spec!r}; valid specs: {_VALID}")
             return maker(int(arg))
     raise ValueError(f"unknown species {spec!r}; valid specs: {_VALID}")

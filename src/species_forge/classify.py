@@ -20,7 +20,7 @@ from .catalog import (CatalogEntry, ComultSystem, MultSystem, labeled_partition_
                       make_E_C)
 from .core import (
     Bijection, CheckReport, Element, GroundSet, LabeledPartitionElt,
-    MapTo, SetSpecies, TensorVec, Vec, decompositions, set_partitions,
+    SetSpecies, TensorVec, Vec, decompositions, set_partitions,
 )
 from .engine import (
     DEFAULT_MAX_N, FatalInconsistency, LinearizedHopf, check_axiom,
@@ -119,35 +119,41 @@ def check_primitives_match(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> C
 # ---------------------------------------------------------------------------
 # the labeled-partition isomorphism f^mu
 
-@dataclass
-class FMu:
-    """The multiplicative-system isomorphism from labeled partitions onto P.
+class _Tabulated:
+    """An isomorphism onto P tabulated per ground set on demand: ``forward[I]``
+    maps its source elements over I onto P[I] and ``inverse[I]`` maps back.
+    ``build(I)`` returns the forward table and asserts bijectivity there."""
 
-    Component tables are built on demand per ground set; building one also
-    asserts bijectivity there, which cannot fail for a self-compatible
-    product short of an implementation bug.
-    """
-
-    mu: MultSystem
-    q: SetSpecies
-    sq: SetSpecies
-    forward: dict      # GroundSet -> {labeled partition -> element}
-    inverse: dict      # GroundSet -> {element -> labeled partition}
-    key: str = ""
+    def __init__(self, build):
+        self._build = build
+        self.forward: dict = {}
+        self.inverse: dict = {}
 
     def table(self, I: GroundSet) -> dict:
         if I not in self.forward:
-            fwd = _fmu_component(self.mu, self.sq, I, self.key)
+            fwd = self._build(I)
             self.forward[I] = fwd
-            self.inverse[I] = {el: X for X, el in fwd.items()}
+            self.inverse[I] = {el: x for x, el in fwd.items()}
         return self.forward[I]
 
-    def apply(self, X: LabeledPartitionElt) -> Element:
-        return self.table(X.ground)[X]
+    def apply(self, x: Element) -> Element:
+        return self.table(x.ground)[x]
 
-    def invert(self, el: Element) -> LabeledPartitionElt:
+    def invert(self, el: Element) -> Element:
         self.table(el.ground)
         return self.inverse[el.ground][el]
+
+
+class FMu(_Tabulated):
+    """The multiplicative-system isomorphism from labeled partitions onto P.
+
+    Building a component asserts bijectivity there, which cannot fail for a
+    self-compatible product short of an implementation bug.
+    """
+
+    def __init__(self, mu: MultSystem, sq: SetSpecies, key: str):
+        super().__init__(lambda I: _fmu_component(mu, sq, I, key))
+        self.mu, self.sq, self.key = mu, sq, key
 
     def shape(self, el: Element):
         return self.invert(el).shape()
@@ -195,8 +201,7 @@ def f_mu(mu: MultSystem, max_n: int = DEFAULT_MAX_N, *, check_preconditions: boo
         if rep.status != "pass":
             raise ValueError(f"f_mu preconditions fail for {key}: {rep.status} {rep.witness}")
     q = primitive_basis_species(mu)
-    sq = labeled_partition_species(q, f"S({q.name})")
-    fm = FMu(mu, q, sq, {}, {}, key)
+    fm = FMu(mu, labeled_partition_species(q, f"S({q.name})"), key)
     for n in range(max_n + 1):
         fm.table(GroundSet.first(n))
     return fm
@@ -231,33 +236,15 @@ def check_fmu_intertwines(fm: FMu, max_n: int = DEFAULT_MAX_N,
 # ---------------------------------------------------------------------------
 # the maps-to-colors isomorphism f^pi
 
-@dataclass
-class FPi:
-    """The comultiplicative-system isomorphism from maps-to-colors onto P.
+class FPi(_Tabulated):
+    """The comultiplicative-system isomorphism from maps-to-colors onto P."""
 
-    Component tables are built on demand; building one asserts bijectivity.
-    """
-
-    pi: ComultSystem
-    colors: tuple[Element, ...]   # the component over {1}, fixing the color order
-    e_c: CatalogEntry
-    forward: dict                 # GroundSet -> {map element -> element}
-    inverse: dict
-    _build: object = None
-
-    def table(self, I: GroundSet) -> dict:
-        if I not in self.forward:
-            fwd = self._build(I)
-            self.forward[I] = fwd
-            self.inverse[I] = {el: f for f, el in fwd.items()}
-        return self.forward[I]
-
-    def apply(self, f: MapTo) -> Element:
-        return self.table(f.ground)[f]
-
-    def invert(self, el: Element) -> MapTo:
-        self.table(el.ground)
-        return self.inverse[el.ground][el]
+    def __init__(self, pi: ComultSystem, colors: tuple[Element, ...],
+                 e_c: CatalogEntry, build):
+        super().__init__(build)
+        self.pi = pi
+        self.colors = colors   # the component over {1}, fixing the color order
+        self.e_c = e_c
 
 
 def _inverted_mu(pi: ComultSystem) -> MultSystem:
@@ -270,8 +257,17 @@ def _inverted_mu(pi: ComultSystem) -> MultSystem:
     return MultSystem(pi.species, rule)
 
 
-def f_pi(pi: ComultSystem, max_n: int = 3, *, check_preconditions: bool = True,
-         species_key: str | None = None) -> FPi:
+def first_non_bijective(pi: ComultSystem, max_n: int) -> tuple[GroundSet, GroundSet] | None:
+    """The first (S, T), by size of S u T, on which pi is not a bijection,
+    or None when it is one on every 2-decomposition up to max_n."""
+    for n in range(max_n + 1):
+        for S, T in decompositions(GroundSet.first(n), 2):
+            if not pi.is_bijective_on(S, T):
+                return S, T
+    return None
+
+
+def f_pi(pi: ComultSystem, max_n: int = 3, *, species_key: str | None = None) -> FPi:
     """Build the unique isomorphism from maps-to-colors onto (P, pi) with the
     singleton normalization f(1 -> c) = c.
 
@@ -282,19 +278,15 @@ def f_pi(pi: ComultSystem, max_n: int = 3, *, check_preconditions: bool = True,
     guard_max_n(max_n)
     key = species_key or pi.species.name
     sp = pi.species
-    if check_preconditions:
-        entry = CatalogEntry(key, sp, None, pi)
-        h = hopf_from(entry, "pi", "pi")
-        for axiom in ("coassociative", "counital", "cocommutative"):
-            rep = check_axiom(h, axiom, min(max_n, 3))
-            if not rep.ok:
-                raise ValueError(f"f_pi precondition {axiom} fails for {key}: {rep.witness}")
-        for n in range(max_n + 1):
-            I = GroundSet.first(n)
-            for S, T in decompositions(I, 2):
-                if not pi.is_bijective_on(S, T):
-                    raise ValueError(f"f_pi precondition fails: {key} coproduct is "
-                                     f"not bijective on ({S},{T})")
+    h = hopf_from(CatalogEntry(key, sp, None, pi), "pi", "pi")
+    for axiom in ("coassociative", "counital", "cocommutative"):
+        rep = check_axiom(h, axiom, min(max_n, 3))
+        if not rep.ok:
+            raise ValueError(f"f_pi precondition {axiom} fails for {key}: {rep.witness}")
+    split = first_non_bijective(pi, max_n)
+    if split is not None:
+        raise ValueError(f"f_pi precondition fails: {key} coproduct is "
+                         f"not bijective on ({split[0]},{split[1]})")
 
     mu = _inverted_mu(pi)
     one = GroundSet.of([1])
@@ -315,7 +307,7 @@ def f_pi(pi: ComultSystem, max_n: int = 3, *, check_preconditions: bool = True,
                 witness={"maps": len(fwd), "hit": len(hit), "dim": sp.dim(I)})
         return fwd
 
-    fp = FPi(pi, colors, e_c, {}, {}, build)
+    fp = FPi(pi, colors, e_c, build)
     for n in range(max_n + 1):
         fp.table(GroundSet.first(n))
     return fp

@@ -7,8 +7,9 @@ timings are zeroed unless explicitly requested, and every enumeration is
 deterministic.
 
 Exit codes: 0 when everything passed or failed only where the species
-declares it should; 1 on an unexpected failure, a check that raises included;
-2 on a fatal inconsistency (a theorem contradicted, with a serialized witness).
+declares it should; 1 on an unexpected failure, a check that raises included,
+or on a usage error; 2 on a fatal inconsistency (a theorem contradicted, with
+a serialized witness).
 """
 
 from __future__ import annotations
@@ -63,19 +64,12 @@ class Runner:
         return rep
 
     def summary(self) -> dict:
-        counts = {"pass": 0, "fail_expected": 0, "fail_unexpected": 0,
-                  "fatal": 0, "skip": 0}
+        counts = dict.fromkeys(("pass", "fail_expected", "fail_unexpected", "fatal", "skip"), 0)
         for r in self.reports:
-            if r.status == "pass":
-                counts["pass"] += 1
-            elif r.status == "skip":
-                counts["skip"] += 1
-            elif r.status == "fatal":
-                counts["fatal"] += 1
-            elif r.expected:
-                counts["fail_expected"] += 1
+            if r.status == "fail":
+                counts["fail_expected" if r.expected else "fail_unexpected"] += 1
             else:
-                counts["fail_unexpected"] += 1
+                counts[r.status] += 1
         return counts
 
     def exit_code(self) -> int:
@@ -245,13 +239,12 @@ def _run_lsd(r: Runner) -> None:
 
 
 def _pi_bijective(entry: CatalogEntry, max_n: int) -> CheckReport:
-    for m in range(max_n + 1):
-        I = GroundSet.first(m)
-        for S, T in decompositions(I, 2):
-            if not entry.pi.is_bijective_on(S, T):
-                return CheckReport("pi_bijective", entry.key, m, "fail",
-                                   {"S": list(S), "T": list(T)})
-    return CheckReport("pi_bijective", entry.key, max_n, "pass")
+    split = classify.first_non_bijective(entry.pi, max_n)
+    if split is None:
+        return CheckReport("pi_bijective", entry.key, max_n, "pass")
+    S, T = split
+    return CheckReport("pi_bijective", entry.key, len(S) + len(T), "fail",
+                       {"S": list(S), "T": list(T)})
 
 
 def _fpi_intertwines(entry: CatalogEntry, max_n: int) -> CheckReport:
@@ -410,15 +403,19 @@ def cmd_table(args) -> int:
         print("|---|---|---|")
         for row in rows:
             print(f"| {row['n']} | {row['dim']} | {row['orbits']} |")
-        if args.constants:
-            for block in payload["constants"]:
-                print()
-                print(f"## ({block['S']}, {block['T']})")
-                for line in block["entries"]:
-                    print(f"- {line}")
+        _print_blocks(payload.get("constants", []), lambda b: f"({b['S']}, {b['T']})")
     else:
         print(json.dumps(payload, indent=2, default=str))
     return 0
+
+
+def _print_blocks(blocks: list[dict], heading) -> None:
+    """Markdown for blocks of entries: a heading(block) section per block."""
+    for block in blocks:
+        print()
+        print(f"## {heading(block)}")
+        for line in block["entries"]:
+            print(f"- {line}")
 
 
 def _orbit_count(entry: CatalogEntry, I: GroundSet) -> int:
@@ -493,11 +490,7 @@ def cmd_antipode(args) -> int:
         })
     if args.output == "md":
         print(f"# Takeuchi antipode of {entry.key} ({payload['variant']})")
-        for block in payload["tables"]:
-            print()
-            print(f"## n = {block['n']}")
-            for line in block["entries"]:
-                print(f"- {line}")
+        _print_blocks(payload["tables"], lambda b: f"n = {b['n']}")
     else:
         print(json.dumps(payload, indent=2, default=str))
     return 0
@@ -505,9 +498,7 @@ def cmd_antipode(args) -> int:
 
 def cmd_primitives(args) -> int:
     entry = parse_species(args.species)
-    p, c = _canonical_variant(entry)
-    if entry.mu is not None:
-        p, c = "mu", "mu"
+    p = c = "pi" if entry.mu is None else "mu"
     h = engine.hopf_from(entry, p, c)
     payload = {"command": "primitives", "species": entry.key,
                "variant": f"nabla^{p},Delta^{c}", "components": []}
@@ -532,14 +523,7 @@ def cmd_fmu(args) -> int:
     fm = classify.f_mu(entry.mu, args.max_n, species_key=entry.key)
     rep = classify.check_fmu_intertwines(fm, args.max_n, species_key=entry.key)
     payload = {"command": "fmu", "species": entry.key, "max_n": args.max_n,
-               "intertwines": rep.to_json(args.timings), "maps": []}
-    for m in range(args.max_n + 1):
-        I = GroundSet.first(m)
-        payload["maps"].append({
-            "n": m,
-            "entries": [f"{X} -> {el}" for X, el in sorted(
-                fm.table(I).items(), key=lambda kv: kv[0].sort_key())],
-        })
+               "intertwines": rep.to_json(args.timings), "maps": _maps(fm, args.max_n)}
     print(json.dumps(payload, indent=2, default=str))
     return 0 if rep.ok else 1
 
@@ -550,24 +534,21 @@ def cmd_fpi(args) -> int:
         print(f"species {entry.key} has no coproduct (and none derivable)",
               file=sys.stderr)
         return 1
-    try:
-        fp = classify.f_pi(entry.pi, args.max_n, species_key=entry.key)
-    except ValueError as exc:
-        print(f"f_pi preconditions fail: {exc}", file=sys.stderr)
-        return 1
+    fp = classify.f_pi(entry.pi, args.max_n, species_key=entry.key)
     rep = classify.check_fpi_intertwines(fp, args.max_n, species_key=entry.key)
     payload = {"command": "fpi", "species": entry.key, "max_n": args.max_n,
                "colors": [str(c) for c in fp.colors],
-               "intertwines": rep.to_json(args.timings), "maps": []}
-    for m in range(args.max_n + 1):
-        I = GroundSet.first(m)
-        payload["maps"].append({
-            "n": m,
-            "entries": [f"{f} -> {el}" for f, el in sorted(
-                fp.table(I).items(), key=lambda kv: kv[0].sort_key())],
-        })
+               "intertwines": rep.to_json(args.timings), "maps": _maps(fp, args.max_n)}
     print(json.dumps(payload, indent=2, default=str))
     return 0 if rep.ok else 1
+
+
+def _maps(iso, max_n: int) -> list[dict]:
+    """The tables of an isomorphism onto P for n <= max_n, in the order of
+    its source elements."""
+    return [{"n": m, "entries": [f"{x} -> {el}" for x, el in sorted(
+                iso.table(GroundSet.first(m)).items(), key=lambda kv: kv[0].sort_key())]}
+            for m in range(max_n + 1)]
 
 
 def cmd_reconstruct_pi(args) -> int:
@@ -584,58 +565,54 @@ def cmd_reconstruct_pi(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sp, with_suite=False):
-    sp.add_argument("--species", required=True, help="species spec, e.g. Pi or S(E_C:2)")
-    sp.add_argument("--max-n", type=int, default=4, dest="max_n")
-    sp.add_argument("--output", choices=("json", "md", "dot"), default="json")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--fail-fast", action="store_true", dest="fail_fast")
-    sp.add_argument("--timings", action="store_true",
-                    help="include wall-clock times (breaks byte-stable output)")
-    if with_suite:
-        sp.add_argument("--suite", choices=SUITES, default="full")
+# every flag, declared once, with its argparse keywords
+OPTIONS = {
+    "--species": {"required": True, "help": "species spec, e.g. Pi or S(E_C:2)"},
+    "--max-n": {"type": int, "default": 4},
+    "--suite": {"choices": SUITES, "default": "full"},
+    "--output": {"choices": ("json", "md"), "default": "json"},
+    "--seed": {"type": int, "default": 0},
+    "--fail-fast": {"action": "store_true"},
+    "--timings": {"action": "store_true",
+                  "help": "include wall-clock times (breaks byte-stable output)"},
+    "--constants": {"action": "store_true"},
+    "--variant": {"choices": VARIANTS, "default": None},
+}
+
+# each command: its function, its help, and the options it reads besides
+# --species and --max-n
+COMMANDS = {
+    "check": (cmd_check, "run a certification suite",
+              ("--suite", "--output", "--seed", "--fail-fast", "--timings")),
+    "table": (cmd_table, "graded dimensions and structure constants",
+              ("--output", "--constants")),
+    "hasse": (cmd_hasse, "DOT Hasse diagram of the order at n = max-n", ()),
+    "antipode": (cmd_antipode, "Takeuchi antipode tables", ("--output", "--variant")),
+    "primitives": (cmd_primitives, "primitive space bases and dimensions", ("--output",)),
+    "fmu": (cmd_fmu, "the labeled-partition isomorphism", ("--timings",)),
+    "fpi": (cmd_fpi, "the maps-to-colors isomorphism", ("--timings",)),
+    "reconstruct-pi": (cmd_reconstruct_pi, "rebuild the coproduct from the order",
+                       ("--timings",)),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors exit 1: exit 2 is kept for a contradicted theorem."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="species-forge",
         description="exact desk-scale certification of Hopf structures on species")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run a certification suite")
-    _add_common(p, with_suite=True)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("table", help="graded dimensions and structure constants")
-    _add_common(p)
-    p.add_argument("--constants", action="store_true")
-    p.set_defaults(fn=cmd_table)
-
-    p = sub.add_parser("hasse", help="DOT Hasse diagram of the order at n = max-n")
-    _add_common(p)
-    p.set_defaults(fn=cmd_hasse)
-
-    p = sub.add_parser("antipode", help="Takeuchi antipode tables")
-    _add_common(p)
-    p.add_argument("--variant", choices=VARIANTS, default=None)
-    p.set_defaults(fn=cmd_antipode)
-
-    p = sub.add_parser("primitives", help="primitive space bases and dimensions")
-    _add_common(p)
-    p.set_defaults(fn=cmd_primitives)
-
-    p = sub.add_parser("fmu", help="the labeled-partition isomorphism")
-    _add_common(p)
-    p.set_defaults(fn=cmd_fmu)
-
-    p = sub.add_parser("fpi", help="the maps-to-colors isomorphism")
-    _add_common(p)
-    p.set_defaults(fn=cmd_fpi)
-
-    p = sub.add_parser("reconstruct-pi", help="rebuild the coproduct from the order")
-    _add_common(p)
-    p.set_defaults(fn=cmd_reconstruct_pi)
-
+    for name, (fn, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in ("--species", "--max-n") + options:
+            p.add_argument(flag, **OPTIONS[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 

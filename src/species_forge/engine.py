@@ -661,24 +661,17 @@ def check_self_compatible(mu: MultSystem, mode: str = "both",
     if pre is not None:
         return CheckReport("self_compatible", key, max_n, "skip",
                            {"precondition": pre})
-    direct = local = None
-    if mode in ("direct", "both"):
-        direct = _selfcompat_direct(mu, max_n)
-    if mode in ("local", "both"):
-        local = _selfcompat_local(mu, max_n)
     if mode == "direct":
-        ok, witness = direct
+        ok, witness = _selfcompat_direct(mu, max_n)
     elif mode == "local":
-        ok, witness = local
+        ok, witness = _selfcompat_local(mu, max_n)
     else:
-        if direct[0] != local[0]:
-            raise FatalInconsistency(
-                f"self-compatibility modes disagree for {key}: "
-                f"direct={direct[0]} local={local[0]}",
-                witness={"direct": direct[1], "local": local[1]})
-        ok, witness = direct[0], (direct[1] or local[1])
-        if witness is not None and local[1] is not None:
-            witness = {"direct": direct[1], "local": local[1]}
+        direct, local = _selfcompat_direct(mu, max_n), _selfcompat_local(mu, max_n)
+        ok, both = direct[0], {"direct": direct[1], "local": local[1]}
+        if ok != local[0]:
+            raise FatalInconsistency(f"self-compatibility modes disagree for {key}: "
+                                     f"direct={ok} local={local[0]}", witness=both)
+        witness = None if ok else both
     return CheckReport(f"self_compatible[{mode}]", key, max_n,
                        "pass" if ok else "fail", witness)
 

@@ -3,9 +3,11 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from species_forge.catalog import (
-    make_E, make_E_C, make_L, make_Perm, make_Pi, make_S, make_X_C,
+    MAX_NESTING, CatalogEntry, make_E, make_E_C, make_L, make_Perm, make_Pi, make_S, make_X_C,
     parse_species, with_derived_pi,
 )
 from species_forge.core import (
@@ -180,5 +182,21 @@ def test_parse_species_errors_list_alternatives():
         parse_species("Foo")
     with pytest.raises(ValueError, match="valid specs"):
         parse_species("E_C:x")
+    for bad in ("E_C:\u00b2", "S(" * 400 + "E" + ")" * 400, "S(" * 2000 + "E" + ")" * 2000):
+        with pytest.raises(ValueError, match="valid specs"):
+            parse_species(bad)
+    deepest = "S(" * MAX_NESTING + "E" + ")" * MAX_NESTING
+    assert parse_species(deepest).key == deepest
     assert parse_species("S(E_C:2)").key == "S(E_C:2)"
     assert parse_species("S(S(X_C:2))").key == "S(S(X_C:2))"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="SE_CX:()PiLerm0123456789\u00b2\u0663", max_size=30))
+def test_parse_species_returns_an_entry_or_names_the_valid_specs(spec):
+    try:
+        entry = parse_species(spec)
+    except ValueError as exc:
+        assert "valid specs" in str(exc)
+    else:
+        assert isinstance(entry, CatalogEntry)

@@ -24,9 +24,53 @@ def test_unknown_species_rejected(capsys):
     assert "valid specs" in err
 
 
-def test_unknown_suite_rejected():
-    with pytest.raises(SystemExit):
-        main(["check", "--species", "Pi", "--suite", "bogus"])
+def test_unknown_suite_rejected(capsys):
+    # a usage error exits 1: exit 2 is kept for a contradicted theorem
+    for argv in (["check", "--species", "Pi", "--suite", "bogus"],
+                 ["check", "--species", "Pi", "--max-n", "x"],
+                 ["hasse", "--species", "Pi", "--output", "md"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert ": error: " in capsys.readouterr().err.splitlines()[-1], argv
+
+
+def test_commands_declare_exactly_the_options_they_read(capsys):
+    import argparse
+    import inspect
+    import re
+    from species_forge.cli import COMMANDS, OPTIONS, build_parser
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(COMMANDS)
+    settable = 0
+    for command, (fn, _, options) in COMMANDS.items():
+        declared = [a.option_strings[0] for a in subparsers.choices[command]._actions
+                    if a.dest != "help"]
+        assert declared == ["--species", "--max-n", *options], command
+        settable += len(declared)
+        read = set(re.findall(r"\bargs\.(\w+)", inspect.getsource(fn)))
+        assert read == {flag[2:].replace("-", "_") for flag in declared}, command
+        for flag in OPTIONS.keys() - set(declared):
+            spec = OPTIONS[flag]
+            value = [] if "action" in spec else [str(spec.get("choices", [1])[0])]
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--species", "Pi", "--max-n", "1", flag, *value])
+            assert exc.value.code == 1, (command, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
+    assert settable == 29
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+
+
+def test_deeply_nested_spec_is_one_error_line(capsys):
+    spec = "S(" * 2000 + "E" + ")" * 2000
+    code, out, err = run_cli(capsys, "table", "--species", spec, "--max-n", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "valid specs" in err and "Traceback" not in err
 
 
 def test_ceiling_enforced(capsys):
@@ -219,6 +263,20 @@ def test_primitives_command(capsys):
     code, out, _ = run_cli(capsys, "primitives", "--species", "Perm", "--max-n", "3")
     payload = json.loads(out)
     assert [c["dim"] for c in payload["components"]] == [1, 1, 2]
+
+
+@pytest.mark.parametrize("argv, maps", [
+    (("fmu", "--species", "Pi"),
+     [["{} -> {}"], ["{1:{1}} -> {1}"], ["{1:{1}|2:{2}} -> {1|2}", "{1,2:{1,2}} -> {1,2}"]]),
+    (("fpi", "--species", "E_C:2"),
+     [["[] -> []"], ["[1:0] -> [1:0]", "[1:1] -> [1:1]"],
+      ["[1:0,2:0] -> [1:0,2:0]", "[1:0,2:1] -> [1:0,2:1]",
+       "[1:1,2:0] -> [1:1,2:0]", "[1:1,2:1] -> [1:1,2:1]"]]),
+], ids=["fmu", "fpi"])
+def test_iso_maps_are_pinned(capsys, argv, maps):
+    code, out, _ = run_cli(capsys, *argv, "--max-n", "2")
+    assert code == 0
+    assert json.loads(out)["maps"] == [{"n": n, "entries": e} for n, e in enumerate(maps)]
 
 
 def test_fmu_command(capsys):
