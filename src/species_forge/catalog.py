@@ -11,7 +11,6 @@ are restrictions (first-return maps for permutations).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .core import (
@@ -24,7 +23,6 @@ from .core import (
 # ---------------------------------------------------------------------------
 # system wrappers
 
-@dataclass
 class MultSystem:
     """A natural family of maps P[S] x P[T] -> P[S u T], evaluated on demand.
 
@@ -32,10 +30,12 @@ class MultSystem:
     enumerated in the species' canonical element order.
     """
 
-    species: SetSpecies
-    rule: Callable[[GroundSet, GroundSet, Element, Element], Element]
-    _fibers: dict = field(default_factory=dict, repr=False)
-    _tables: dict = field(default_factory=dict, repr=False)
+    def __init__(self, species: SetSpecies,
+                 rule: Callable[[GroundSet, GroundSet, Element, Element], Element]):
+        self.species = species
+        self.rule = rule
+        self._fibers: dict = {}
+        self._tables: dict = {}
 
     def __call__(self, S: GroundSet, T: GroundSet, x: Element, y: Element) -> Element:
         return self.rule(S, T, x, y)
@@ -80,14 +80,15 @@ class MultSystem:
         return acc
 
 
-@dataclass
 class ComultSystem:
     """A natural family of maps P[S u T] -> P[S] x P[T], evaluated on demand."""
 
-    species: SetSpecies
-    rule: Callable[[GroundSet, GroundSet, Element], tuple[Element, Element]]
-    _fibers: dict = field(default_factory=dict, repr=False)
-    _tables: dict = field(default_factory=dict, repr=False)
+    def __init__(self, species: SetSpecies,
+                 rule: Callable[[GroundSet, GroundSet, Element], tuple[Element, Element]]):
+        self.species = species
+        self.rule = rule
+        self._fibers: dict = {}
+        self._tables: dict = {}
 
     def __call__(self, S: GroundSet, T: GroundSet, z: Element) -> tuple[Element, Element]:
         return self.rule(S, T, z)
@@ -137,17 +138,19 @@ class ComultSystem:
         return tuple(out)
 
 
-@dataclass
 class CatalogEntry:
     """A species together with its systems and the properties it claims."""
 
-    key: str
-    species: SetSpecies
-    mu: Optional[MultSystem]
-    pi: Optional[ComultSystem]
-    mu_flags: frozenset = frozenset()
-    pi_flags: frozenset = frozenset()
-    _order: object = field(default=None, init=False, repr=False, compare=False)  # set by order.order_of
+    def __init__(self, key: str, species: SetSpecies, mu: Optional[MultSystem],
+                 pi: Optional[ComultSystem], mu_flags: frozenset = frozenset(),
+                 pi_flags: frozenset = frozenset()):
+        self.key = key
+        self.species = species
+        self.mu = mu
+        self.pi = pi
+        self.mu_flags = mu_flags
+        self.pi_flags = pi_flags
+        self._order = None   # set by order.order_of
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +405,7 @@ def with_derived_pi(entry: CatalogEntry, max_n: int = 4) -> CatalogEntry:
 _FIXED = {"E": make_E, "Pi": make_Pi, "L": make_L, "Perm": make_Perm}
 _VALID = "E | E_C:<colors> | X_C:<colors> | Perm | L | Pi | S(<spec>)"
 MAX_NESTING = 8   # S(...) levels a spec may nest; each level deepens every recursion
+MAX_COLORS = 16   # E_C:16 lists 16^5 (about a million) maps over {1..5}
 
 
 def parse_species(spec: str) -> CatalogEntry:
@@ -423,5 +427,10 @@ def _parse(spec: str, levels: int) -> CatalogEntry:
             arg = spec[len(prefix):]
             if not (arg.isascii() and arg.isdigit()):
                 raise ValueError(f"bad color count {arg!r} in {spec!r}; valid specs: {_VALID}")
-            return maker(int(arg))
+            # the length first: int() refuses more than 4,300 digits
+            digits = arg.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_COLORS)) or int(digits) > MAX_COLORS:
+                raise ValueError(f"color count of {prefix[:-1]} above {MAX_COLORS}; "
+                                 f"valid specs: {_VALID}")
+            return maker(int(digits))
     raise ValueError(f"unknown species {spec!r}; valid specs: {_VALID}")

@@ -12,7 +12,6 @@ decomposition of the whole space with its direct-sum certificate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -339,14 +338,14 @@ def check_fpi_intertwines(fp: FPi, max_n: int = 3,
 # ---------------------------------------------------------------------------
 # the block-product decomposition of p[I]
 
-@dataclass
 class NablaXDecomposition:
     """Spanning data for each block-product subspace, plus the certificates."""
 
-    I: GroundSet
-    components: list        # (blocks, [Vec, ...])
-    total_dim: int
-    certified: dict
+    def __init__(self, I: GroundSet, components: list, total_dim: int, certified: dict):
+        self.I = I
+        self.components = components    # (blocks, [Vec, ...])
+        self.total_dim = total_dim
+        self.certified = certified
 
     def to_json(self) -> dict:
         return {

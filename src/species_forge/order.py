@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
@@ -60,7 +59,6 @@ def _pair_key(p):
     return p[0].sort_key(), p[1].sort_key()
 
 
-@dataclass
 class OrderSlice:
     """The strict order on one component, as a set of (smaller, larger) pairs.
 
@@ -70,19 +68,15 @@ class OrderSlice:
     ``_shapes`` keeps ``_shape_table`` per f_mu map.
     """
 
-    I: GroundSet
-    elements: tuple[Element, ...]
-    strict: frozenset
-    index: dict = field(init=False, repr=False, compare=False)
-    above: list = field(init=False, repr=False, compare=False)
-    below: list = field(init=False, repr=False, compare=False)
-    _shapes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        self.index = {e: k for k, e in enumerate(self.elements)}
-        self.above = [0] * len(self.elements)
-        self.below = [0] * len(self.elements)
-        for a, b in self.strict:
+    def __init__(self, I: GroundSet, elements: tuple[Element, ...], strict: frozenset):
+        self.I = I
+        self.elements = elements
+        self.strict = strict
+        self._shapes: dict = {}
+        self.index = {e: k for k, e in enumerate(elements)}
+        self.above = [0] * len(elements)
+        self.below = [0] * len(elements)
+        for a, b in strict:
             i, j = self.index[a], self.index[b]
             self.above[i] |= 1 << j
             self.below[j] |= 1 << i
@@ -588,11 +582,11 @@ def _roundtrip_elements(order: SpeciesOrder, entry: CatalogEntry, decs) -> dict 
 # ---------------------------------------------------------------------------
 # the p and q bases
 
-@dataclass
 class PQTables:
-    I: GroundSet
-    p: dict     # Element -> Vec
-    q: dict     # Element -> Vec
+    def __init__(self, I: GroundSet, p: dict, q: dict):
+        self.I = I
+        self.p = p      # Element -> Vec
+        self.q = q      # Element -> Vec
 
 
 def pq_tables(order: SpeciesOrder, I: GroundSet) -> PQTables:

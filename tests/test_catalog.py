@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from species_forge.catalog import (
-    MAX_NESTING, CatalogEntry, make_E, make_E_C, make_L, make_Perm, make_Pi, make_S, make_X_C,
+    MAX_COLORS, MAX_NESTING, CatalogEntry, make_E, make_E_C, make_L, make_Perm, make_Pi, make_S, make_X_C,
     parse_species, with_derived_pi,
 )
 from species_forge.core import (
@@ -189,6 +189,20 @@ def test_parse_species_errors_list_alternatives():
     assert parse_species(deepest).key == deepest
     assert parse_species("S(E_C:2)").key == "S(E_C:2)"
     assert parse_species("S(S(X_C:2))").key == "S(S(X_C:2))"
+
+
+@pytest.mark.parametrize("prefix", ["E_C:", "X_C:"])
+def test_parse_species_bounds_the_color_count(prefix):
+    # rejected in the parser, before any element is listed: E_C:99999999999
+    # used to list 10^11 maps, and int() refuses more than 4,300 digits
+    for count in (str(MAX_COLORS + 1), "99999999999", "9" * 5000, "0" * 5000 + "17"):
+        with pytest.raises(ValueError, match=f"above {MAX_COLORS}; valid specs"):
+            parse_species(prefix + count)
+        with pytest.raises(ValueError, match="valid specs"):
+            parse_species(f"S({prefix}{count})")
+    assert parse_species(f"{prefix}{MAX_COLORS}").species.dim(GroundSet.first(1)) == (
+        MAX_COLORS)
+    assert parse_species(prefix + "0" * 5000 + "2").key == prefix + "2"
 
 
 @settings(max_examples=300, deadline=None)

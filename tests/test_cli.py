@@ -509,3 +509,16 @@ def test_structure_output_stable_across_hash_seeds(argv):
     # elimination and the order's closure iterate dicts and sets
     outs = _stdout_under_hash_seeds(*argv)
     assert outs[0] == outs[1]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # in a fresh interpreter: pytest itself has imported both here; together
+    # they cost about 20 ms of every CLI process's start
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = ("import json, sys; before = set(sys.modules); import species_forge.cli; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout)
+    assert "species_forge.cli" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded), loaded

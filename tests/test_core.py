@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from species_forge.core import (
-    EMPTY, Bijection, FatalInconsistency, GroundSet, LinearOrderElt, MapTo, PermutationElt,
-    SetPartitionElt, TensorVec, UnitElement, Vec, cross_check, decompositions,
-    nonempty_compositions, set_partitions, transport_check,
+    EMPTY, Bijection, CheckReport, FatalInconsistency, GroundSet, LabeledPartitionElt,
+    LinearOrderElt, MapTo, PermutationElt, SetPartitionElt, TensorVec, UnitElement, Vec,
+    cross_check, decompositions, nonempty_compositions, set_partitions, transport_check,
 )
 from species_forge.catalog import make_Perm, make_Pi
 from species_forge.controls import label_dropping_species
@@ -132,6 +132,97 @@ def test_bijection_compose_invert():
     fresh = Bijection(I, I, (2, 3, 1))
     assert s.invert() is s.invert() and s.invert() == fresh.invert()
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(Bijection(I, I, (2, 3, 1)))
+
+
+# ---------------------------------------------------------------------------
+# value classes: equality and hash on the fields, repr, immutability, copies
+
+_I2 = GroundSet((1, 2))
+_P, _Q = GroundSet((1,)), GroundSet((2,))
+VALUES = [
+    (UnitElement(), ("ground",), "UnitElement(ground=GroundSet(labels=()))"),
+    (MapTo(_I2, (0, 1)), ("ground", "colors"),
+     "MapTo(ground=GroundSet(labels=(1, 2)), colors=(0, 1))"),
+    (SetPartitionElt.of([[2], [1]]), ("ground", "blocks"),
+     "SetPartitionElt(ground=GroundSet(labels=(1, 2)), "
+     "blocks=(GroundSet(labels=(1,)), GroundSet(labels=(2,))))"),
+    (LinearOrderElt.of((1, 2)), ("ground", "seq"),
+     "LinearOrderElt(ground=GroundSet(labels=(1, 2)), seq=(1, 2))"),
+    (PermutationElt(_I2, (1, 2)), ("ground", "images"),
+     "PermutationElt(ground=GroundSet(labels=(1, 2)), images=(1, 2))"),
+    (LabeledPartitionElt.of([(_Q, MapTo(_Q, (1,))), (_P, MapTo(_P, (0,)))]), ("ground", "blocks"),
+     "LabeledPartitionElt(ground=GroundSet(labels=(1, 2)), blocks=("
+     "(GroundSet(labels=(1,)), MapTo(ground=GroundSet(labels=(1,)), colors=(0,))), "
+     "(GroundSet(labels=(2,)), MapTo(ground=GroundSet(labels=(2,)), colors=(1,)))))"),
+    (Bijection(_I2, GroundSet((3, 5)), (5, 3)), ("source", "target", "images"),
+     "Bijection(source=GroundSet(labels=(1, 2)), target=GroundSet(labels=(3, 5)), "
+     "images=(5, 3))"),
+]
+_FIELDS = {type(x): fields for x, fields, _ in VALUES}
+
+
+def _grounds(x) -> list:
+    """Every GroundSet a value holds, in field order."""
+    if isinstance(x, GroundSet):
+        return [x]
+    if isinstance(x, tuple):
+        return [g for y in x for g in _grounds(y)]
+    return [g for f in _FIELDS.get(type(x), ()) for g in _grounds(getattr(x, f))]
+
+
+@pytest.mark.parametrize("x, fields, text", VALUES, ids=[type(x).__name__ for x, _, _ in VALUES])
+def test_value_class_contract(x, fields, text):
+    values = tuple(getattr(x, f) for f in fields)
+    twin = type(x)(*values)
+    assert twin is not x and twin == x and not twin != x
+    assert hash(x) == hash(twin) == hash(values)
+    assert repr(x) == repr(twin) == text
+    assert x != values and x.__eq__(values) is NotImplemented and x != 5
+    for f in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(x, f, values[0])
+    for f in fields:
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    assert tuple(getattr(x, f) for f in fields) == values
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x and hash(y) == hash(x) and repr(y) == text
+        assert all(a is b for a, b in zip(_grounds(y), _grounds(x)))
+
+
+def test_value_classes_with_equal_fields_differ_by_kind():
+    order, perm = LinearOrderElt(_I2, (1, 2)), PermutationElt(_I2, (1, 2))
+    assert order != perm and perm != order and hash(order) == hash(perm)
+    assert len({order, perm}) == 2
+    assert MapTo(EMPTY, ()) != UnitElement() and SetPartitionElt(EMPTY, ()) != UnitElement()
+
+
+def test_bijection_inverse_stays_out_of_eq_hash_repr_and_copies():
+    b = Bijection(_I2, GroundSet((3, 5)), (5, 3))
+    text, h = repr(b), hash(b)
+    inv = b.invert()
+    assert repr(b) == text and hash(b) == h and b == Bijection(_I2, GroundSet((3, 5)), (5, 3))
+    for c in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert c == b and c.invert() == inv and c.invert().invert() == b
+
+
+def test_check_report_fields_defaults_and_equality():
+    r = CheckReport("associative", "Pi", 3, "pass")
+    assert (r.witness, r.elapsed_ms, r.expected) == (None, 0, None)
+    assert r.ok and not CheckReport("associative", "Pi", 3, "fail").ok
+    assert r == CheckReport(check="associative", species="Pi", n=3, status="pass")
+    for other in (CheckReport("associative", "Pi", 3, "pass", {"x": 1}),
+                  CheckReport("associative", "Pi", 3, "pass", elapsed_ms=5),
+                  CheckReport("associative", "Pi", 3, "pass", expected=True),
+                  CheckReport("associative", "Pi", 2, "pass")):
+        assert r != other
+    assert r != ("associative", "Pi", 3, "pass", None, 0, None)
+    r.elapsed_ms, r.expected = 7, False
+    assert (r.elapsed_ms, r.expected) == (7, False)
+    assert r == CheckReport("associative", "Pi", 3, "pass", None, 7, False)
+    assert r.to_json() == {"check": "associative", "species": "Pi", "n": 3, "status": "pass",
+                           "expected": False, "elapsed_ms": 0}
+    assert r.to_json(include_timing=True)["elapsed_ms"] == 7
 
 
 # ---------------------------------------------------------------------------
