@@ -227,9 +227,10 @@ def _run_lsd(r: Runner) -> None:
     r.run(exp_bij, _pi_bijective, entry, n)
     h = engine.hopf_from(entry, "pi", "pi")
     r.run(False, engine.check_axiom, h, "cocommutative", n)
-    h_mixed = engine.hopf_from(entry, "mu", "pi") if entry.mu is not None else None
-    if h_mixed is not None:
-        r.run(exp_bij, engine.check_fsd, h_mixed, n)
+    if entry.mu is not None:
+        r.run(exp_bij, engine.check_fsd, engine.hopf_from(entry, "mu", "pi"), n)
+    else:
+        r.reports.append(_skip("fsd", entry, n, "needs both systems"))
     if not exp_bij:
         r.run(False, _fpi_intertwines, entry, min(n, 3))
         r.run(False, _lsd_primitive_profile, entry, min(n, 3))

@@ -5,9 +5,10 @@ species basis: a ``LinearizedHopf`` holds the system its product comes from
 and the one its coproduct comes from, and reads the four (co)products'
 structure constants, each 0 or 1, straight from mu, pi and their fibers.
 Checks every axiom by brute force over all decompositions of {1..n}:
-(co)associativity, (co)commutativity, (co)unitality and Hopf compatibility,
-each compared as multisets of basis positions read from the compiled mu and
-pi tables (the linear route, on elements, is the oracle for n <= 2);
+(co)associativity, (co)commutativity and (co)unitality on the compiled table
+of the one system their side reads, Hopf compatibility as multisets of basis
+positions (the linear route, on elements, is the oracle for n <= 2 and the
+witness finder of the one-sided axioms);
 Hopf self-compatibility (two independent routes that must agree; the local
 one compares positions of the mu tables), structure constants, free
 self-duality (product and coproduct constants compared on positions),
@@ -197,17 +198,16 @@ def iterate_delta(h: LinearizedHopf, parts: tuple[GroundSet, ...], v: Vec) -> Te
 # ---------------------------------------------------------------------------
 # axiom checks
 #
-# Every structure constant of the four (co)products is 0 or 1, so both sides
-# of a diagram are sums of basis terms with nonnegative integer coefficients:
-# nothing cancels, and the diagram holds exactly when the two multisets of
-# terms are equal.  One kernel per diagram (``_*_terms``) compares them on
-# basis positions, for all four variants, reading the terms from the compiled
-# mu and pi tables: as lists first (one term a side for nabla^mu and
-# Delta^pi), counted only when the lists differ.  Elements appear only in a
-# witness, whose failing side prints as the Vec or TensorVec of its multiset,
-# as in the linear checkers, which build the vectors from mu, pi and their
-# fibers.  ``_check_diagram`` hands the kernel and its linear checker to
-# ``core.cross_check``, which runs the checker up to ORACLE_MAX_N.
+# Each one-sided axiom is decided on the compiled table of the one system its
+# side reads (``_reading``): ``_mu_associative``, ..., ``_pi_counital`` compare
+# two maps on integers and return None (holds over I) or False (fails), never
+# a witness.  Hopf compatibility mixes the two sides, so ``_hopf_terms``
+# compares its diagram as multisets of basis positions for all four variants
+# (every constant is 0 or 1, so nothing cancels), as lists first, counted only
+# when they differ.  ``_check_diagram`` hands a kernel and its linear checker,
+# which builds the vectors from mu, pi and their fibers, to
+# ``core.cross_check``: the checker runs up to ORACLE_MAX_N and wherever the
+# kernel returns False, so it names every one-sided witness.
 
 # Up to this n the linear checker (or, for the local self-compatibility
 # conditions and the rectangle, the element route) also runs beside the
@@ -219,10 +219,11 @@ def check_axiom(h: LinearizedHopf, axiom: str, max_n: int = DEFAULT_MAX_N) -> Ch
     """Exhaustively verify one defining diagram over every {1..n}, n <= max_n.
 
     The witness, when present, is the first (hence size-minimal) failing
-    instance in the fixed enumeration order.  The diagram is compared as
-    multisets of basis positions, with the linear checker as an oracle for
-    n <= ORACLE_MAX_N (``FatalInconsistency`` on a split).  A mu or pi result
-    outside its component raises ``ValueError``, at every n.
+    instance in the fixed enumeration order.  The kernel compares positions
+    of the compiled tables, with the linear checker as an oracle for
+    n <= ORACLE_MAX_N (``FatalInconsistency`` on a split) and as the witness
+    finder where the kernel names none.  A mu or pi result outside its
+    component raises ``ValueError``, at every n.
     """
     guard_max_n(max_n)
     route = _AXIOM_ROUTES.get(axiom)
@@ -240,8 +241,62 @@ def _check_diagram(h: LinearizedHopf, name: str, max_n: int, parts: int,
                        ORACLE_MAX_N)
 
 
+def _mu_associative(mu, I, decs):
+    dim = mu.species.dim
+    for R, S, T in decs:
+        rs, st = mu.table(R, S), mu.table(S, T)
+        left, right = mu.table(R.union(S), T), mu.table(R, S.union(T))
+        dT, dST = dim(T), dim(S.union(T))
+        if ([left[u * dT + c] for u in rs for c in range(dT)]
+                != [right[a * dST + v] for a in range(dim(R)) for v in st]):
+            return False
+    return None
+
+
+def _mu_commutative(mu, I, decs):
+    dim = mu.species.dim
+    for S, T in decs:
+        dS, dT, st, ts = dim(S), dim(T), mu.table(S, T), mu.table(T, S)
+        if st != [ts[b * dS + a] for a in range(dS) for b in range(dT)]:
+            return False
+    return None
+
+
+def _mu_unital(mu, I, decs):
+    # the unit is the one element of P[empty], at position 0
+    if mu.species.dim(EMPTY) != 1:
+        return False
+    left, right = mu.table(EMPTY, I), mu.table(I, EMPTY)
+    return None if left == list(range(mu.species.dim(I))) == right else False
+
+
+def _pi_coassociative(pi, I, decs):
+    for R, S, T in decs:
+        left, rs = pi.table(R.union(S), T), pi.table(R, S)
+        right, st = pi.table(R, S.union(T)), pi.table(S, T)
+        if [rs[u] + (t,) for u, t in left] != [(r,) + st[v] for r, v in right]:
+            return False
+    return None
+
+
+def _pi_cocommutative(pi, I, decs):
+    for S, T in decs:
+        if pi.table(S, T) != [(a, b) for b, a in pi.table(T, S)]:
+            return False
+    return None
+
+
+def _pi_counital(pi, I, decs):
+    if pi.species.dim(EMPTY) != 1:
+        return False
+    left, right, d = pi.table(EMPTY, I), pi.table(I, EMPTY), pi.species.dim(I)
+    return None if (left == [(0, c) for c in range(d)]
+                    and right == [(c, 0) for c in range(d)]) else False
+
+
 def _position_readers(h: LinearizedHopf):
-    """``products(S, T)`` and ``splits(S, T)``, each built once per (S, T):
+    """``products(S, T)`` and ``splits(S, T)`` for ``_hopf_terms``,
+    ``_delta_nabla_terms`` and ``_fsd_terms``, each built once per (S, T):
     entry a * dim(T) + b of the first holds the terms of nabla_{S,T}(x_a (x)
     y_b) as positions in P[S u T], entry c of the second the terms of
     Delta_{S,T}(z_c) as pairs of positions in P[S] and P[T].  nabla^mu and
@@ -278,112 +333,6 @@ def _printed(sp: SetSpecies, over, terms) -> str:
         return str(Vec(over, Counter(el[w] for w in terms)))
     els = [sp.elements(part) for part in over]
     return str(TensorVec(over, Counter(tuple(e[k] for e, k in zip(els, key)) for key in terms)))
-
-
-def _assoc_terms(h, I, decs):
-    products, _ = _position_readers(h)
-    el, dim = h.basis.elements, h.basis.dim
-    for R, S, T in decs:
-        RS, ST = R.union(S), S.union(T)
-        dS, dT, dST = dim(S), dim(T), dim(ST)
-        xy, yz, left, right = products(R, S), products(S, T), products(RS, T), products(R, ST)
-        for a in range(dim(R)):
-            for b in range(dS):
-                ab = xy[a * dS + b]
-                for c in range(dT):
-                    lhs = [w for u in ab for w in left[u * dT + c]]
-                    rhs = [w for v in yz[b * dT + c] for w in right[a * dST + v]]
-                    if lhs != rhs and Counter(lhs) != Counter(rhs):
-                        return {"decomposition": [list(R), list(S), list(T)],
-                                "inputs": [str(el(R)[a]), str(el(S)[b]), str(el(T)[c])],
-                                "lhs": _printed(h.basis, I, lhs),
-                                "rhs": _printed(h.basis, I, rhs)}
-    return None
-
-
-def _comm_terms(h, I, decs):
-    products, _ = _position_readers(h)
-    el, dim = h.basis.elements, h.basis.dim
-    for S, T in decs:
-        dS, dT, st, ts = dim(S), dim(T), products(S, T), products(T, S)
-        for a in range(dS):
-            for b in range(dT):
-                lhs, rhs = st[a * dT + b], ts[b * dS + a]
-                if lhs != rhs and Counter(lhs) != Counter(rhs):
-                    return {"decomposition": [list(S), list(T)],
-                            "inputs": [str(el(S)[a]), str(el(T)[b])],
-                            "lhs": _printed(h.basis, I, lhs), "rhs": _printed(h.basis, I, rhs)}
-    return None
-
-
-def _unital_terms(h, I, decs):
-    # the unit is the one element of P[empty], at position 0
-    try:
-        h.unit()
-    except ValueError as exc:
-        return {"error": str(exc)}
-    products, _ = _position_readers(h)
-    left, right = products(EMPTY, I), products(I, EMPTY)
-    for c, x in enumerate(h.basis.elements(I)):
-        if left[c] != (c,) or right[c] != (c,):
-            return {"inputs": [str(x)], "left": _printed(h.basis, I, left[c]),
-                    "right": _printed(h.basis, I, right[c])}
-    return None
-
-
-def _coassoc_terms(h, I, decs):
-    _, splits = _position_readers(h)
-    pi = h.coproduct if isinstance(h.coproduct, ComultSystem) else None
-    for R, S, T in decs:
-        if pi is not None:  # Delta^pi: a single triple a side
-            left, rs = pi.table(R.union(S), T), pi.table(R, S)
-            right, st = pi.table(R, S.union(T)), pi.table(S, T)
-            for c, ((u, t), (r, v)) in enumerate(zip(left, right)):
-                if rs[u] + (t,) != (r,) + st[v]:
-                    return _coassoc_witness(h, I, (R, S, T), c, [rs[u] + (t,)], [(r,) + st[v]])
-            continue
-        left, rs = splits(R.union(S), T), splits(R, S)
-        right, st = splits(R, S.union(T)), splits(S, T)
-        for c in range(len(left)):
-            lhs = [(a, b, t) for u, t in left[c] for a, b in rs[u]]
-            rhs = [(r, a, b) for r, v in right[c] for a, b in st[v]]
-            if lhs != rhs and Counter(lhs) != Counter(rhs):
-                return _coassoc_witness(h, I, (R, S, T), c, lhs, rhs)
-    return None
-
-
-def _coassoc_witness(h, I, parts, c, lhs, rhs):
-    return {"decomposition": [list(p) for p in parts],
-            "inputs": [str(h.basis.elements(I)[c])],
-            "lhs": _printed(h.basis, parts, lhs), "rhs": _printed(h.basis, parts, rhs)}
-
-
-def _cocomm_terms(h, I, decs):
-    _, splits = _position_readers(h)
-    for S, T in decs:
-        st, ts = splits(S, T), splits(T, S)
-        for c, z in enumerate(h.basis.elements(I)):
-            lhs, rhs = list(st[c]), [(b, a) for a, b in ts[c]]
-            if lhs != rhs and Counter(lhs) != Counter(rhs):
-                return {"decomposition": [list(S), list(T)],
-                        "inputs": [str(z)],
-                        "lhs": _printed(h.basis, (S, T), lhs),
-                        "rhs": _printed(h.basis, (S, T), rhs)}
-    return None
-
-
-def _counital_terms(h, I, decs):
-    try:
-        h.unit()
-    except ValueError as exc:
-        return {"error": str(exc)}
-    _, splits = _position_readers(h)
-    left, right = splits(EMPTY, I), splits(I, EMPTY)
-    for c, z in enumerate(h.basis.elements(I)):
-        if left[c] != ((0, c),) or right[c] != ((c, 0),):
-            return {"inputs": [str(z)], "left": _printed(h.basis, (EMPTY, I), left[c]),
-                    "right": _printed(h.basis, (I, EMPTY), right[c])}
-    return None
 
 
 def _hopf_terms(h, I, decs):
@@ -543,14 +492,34 @@ def _hopf_compat(h, I, decs):
     return None
 
 
-# axiom -> (parts per decomposition, 0 for none; kernel; linear checker)
+def _reading(side: str, mu_kernel, pi_kernel):
+    """The kernel of a one-sided axiom on h's ``side`` (``product`` or
+    ``coproduct``) alone: ``mu_kernel`` on a MultSystem, ``pi_kernel`` on a
+    ComultSystem.
+
+    nabla^mu and Delta^pi are the graphs of the maps mu and pi, and nabla^pi
+    and Delta^mu those graphs transposed: z is a term of nabla^pi(x (x) y) iff
+    pi(z) = (x, y).  So both sides of a one-sided diagram count the same
+    tuples from opposite ends, each count 0 or 1 since mu and pi are maps, and
+    the axiom is the matching one of the set-level monoid mu or comonoid pi:
+    nabla^pi is associative iff pi is coassociative, Delta^mu coassociative
+    iff mu is associative, and likewise for (co)commutativity and
+    (co)unitality."""
+    def kernel(h, I, decs):
+        system = getattr(h, side)
+        return (mu_kernel if isinstance(system, MultSystem) else pi_kernel)(system, I, decs)
+    return kernel
+
+
+# axiom -> (parts per decomposition, 0 for none; kernel; linear checker); an
+# axiom and its co-axiom share one pair of mu and pi kernels
 _AXIOM_ROUTES = {
-    "associative": (3, _assoc_terms, _assoc),
-    "commutative": (2, _comm_terms, _comm),
-    "unital": (0, _unital_terms, _unital),
-    "coassociative": (3, _coassoc_terms, _coassoc),
-    "cocommutative": (2, _cocomm_terms, _cocomm),
-    "counital": (0, _counital_terms, _counital),
+    "associative": (3, _reading("product", _mu_associative, _pi_coassociative), _assoc),
+    "commutative": (2, _reading("product", _mu_commutative, _pi_cocommutative), _comm),
+    "unital": (0, _reading("product", _mu_unital, _pi_counital), _unital),
+    "coassociative": (3, _reading("coproduct", _mu_associative, _pi_coassociative), _coassoc),
+    "cocommutative": (2, _reading("coproduct", _mu_commutative, _pi_cocommutative), _cocomm),
+    "counital": (0, _reading("coproduct", _mu_unital, _pi_counital), _counital),
     "hopf_compatible": (2, _hopf_terms, _hopf_compat),
 }
 AXIOMS = tuple(_AXIOM_ROUTES)
@@ -914,9 +883,9 @@ def antipode_table(h: LinearizedHopf, I: GroundSet) -> dict:
 def check_antipode_convolution(h: LinearizedHopf, max_n: int = 3) -> CheckReport:
     """nabla o (S (x) id) o Delta summed over decompositions is unit o counit."""
     guard_max_n(max_n)
+    cache = {}  # S -> Takeuchi's table over S, shared by every n
     for n in range(max_n + 1):
         I = GroundSet.first(n)
-        cache = {}
         for lam in h.basis.elements(I):
             total = Vec.zero(I)
             for S, T in decompositions(I, 2):

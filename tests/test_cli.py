@@ -401,6 +401,20 @@ def test_raising_check_is_a_fail_row_and_the_suite_goes_on():
     assert len(r.reports) == 4 and r.stopped       # --fail-fast still stops
 
 
+def test_lsd_without_a_product_leaves_an_fsd_skip_row():
+    from species_forge.catalog import CatalogEntry, make_Pi
+    from species_forge.cli import Runner, _run_lsd
+
+    pi = make_Pi()
+    r = Runner(CatalogEntry("Pi", pi.species, None, pi.pi), 2, 0, False)
+    _run_lsd(r)
+    rows = {rep.check: rep for rep in r.reports}
+    assert list(rows) == ["pi_bijective", "cocommutative", "fsd", "fpi_intertwines",
+                          "lsd_primitive_profile"]
+    assert (rows["fsd"].species, rows["fsd"].status, rows["fsd"].witness) == (
+        "Pi", "skip", {"reason": "needs both systems"})
+
+
 def test_transport_stop_leaves_skip_rows():
     from species_forge.catalog import CatalogEntry, MultSystem
     from species_forge.cli import Runner, _run_axioms

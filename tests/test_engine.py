@@ -497,6 +497,10 @@ _DIAGRAMS = {
 }
 
 
+# the axioms whose kernels decide on one system and never name a witness
+_ONE_SIDED = tuple(axiom for axiom in AXIOMS if axiom != "hopf_compatible")
+
+
 def _route_report(checker, h, parts, max_n):
     """(status, n, witness) of one route, looping n as check_axiom does."""
     for n in range(max_n + 1):
@@ -508,14 +512,18 @@ def _route_report(checker, h, parts, max_n):
 
 
 def _assert_routes_agree(h, max_n=3):
-    """The kernel, the linear checker and the public check report the same
-    (status, n, witness) for every diagram; returns the failing diagrams."""
+    """The kernel and the linear checker fail at the same n, with the same
+    witness except that a one-sided kernel returns False, and the public check
+    reports the linear checker's (status, n, witness); returns the failing
+    diagrams."""
     failing = []
     for name, (parts, kernel, linear, check) in _DIAGRAMS.items():
         fast = _route_report(kernel, h, parts, max_n)
-        assert fast == _route_report(linear, h, parts, max_n), (h.name, name)
+        slow = _route_report(linear, h, parts, max_n)
+        want = (*slow[:2], False) if name in _ONE_SIDED and slow[0] == "fail" else slow
+        assert fast == want, (h.name, name)
         rep = check(h, max_n)
-        assert (rep.status, rep.n, rep.witness) == fast, (h.name, name)
+        assert (rep.status, rep.n, rep.witness) == slow, (h.name, name)
         if fast[0] == "fail":
             failing.append(name)
     return failing
@@ -586,6 +594,16 @@ def test_routes_agree_on_catalog(spec, variant):
     assert failing == _CATALOG_FAILURES.get((spec, variant), [])
 
 
+@pytest.mark.parametrize("variant", ["-".join(v) for v in _ALL_VARIANTS])
+def test_routes_agree_on_a_pi_that_fails_past_the_oracle(variant):
+    # Pi with one value of pi changed on three points: the axioms that read
+    # pi fail at n = 3, where the kernel runs without the linear oracle
+    product, coproduct = variant.split("-")
+    failing = _assert_routes_agree(hopf_from(_pi_mutant(), product, coproduct))
+    assert ("commutative" in failing) == (product == "pi")
+    assert ("cocommutative" in failing) == (coproduct == "pi")
+
+
 def test_routes_agree_on_non_associative_system():
     mu = _interleave_system()
     entry = CatalogEntry("interleave", mu.species, mu, None)
@@ -593,6 +611,37 @@ def test_routes_agree_on_non_associative_system():
     assert _assert_routes_agree(h) == ["associative", "commutative", "coassociative",
                                        "cocommutative", "hopf_compatible"]
     assert check_axiom(h, "associative", 3).status == "fail"
+
+
+# co-axiom -> the product-side axiom it becomes on the dual
+_TRANSPOSED = {"coassociative": "associative", "cocommutative": "commutative",
+               "counital": "unital"}
+
+
+def _assert_co_axioms_transpose(h, max_n):
+    """Each co-axiom of h decides as its product-side axiom on the dual, whose
+    product is h's coproduct transposed."""
+    hd = dual_transpose(h)
+    for co, axiom in _TRANSPOSED.items():
+        rep, dual = check_axiom(h, co, max_n), check_axiom(hd, axiom, max_n)
+        assert (rep.status, rep.n) == (dual.status, dual.n), (h.name, co)
+
+
+@pytest.mark.parametrize("spec,variant", [
+    (spec, "-".join(variant))
+    for spec in ("E", "E_C:2", "Pi", "L", "Perm", "S(X_C:2)")
+    for variant in _ALL_VARIANTS
+] + [("S(E_C:2)", "mu-mu")])
+def test_co_axioms_are_the_axioms_of_the_dual_on_catalog(spec, variant):
+    entry = parse_species(spec)
+    if spec == "S(X_C:2)":
+        entry = with_derived_pi(entry, 4)
+    _assert_co_axioms_transpose(hopf_from(entry, *variant.split("-")), 4)
+
+
+@pytest.mark.parametrize("family,args", _grid(), ids=str)
+def test_co_axioms_are_the_axioms_of_the_dual_on_control_systems(family, args):
+    _assert_co_axioms_transpose(eng._mu_mu(_MAKERS[family](*args).mu), 3)
 
 
 def test_set_level_split_from_oracle_is_fatal(monkeypatch, entries):
@@ -842,10 +891,53 @@ def test_non_associative_blob_fails_past_the_oracle():
     h = hopf_from(CatalogEntry("blob[andnot]", sp, MultSystem(sp, rule), None), "mu", "mu")
     assert check_axiom(h, "associative", 2).ok
     I = GroundSet.first(3)
-    witness = eng._assoc_terms(h, I, decompositions(I, 3))
+    _, kernel, linear = eng._AXIOM_ROUTES["associative"]
+    assert kernel(h, I, decompositions(I, 3)) is False
+    witness = linear(h, I, decompositions(I, 3))
     assert witness["inputs"] == ["[1:1]", "[2:0]", "[3:1]"]
     assert check_axiom(h, "associative", 3) == CheckReport(
         "associative", h.name, 3, "fail", witness)
+
+
+def _one_sided_unit_mutant(system, side):
+    """Pi whose mu (unit on the ``side`` of the product) or pi (over
+    ({}, {1,2,3}) or ({1,2,3}, {}), by ``side``) sends the last element of
+    P[{1,2,3}] to the first: the (co)unit axioms that read it fail on three
+    points only, on that one side."""
+    entry = make_Pi()
+    I = GroundSet.first(3)
+    first, last = entry.species.elements(I)[0], entry.species.elements(I)[-1]
+
+    def hit(S, T):
+        return (not S and T == I) if side == "left" else (S == I and not T)
+
+    def mu(S, T, x, y):
+        if hit(S, T) and (y if side == "left" else x) == last:
+            return first
+        return entry.mu(S, T, x, y)
+
+    def pi(S, T, w):
+        return entry.pi(S, T, first if hit(S, T) and w == last else w)
+
+    sp = entry.species
+    if system == "mu":
+        return CatalogEntry("Pi-unit", sp, MultSystem(sp, mu), entry.pi)
+    return CatalogEntry("Pi-counit", sp, entry.mu, ComultSystem(sp, pi))
+
+
+@pytest.mark.parametrize("system", ["mu", "pi"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unit_kernels_fail_past_the_oracle_on_either_side(system, side):
+    # at n = 3 no oracle runs beside the kernel: one that read one side only
+    # would pass here
+    entry = _one_sided_unit_mutant(system, side)
+    broken = getattr(entry, system)
+    for variant in _ALL_VARIANTS:
+        h = hopf_from(entry, *variant)
+        for axiom, read in (("unital", h.product), ("counital", h.coproduct)):
+            assert check_axiom(h, axiom, 2).ok
+            rep = check_axiom(h, axiom, 3)
+            assert (rep.status, rep.n) == (("fail", 3) if read is broken else ("pass", 3))
 
 
 def _levels():
@@ -890,11 +982,13 @@ def test_table_routes_fail_past_the_oracle_at_the_last_instance(axiom):
     # A kernel that skipped the last decomposition, or the last element, would
     # pass n = 3 here, where it runs without the linear oracle.
     h = _levels()
-    parts, kernel, _ = eng._AXIOM_ROUTES[axiom]
+    parts, kernel, linear = eng._AXIOM_ROUTES[axiom]
     assert check_axiom(h, axiom, 2).ok
     I = GroundSet.first(3)
     decs = decompositions(I, parts)
-    witness = kernel(h, I, decs)
+    assert kernel(h, I, decs) is False
+    assert kernel(h, I, decs[:-1]) is None
+    witness = linear(h, I, decs)
     assert witness["decomposition"] == [[], [], [1, 2, 3]] == [list(p) for p in decs[-1]]
     assert witness["inputs"][-1] == "[1:3,2:3,3:3]" == str(h.basis.elements(I)[-1])
     assert check_axiom(h, axiom, 3) == CheckReport(axiom, "levels", 3, "fail", witness)
