@@ -265,7 +265,7 @@ class MapTo(Element):
             colors = tuple(colors)
         if len(colors) != len(ground):
             raise ValueError("one color per label required")
-        if any(c < 0 for c in colors):
+        if colors and min(colors) < 0:
             raise ValueError("colors are nonnegative indices")
         _setattr(self, "ground", ground)
         _setattr(self, "colors", colors)
@@ -484,19 +484,54 @@ def _exact(c) -> int | Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
+def _nonzero(acc: dict) -> dict:
+    """``acc`` without its zero coefficients (``acc`` itself if it has none)."""
+    return {k: c for k, c in acc.items() if c != 0} if 0 in acc.values() else acc
+
+
 def _added(a: dict, b: dict) -> dict:
     """The termwise sum of two dicts of nonzero coefficients, zeros dropped."""
     acc = dict(a)
     for k, c in b.items():
         acc[k] = acc.get(k, 0) + c
-    return {k: c for k, c in acc.items() if c != 0} if 0 in acc.values() else acc
+    return _nonzero(acc)
 
 
 @functools.lru_cache(maxsize=1 << 14)
-def _check_disjoint(parts: tuple[GroundSet, ...]) -> None:
-    """Raise unless the parts are pairwise disjoint; only successes are cached."""
-    if len({x for p in parts for x in p.labels}) != sum(map(len, parts)):
+def _check_disjoint(*labels: tuple[int, ...]) -> None:
+    """Raise unless the parts with these label tuples are pairwise disjoint;
+    only successes are cached, keyed on the tuples (hashed in C)."""
+    if len({x for p in labels for x in p}) != sum(map(len, labels)):
         raise ValueError("tensor parts must be pairwise disjoint")
+
+
+def derived_vec(ground: GroundSet, acc: dict) -> "Vec":
+    """The Vec over ``ground`` of ``acc``, a dict of exact coefficients that a
+    linear map has just accumulated from checked vectors.
+
+    It raises the public constructor's ``ValueError`` for the first key over
+    another ground set, then drops zeros; nothing is accumulated again."""
+    for el in acc:
+        if el.ground is not ground:
+            raise ValueError(f"element over {el.ground} in Vec over {ground}")
+    return Vec(ground, _nonzero(acc), _trusted=True)
+
+
+def derived_tensor(parts: tuple[GroundSet, ...], acc: dict, filled: Sequence[int]) -> "TensorVec":
+    """The TensorVec over disjoint ``parts`` of ``acc``, as ``derived_vec``.
+
+    Only the slots in ``filled`` came from rule results; the others were
+    copied from a checked tensor and are not checked again.  Each key is
+    checked in order for its arity, then for its filled slots, so the first
+    error is the public constructor's."""
+    n = len(parts)
+    for key in acc:
+        if len(key) != n:
+            raise ValueError("term arity does not match parts")
+        for i in filled:
+            if key[i].ground is not parts[i]:
+                raise ValueError(f"element over {key[i].ground} in slot for {parts[i]}")
+    return TensorVec(parts, _nonzero(acc), _trusted=True)
 
 
 class Vec:
@@ -521,7 +556,7 @@ class Vec:
             c = c if type(c) is int else _exact(c)
             if c != 0:
                 acc[el] = acc.get(el, 0) + c
-        self.terms = {e: c for e, c in acc.items() if c != 0} if 0 in acc.values() else acc
+        self.terms = _nonzero(acc)
 
     @staticmethod
     def zero(ground: GroundSet) -> "Vec":
@@ -590,7 +625,7 @@ class TensorVec:
             self.parts, self.terms = parts, terms
             return
         self.parts = parts = tuple(parts)
-        _check_disjoint(parts)
+        _check_disjoint(*(p.labels for p in parts))
         acc: dict[tuple[Element, ...], int | Fraction] = {}
         for key, c in (terms.items() if hasattr(terms, "items") else terms):
             key = tuple(key)
@@ -602,7 +637,7 @@ class TensorVec:
             c = c if type(c) is int else _exact(c)
             if c != 0:
                 acc[key] = acc.get(key, 0) + c
-        self.terms = {k: c for k, c in acc.items() if c != 0} if 0 in acc.values() else acc
+        self.terms = _nonzero(acc)
 
     @staticmethod
     def zero(parts: Sequence[GroundSet]) -> "TensorVec":
@@ -616,20 +651,22 @@ class TensorVec:
     @staticmethod
     def tensor(*vecs: Vec) -> "TensorVec":
         parts = tuple(v.ground for v in vecs)
-        _check_disjoint(parts)
-        # distinct factors give distinct keys, and nonzero factors a nonzero product
-        terms = {}
-        for combo in itertools.product(*(v.terms.items() for v in vecs)):
-            c = 1
-            for _, k in combo:
-                c *= k
-            terms[tuple(e for e, _ in combo)] = c
+        _check_disjoint(*(p.labels for p in parts))
+        # distinct factors give distinct keys, and nonzero factors a nonzero
+        # product; the keys run in itertools.product's order
+        if len(vecs) == 2:
+            u, v = vecs
+            terms = {(a, b): ca * cb for a, ca in u.terms.items() for b, cb in v.terms.items()}
+        else:
+            terms = {(): 1}
+            for v in vecs:
+                terms = {k + (e,): c * ce for k, c in terms.items() for e, ce in v.terms.items()}
         return TensorVec(parts, terms, _trusted=True)
 
     @staticmethod
     def concat(a: "TensorVec", b: "TensorVec") -> "TensorVec":
         parts = a.parts + b.parts
-        _check_disjoint(parts)
+        _check_disjoint(*(p.labels for p in parts))
         terms = {ka + kb: ca * cb for ka, ca in a.terms.items() for kb, cb in b.terms.items()}
         return TensorVec(parts, terms, _trusted=True)
 

@@ -33,8 +33,8 @@ from typing import Optional
 from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
     EMPTY, TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, FatalInconsistency,
-    GroundSet, SetSpecies, TensorVec, Vec, cross_check, decompositions,
-    nonempty_compositions, union_all,
+    GroundSet, SetSpecies, TensorVec, Vec, _check_disjoint, cross_check, decompositions,
+    derived_tensor, derived_vec, nonempty_compositions, union_all,
 )
 
 DEFAULT_MAX_N = 4
@@ -95,18 +95,27 @@ class LinearizedHopf:
         return self.coproduct.fiber(S, T, z)
 
     def nabla(self, S: GroundSet, T: GroundSet, t: TensorVec) -> Vec:
-        acc: dict = {}
-        for (x, y), c in t.terms.items():
-            for z in self.products(S, T, x, y):
-                acc[z] = acc.get(z, 0) + c
-        return Vec(S.union(T), acc)
+        if t.parts != (S, T):
+            raise ValueError("tensor parts do not match (S, T)")
+        return derived_vec(S.union(T), self._nabla_terms(S, T, t.terms.items()))
 
     def delta(self, S: GroundSet, T: GroundSet, v: Vec) -> TensorVec:
+        if v.ground is not S.union(T):
+            raise ValueError("vector ground does not match S u T")
         acc: dict = {}
         for z, c in v.terms.items():
             for pair in self.splits(S, T, z):
                 acc[pair] = acc.get(pair, 0) + c
-        return TensorVec((S, T), acc)
+        return derived_tensor((S, T), acc, (0, 1))
+
+    def _nabla_terms(self, S: GroundSet, T: GroundSet, terms) -> dict:
+        """The accumulated terms of nabla_{S,T} on the pairs ``((x, y), c)``
+        of ``terms``, in their order; unchecked (``derived_vec`` checks)."""
+        acc: dict = {}
+        for (x, y), c in terms:
+            for z in self.products(S, T, x, y):
+                acc[z] = acc.get(z, 0) + c
+        return acc
 
 
 _SYSTEM_NAMES = {"mu": "multiplicative", "pi": "comultiplicative"}
@@ -126,12 +135,17 @@ def hopf_from(entry: CatalogEntry, product: str = "mu", coproduct: str = "pi") -
 
 def _nabla_basis(h: LinearizedHopf, S: GroundSet, T: GroundSet, x: Element, y: Element) -> Vec:
     """nabla_{S,T}(x (x) y) as a vector."""
-    return Vec(S.union(T), [(z, 1) for z in h.products(S, T, x, y)])
+    return derived_vec(S.union(T), h._nabla_terms(S, T, [((x, y), 1)]))
 
 
 def _delta_basis(h: LinearizedHopf, S: GroundSet, T: GroundSet, z: Element) -> TensorVec:
     """Delta_{S,T}(z) as a tensor."""
-    return TensorVec((S, T), [(pair, 1) for pair in h.splits(S, T, z)])
+    acc: dict = {}
+    for pair in h.splits(S, T, z):
+        pair = tuple(pair)
+        acc[pair] = acc.get(pair, 0) + 1
+    _check_disjoint(S.labels, T.labels)
+    return derived_tensor((S, T), acc, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +161,7 @@ def apply_nabla_at(h: LinearizedHopf, t: TensorVec, pos: int) -> TensorVec:
         for e in h.products(S, T, key[pos], key[pos + 1]):
             k = head + (e,) + tail
             acc[k] = acc.get(k, 0) + c
-    return TensorVec(parts, acc)
+    return derived_tensor(parts, acc, (pos,))
 
 
 def apply_delta_at(h: LinearizedHopf, t: TensorVec, pos: int,
@@ -162,7 +176,7 @@ def apply_delta_at(h: LinearizedHopf, t: TensorVec, pos: int,
         for pair in h.splits(S, T, key[pos]):
             k = head + pair + tail
             acc[k] = acc.get(k, 0) + c
-    return TensorVec(parts, acc)
+    return derived_tensor(parts, acc, (pos, pos + 1))
 
 
 def iterate_nabla(h: LinearizedHopf, parts: tuple[GroundSet, ...], t: TensorVec) -> Vec:
@@ -381,19 +395,23 @@ def _delta_nabla_terms(h, I, decs):
 def _assoc(h, I, decs):
     # Each memo is filled on first use, so the rules are called in the same
     # order as without it, and a rule that raises raises at the same instance.
+    # nabla(xy (x) z) and nabla(x (x) yz) run over the terms of those tensors,
+    # in TensorVec.tensor's order, without building them.
     for R, S, T in decs:
         RS, ST, yzs = R.union(S), S.union(T), {}
+        RST = RS.union(T)
         for x in h.basis.elements(R):
-            vx = Vec.basis(x)
             for b, y in enumerate(h.basis.elements(S)):
                 xy = None
                 for c, z in enumerate(h.basis.elements(T)):
                     if xy is None:
                         xy = _nabla_basis(h, R, S, x, y)
-                    lhs = h.nabla(RS, T, TensorVec.tensor(xy, Vec.basis(z)))
+                    lhs = derived_vec(RST, h._nabla_terms(
+                        RS, T, [((w, z), k) for w, k in xy.terms.items()]))
                     if (b, c) not in yzs:
                         yzs[b, c] = _nabla_basis(h, S, T, y, z)
-                    rhs = h.nabla(R, ST, TensorVec.tensor(vx, yzs[b, c]))
+                    rhs = derived_vec(RST, h._nabla_terms(
+                        R, ST, [((x, w), k) for w, k in yzs[b, c].terms.items()]))
                     if lhs != rhs:
                         return {"decomposition": [list(R), list(S), list(T)],
                                 "inputs": [str(x), str(y), str(z)],

@@ -464,6 +464,20 @@ def test_derived_vectors_match_the_validating_constructor(u, u2, v, w, s, perm):
     _same(t.scale(s), TensorVec(t.parts, [(k, c * s) for k, c in t.terms.items()]))
 
 
+@settings(max_examples=40, deadline=None)
+@given(_vecs(_GROUNDS[0]), _vecs(_GROUNDS[1]), _vecs(_GROUNDS[2]))
+def test_tensor_terms_run_in_product_order(u, v, w):
+    # linear maps call their rules in term order, so it is part of the result
+    for vecs in ((u, v), (u, v, w), (w,)):
+        want = []
+        for combo in itertools.product(*(x.terms.items() for x in vecs)):
+            c = 1
+            for _, k in combo:
+                c *= k
+            want.append((tuple(e for e, _ in combo), c))
+        assert list(TensorVec.tensor(*vecs).terms.items()) == want
+
+
 # ---------------------------------------------------------------------------
 # cross_check: a fast route beside an independent one
 

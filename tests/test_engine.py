@@ -694,21 +694,117 @@ def test_set_level_rejects_result_over_wrong_ground(entries):
                 check_axiom(h, axiom, 2)
 
 
+def _raises(exc_type, message, apply):
+    with pytest.raises(exc_type) as got:
+        apply()
+    assert str(got.value) == message
+
+
 def test_linear_maps_reject_rule_results_over_wrong_ground(entries):
-    # rule results enter the linear layer through the validating constructors
+    # every map checks the rule results it adds with the public constructors'
+    # messages: mu(x, y) = x lands over S, pi reversed puts T's part first
     pi_entry = entries["Pi"]
     sp = pi_entry.species
     drops_y = MultSystem(sp, lambda S, T, x, y: x)
     swaps = ComultSystem(sp, lambda S, T, z: pi_entry.pi(S, T, z)[::-1])
     h = eng.LinearizedHopf("bad", sp, drops_y, swaps)
     S, T = GroundSet.of([1]), GroundSet.of([2])
-    xy = TensorVec.basis((SetPartitionElt.of([[1]]), SetPartitionElt.of([[2]])))
-    z = Vec.basis(SetPartitionElt.of([[1], [2]]))
-    for apply in (lambda: h.nabla(S, T, xy), lambda: h.delta(S, T, z),
-                  lambda: eng.apply_nabla_at(h, xy, 0),
-                  lambda: eng.apply_delta_at(h, TensorVec.tensor(z), 0, S, T)):
-        with pytest.raises(ValueError, match="element over"):
-            apply()
+    x, y = SetPartitionElt.of([[1]]), SetPartitionElt.of([[2]])
+    xy = TensorVec.basis((x, y))
+    z = SetPartitionElt.of([[1], [2]])
+    in_vec = "element over {1} in Vec over {1,2}"
+    in_slot = "element over {2} in slot for {1}"
+    for apply, message in (
+            (lambda: h.nabla(S, T, xy), in_vec),
+            (lambda: eng._nabla_basis(h, S, T, x, y), in_vec),
+            (lambda: eng.apply_nabla_at(h, xy, 0), "element over {1} in slot for {1,2}"),
+            (lambda: h.delta(S, T, Vec.basis(z)), in_slot),
+            (lambda: eng._delta_basis(h, S, T, z), in_slot),
+            (lambda: eng.apply_delta_at(h, TensorVec.basis((z,)), 0, S, T), in_slot)):
+        _raises(ValueError, message, apply)
+    # a pi whose first part is right and whose second repeats it
+    h = eng.LinearizedHopf("bad", sp, drops_y,
+                           ComultSystem(sp, lambda S, T, z: pi_entry.pi(S, T, z)[:1] * 2))
+    for apply in (lambda: h.delta(S, T, Vec.basis(z)),
+                  lambda: eng._delta_basis(h, S, T, z),
+                  lambda: eng.apply_delta_at(h, TensorVec.basis((z,)), 0, S, T)):
+        _raises(ValueError, "element over {1} in slot for {2}", apply)
+    # _assoc applies nabla to xy (x) z through its own accumulator: here mu
+    # drops y only onto {1,2,3}, so nabla_{{1,2},{3}} is the first bad result
+    last_drops_y = MultSystem(sp, lambda S, T, x, y: x if len(S.union(T)) == 3
+                              else pi_entry.mu(S, T, x, y))
+    h3 = eng.LinearizedHopf("bad", sp, last_drops_y, pi_entry.pi)
+    _raises(ValueError, "element over {1,2} in Vec over {1,2,3}",
+            lambda: eng._assoc(h3, GroundSet.first(3), [(S, T, GroundSet.of([3]))]))
+
+
+def test_linear_maps_reject_a_split_of_the_wrong_arity(entries):
+    pi_entry = entries["Pi"]
+    sp = pi_entry.species
+    three = ComultSystem(sp, lambda S, T, z: pi_entry.pi(S, T, z) + (sp.unit_element(),))
+    h = eng.LinearizedHopf("bad", sp, pi_entry.mu, three)
+    S, T = GroundSet.of([1]), GroundSet.of([2])
+    z = SetPartitionElt.of([[1], [2]])
+    for apply in (lambda: h.delta(S, T, Vec.basis(z)),
+                  lambda: eng._delta_basis(h, S, T, z),
+                  lambda: eng.apply_delta_at(h, TensorVec.basis((z,)), 0, S, T)):
+        _raises(ValueError, "term arity does not match parts", apply)
+
+
+def test_linear_maps_check_rule_results_after_every_rule_call(entries):
+    # as in the public constructors, the results are checked once all terms
+    # are in: a rule that raises on the second term wins over a bad first one
+    sp = entries["Pi"].species
+    S, T = GroundSet.of([1, 2]), GroundSet.of([3])
+    first, second = sp.elements(S)
+    w = SetPartitionElt.of([[3]])
+
+    def rule(S, T, x, y):
+        if x == first:
+            return x
+        raise RuntimeError("second term")
+
+    h = eng.LinearizedHopf("bad", sp, MultSystem(sp, rule), entries["Pi"].pi)
+    t = TensorVec((S, T), [((first, w), 1), ((second, w), 1)])
+    _raises(RuntimeError, "second term", lambda: h.nabla(S, T, t))
+    _raises(RuntimeError, "second term", lambda: eng.apply_nabla_at(h, t, 0))
+
+
+def test_linear_maps_drop_cancelled_terms():
+    # max of constant colors: x0 (x) y and x1 (x) y have one product, so their
+    # difference maps to zero, which has no terms
+    mu = blob_system("zmax", 2).mu
+    sp = mu.species
+    h = eng.LinearizedHopf("blob", sp, mu, mu)
+    S, T = GroundSet.of([1]), GroundSet.of([2])
+    (x0, x1), y = sp.elements(S), sp.elements(T)[1]
+    t = TensorVec((S, T), [((x0, y), 1), ((x1, y), -1)])
+    assert h.nabla(S, T, t).terms == {}
+    assert eng.apply_nabla_at(h, t, 0).terms == {}
+
+
+def test_delta_rejects_overlapping_parts(entries):
+    # a pi that never looks at S and T gives pairs over them; the tensor over
+    # an overlapping (S, T) is still refused: delta forms S u T first
+    sp = entries["Pi"].species
+    blind = ComultSystem(sp, lambda S, T, z: (sp.elements(S)[0], sp.elements(T)[0]))
+    h = eng.LinearizedHopf("bad", sp, entries["Pi"].mu, blind)
+    S, T = GroundSet.of([1, 2]), GroundSet.of([2])
+    z = SetPartitionElt.of([[1, 2]])
+    _raises(ValueError, "ground sets overlap: {1,2} and {2}", lambda: h.delta(S, T, Vec.basis(z)))
+    _raises(ValueError, "tensor parts must be pairwise disjoint",
+            lambda: eng._delta_basis(h, S, T, z))
+
+
+@pytest.mark.parametrize("key", ["E_C:2", "Pi"])
+def test_nabla_and_delta_reject_inputs_over_other_ground_sets(entries, key):
+    h = hopf_from(entries[key])
+    sp = entries[key].species
+    one, two, three = (GroundSet.of([i]) for i in (1, 2, 3))
+    v = Vec.basis(sp.elements(GroundSet.first(3))[0])
+    _raises(ValueError, "vector ground does not match S u T", lambda: h.delta(one, two, v))
+    t = TensorVec.basis((sp.elements(one)[0], sp.elements(three)[0]))
+    _raises(ValueError, "tensor parts do not match (S, T)", lambda: h.nabla(one, two, t))
 
 
 def test_fiber_kernel_split_from_oracle_is_fatal(monkeypatch, entries):
