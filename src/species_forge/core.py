@@ -505,15 +505,34 @@ def _check_disjoint(*labels: tuple[int, ...]) -> None:
         raise ValueError("tensor parts must be pairwise disjoint")
 
 
+def _check_grounds(ground: GroundSet, els) -> None:
+    """Raise ``Vec``'s ``ValueError`` for the first of ``els`` over another
+    ground set than ``ground``."""
+    for el in els:
+        if el.ground is not ground:
+            raise ValueError(f"element over {el.ground} in Vec over {ground}")
+
+
+def _check_keys(parts: tuple[GroundSet, ...], keys, slots: Sequence[int]) -> None:
+    """Raise ``TensorVec``'s ``ValueError`` for the first of ``keys`` that has
+    not one element per part, or whose element in one of ``slots`` lies over
+    another ground set than its part."""
+    n = len(parts)
+    for key in keys:
+        if len(key) != n:
+            raise ValueError("term arity does not match parts")
+        for i in slots:
+            if key[i].ground is not parts[i]:
+                raise ValueError(f"element over {key[i].ground} in slot for {parts[i]}")
+
+
 def derived_vec(ground: GroundSet, acc: dict) -> "Vec":
     """The Vec over ``ground`` of ``acc``, a dict of exact coefficients that a
     linear map has just accumulated from checked vectors.
 
-    It raises the public constructor's ``ValueError`` for the first key over
-    another ground set, then drops zeros; nothing is accumulated again."""
-    for el in acc:
-        if el.ground is not ground:
-            raise ValueError(f"element over {el.ground} in Vec over {ground}")
+    Its keys are checked as the public constructor checks them, then zeros are
+    dropped; nothing is accumulated again."""
+    _check_grounds(ground, acc)
     return Vec(ground, _nonzero(acc), _trusted=True)
 
 
@@ -521,16 +540,8 @@ def derived_tensor(parts: tuple[GroundSet, ...], acc: dict, filled: Sequence[int
     """The TensorVec over disjoint ``parts`` of ``acc``, as ``derived_vec``.
 
     Only the slots in ``filled`` came from rule results; the others were
-    copied from a checked tensor and are not checked again.  Each key is
-    checked in order for its arity, then for its filled slots, so the first
-    error is the public constructor's."""
-    n = len(parts)
-    for key in acc:
-        if len(key) != n:
-            raise ValueError("term arity does not match parts")
-        for i in filled:
-            if key[i].ground is not parts[i]:
-                raise ValueError(f"element over {key[i].ground} in slot for {parts[i]}")
+    copied from a checked tensor and are not checked again."""
+    _check_keys(parts, acc, filled)
     return TensorVec(parts, _nonzero(acc), _trusted=True)
 
 
@@ -551,8 +562,7 @@ class Vec:
             return
         acc: dict[Element, int | Fraction] = {}
         for el, c in (terms.items() if hasattr(terms, "items") else terms):
-            if el.ground is not ground:
-                raise ValueError(f"element over {el.ground} in Vec over {ground}")
+            _check_grounds(ground, (el,))
             c = c if type(c) is int else _exact(c)
             if c != 0:
                 acc[el] = acc.get(el, 0) + c
@@ -627,13 +637,10 @@ class TensorVec:
         self.parts = parts = tuple(parts)
         _check_disjoint(*(p.labels for p in parts))
         acc: dict[tuple[Element, ...], int | Fraction] = {}
+        slots = range(len(parts))
         for key, c in (terms.items() if hasattr(terms, "items") else terms):
             key = tuple(key)
-            if len(key) != len(parts):
-                raise ValueError("term arity does not match parts")
-            for el, p in zip(key, parts):
-                if el.ground is not p:
-                    raise ValueError(f"element over {el.ground} in slot for {p}")
+            _check_keys(parts, (key,), slots)
             c = c if type(c) is int else _exact(c)
             if c != 0:
                 acc[key] = acc.get(key, 0) + c
@@ -654,13 +661,9 @@ class TensorVec:
         _check_disjoint(*(p.labels for p in parts))
         # distinct factors give distinct keys, and nonzero factors a nonzero
         # product; the keys run in itertools.product's order
-        if len(vecs) == 2:
-            u, v = vecs
-            terms = {(a, b): ca * cb for a, ca in u.terms.items() for b, cb in v.terms.items()}
-        else:
-            terms = {(): 1}
-            for v in vecs:
-                terms = {k + (e,): c * ce for k, c in terms.items() for e, ce in v.terms.items()}
+        terms = {(): 1}
+        for v in vecs:
+            terms = {k + (e,): c * ce for k, c in terms.items() for e, ce in v.terms.items()}
         return TensorVec(parts, terms, _trusted=True)
 
     @staticmethod

@@ -376,6 +376,21 @@ def test_bool_coefficients_become_int_and_floats_are_rejected():
         TensorVec((x.ground, y.ground), [((x, y), 2.0)])
 
 
+def test_constructors_reject_terms_over_other_ground_sets():
+    # every term is checked, a zero one included; the linear maps raise the
+    # same messages for their rule results
+    x, y = SetPartitionElt.of([[1]]), SetPartitionElt.of([[2]])
+    parts = (x.ground, y.ground)
+    for build, message in (
+            (lambda: Vec(x.ground, [(x, 1), (y, 0)]), "element over {2} in Vec over {1}"),
+            (lambda: TensorVec(parts, [((x, y), 1), ((x, x), 0)]),
+             "element over {1} in slot for {2}"),
+            (lambda: TensorVec(parts, [((x,), 1)]), "term arity does not match parts")):
+        with pytest.raises(ValueError) as got:
+            build()
+        assert str(got.value) == message
+
+
 def test_int_and_fraction_coefficients_print_alike():
     x, y = SetPartitionElt.of([[1]]), SetPartitionElt.of([[2]])
     for c in (2, -3, 1):
