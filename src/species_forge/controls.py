@@ -82,12 +82,12 @@ def blob_system(kind: str, m: int) -> PerturbedSystem:
     sp = SetSpecies(f"blob[{kind}:{m}]", elements, transport)
 
     def rule(S, T, x, y):
-        if len(S) == 0:
+        if not S.labels:
             return y
-        if len(T) == 0:
+        if not T.labels:
             return x
         v = op(x.colors[0], y.colors[0])
-        return MapTo(S.union(T), (v,) * (len(S) + len(T)))
+        return MapTo(S.union(T), (v,) * (len(S.labels) + len(T.labels)))
 
     return PerturbedSystem(sp.name, MultSystem(sp, rule), "injective")
 
@@ -131,16 +131,16 @@ def collapse_system(c: int, d: int) -> PerturbedSystem:
     sp = SetSpecies(f"collapse[c={c},d={d}]", elements, transport)
 
     def rule(S, T, x, y):
-        if len(S) == 0:
+        if not S.labels:
             return y
-        if len(T) == 0:
+        if not T.labels:
             return x
         if isinstance(x, MapTo) and isinstance(y, MapTo):
             return _mapto_merge(S, T, x, y)
-        if isinstance(x, LabeledPartitionElt) and isinstance(y, MapTo) and len(T) == 1:
+        if isinstance(x, LabeledPartitionElt) and isinstance(y, MapTo) and len(T.labels) == 1:
             m = x.blocks[0][1].colors[0]
             return _wrap(S.union(T), m * c + y.colors[0])
-        if isinstance(y, LabeledPartitionElt) and isinstance(x, MapTo) and len(S) == 1:
+        if isinstance(y, LabeledPartitionElt) and isinstance(x, MapTo) and len(S.labels) == 1:
             m = y.blocks[0][1].colors[0]
             return _wrap(S.union(T), m * c + x.colors[0])
         raise ValueError(f"no product for {x} and {y}")

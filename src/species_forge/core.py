@@ -256,19 +256,22 @@ class UnitElement(Element):
 
 
 class MapTo(Element):
-    """A map from the ground set to colors 0..c-1, stored label-aligned."""
+    """A map from the ground set to colors 0..c-1, stored label-aligned; the
+    hash is that of the field tuple, computed once."""
 
-    __slots__ = _fields = ("ground", "colors")
+    _fields = ("ground", "colors")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, ground: GroundSet, colors: tuple[int, ...]):
         if not isinstance(colors, tuple):
             colors = tuple(colors)
-        if len(colors) != len(ground):
+        if len(colors) != len(ground.labels):
             raise ValueError("one color per label required")
         if colors and min(colors) < 0:
             raise ValueError("colors are nonnegative indices")
         _setattr(self, "ground", ground)
         _setattr(self, "colors", colors)
+        _setattr(self, "_hash", hash((ground, colors)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -276,7 +279,7 @@ class MapTo(Element):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ground, self.colors))
+        return self._hash
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> "MapTo":
@@ -664,13 +667,6 @@ class TensorVec:
         terms = {(): 1}
         for v in vecs:
             terms = {k + (e,): c * ce for k, c in terms.items() for e, ce in v.terms.items()}
-        return TensorVec(parts, terms, _trusted=True)
-
-    @staticmethod
-    def concat(a: "TensorVec", b: "TensorVec") -> "TensorVec":
-        parts = a.parts + b.parts
-        _check_disjoint(*(p.labels for p in parts))
-        terms = {ka + kb: ca * cb for ka, ca in a.terms.items() for kb, cb in b.terms.items()}
         return TensorVec(parts, terms, _trusted=True)
 
     def is_zero(self) -> bool:

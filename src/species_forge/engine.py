@@ -33,8 +33,8 @@ from typing import Optional
 from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
     EMPTY, TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, FatalInconsistency,
-    GroundSet, SetSpecies, TensorVec, Vec, _check_disjoint, cross_check, decompositions,
-    derived_tensor, derived_vec, nonempty_compositions, union_all,
+    GroundSet, SetSpecies, TensorVec, Vec, _check_disjoint, _check_keys, cross_check,
+    decompositions, derived_tensor, derived_vec, nonempty_compositions, union_all,
 )
 
 DEFAULT_MAX_N = 4
@@ -117,6 +117,17 @@ class LinearizedHopf:
                 acc[z] = acc.get(z, 0) + c
         return acc
 
+    def _nabla_at_terms(self, S: GroundSet, T: GroundSet, terms, pos: int) -> dict:
+        """As ``_nabla_terms``, on slots pos and pos+1 of the keys of the
+        pairs ``(key, c)``; unchecked (``derived_tensor`` checks)."""
+        acc: dict = {}
+        for key, c in terms:
+            head, tail = key[:pos], key[pos + 2:]
+            for e in self.products(S, T, key[pos], key[pos + 1]):
+                k = head + (e,) + tail
+                acc[k] = acc.get(k, 0) + c
+        return acc
+
 
 _SYSTEM_NAMES = {"mu": "multiplicative", "pi": "comultiplicative"}
 
@@ -155,13 +166,7 @@ def apply_nabla_at(h: LinearizedHopf, t: TensorVec, pos: int) -> TensorVec:
     """id (x) ... (x) nabla (x) ... (x) id, merging slots pos and pos+1."""
     S, T = t.parts[pos], t.parts[pos + 1]
     parts = t.parts[:pos] + (S.union(T),) + t.parts[pos + 2:]
-    acc: dict = {}
-    for key, c in t.terms.items():
-        head, tail = key[:pos], key[pos + 2:]
-        for e in h.products(S, T, key[pos], key[pos + 1]):
-            k = head + (e,) + tail
-            acc[k] = acc.get(k, 0) + c
-    return derived_tensor(parts, acc, (pos,))
+    return derived_tensor(parts, h._nabla_at_terms(S, T, t.terms.items(), pos), (pos,))
 
 
 def apply_delta_at(h: LinearizedHopf, t: TensorVec, pos: int,
@@ -484,8 +489,10 @@ def _counital(h, I, decs):
 
 def _hopf_compat(h, I, decs):
     # The bottom path twists (A, B, A', B') -> (A, A', B, B'); this is the
-    # displayed convention, and _hopf_terms follows it.  The memos are filled
-    # on first use, as in _assoc.
+    # displayed convention, and _hopf_terms follows it.  Both of its nablas run
+    # apply_nabla_at's loop on terms, first over dx (x) dy in twisted order,
+    # then over the merged terms (positive, so none cancel): no tensor is built
+    # in between.  The memos are filled on first use, as in _assoc.
     for R, Rp in decs:
         xys = {}
         for S, Sp in decs:
@@ -493,16 +500,18 @@ def _hopf_compat(h, I, decs):
             Ap, Bp = Rp.intersect(S), Rp.intersect(Sp)
             dys = {}
             for a, x in enumerate(h.basis.elements(R)):
-                dx = _delta_basis(h, A, B, x)
+                dx = _delta_basis(h, A, B, x).terms.items()
                 for b, y in enumerate(h.basis.elements(Rp)):
                     if (a, b) not in xys:
                         xys[a, b] = _nabla_basis(h, R, Rp, x, y)
                     top = h.delta(S, Sp, xys[a, b])
                     if b not in dys:
-                        dys[b] = _delta_basis(h, Ap, Bp, y)
-                    four = TensorVec.concat(dx, dys[b]).twist((0, 2, 1, 3))
-                    merged = apply_nabla_at(h, four, 0)   # (A u A', B, B')
-                    bottom = apply_nabla_at(h, merged, 1)  # (A u A', B u B')
+                        dys[b] = _delta_basis(h, Ap, Bp, y).terms.items()
+                    merged = h._nabla_at_terms(A, Ap, [((u, up, v, vp), c * cp) for (u, v), c in dx
+                                                       for (up, vp), cp in dys[b]], 0)
+                    _check_keys((S, B, Bp), merged, (0,))     # (A u A', B, B')
+                    bottom = derived_tensor(                  # (A u A', B u B')
+                        (S, Sp), h._nabla_at_terms(B, Bp, merged.items(), 1), (1,))
                     if top != bottom:
                         return {"R": list(R), "Rp": list(Rp), "S": list(S), "Sp": list(Sp),
                                 "inputs": [str(x), str(y)],

@@ -424,16 +424,7 @@ def test_tensor_rejects_overlapping_parts():
         TensorVec.tensor(x, x)
 
 
-def test_concat_rejects_overlapping_parts():
-    x = TensorVec.basis((SetPartitionElt.of([[1]]),))
-    y = TensorVec.basis((SetPartitionElt.of([[2]]),))
-    assert TensorVec.concat(x, y).parts == (GroundSet.of([1]), GroundSet.of([2]))
-    for a, b in ((x, x), (TensorVec.concat(x, y), y)):
-        with pytest.raises(ValueError, match="pairwise disjoint"):
-            TensorVec.concat(a, b)
-
-
-# The derived vectors (tensor, concat, twist, +, scale) skip the checks of the
+# The derived vectors (tensor, twist, +, scale) skip the checks of the
 # public constructor; rebuilding their terms through it must give the same.
 
 _GROUNDS = (GroundSet.of([1]), GroundSet.of([2, 3]), GroundSet.of([4]))
@@ -469,7 +460,7 @@ def test_derived_vectors_match_the_validating_constructor(u, u2, v, w, s, perm):
     t = TensorVec.tensor(u, v)
     _same(t, TensorVec((G, v.ground), [((a, b), c * e) for a, c in u.terms.items()
                                        for b, e in v.terms.items()]))
-    t3 = TensorVec.concat(t, TensorVec.tensor(w))
+    t3 = TensorVec.tensor(u, v, w)
     _same(t3, TensorVec(t.parts + (w.ground,), [(k + (z,), c * e) for k, c in t.terms.items()
                                                 for z, e in w.terms.items()]))
     _same(t3.twist(perm), TensorVec(tuple(t3.parts[p] for p in perm),

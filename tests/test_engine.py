@@ -571,6 +571,92 @@ def test_kernel_that_misses_a_control_failure_is_fatal(monkeypatch):
         check_axiom(h, "hopf_compatible", 2)
 
 
+def _hopf_compat_by_tensors(h, I, decs):
+    # _hopf_compat with its bottom path built as tensors: dx (x) dy through
+    # the public constructor, its twist to (A, A', B, B'), then nabla at slot
+    # 0 and at slot 1; the same memos, so the same rule calls
+    for R, Rp in decs:
+        xys = {}
+        for S, Sp in decs:
+            A, B = R.intersect(S), R.intersect(Sp)
+            Ap, Bp = Rp.intersect(S), Rp.intersect(Sp)
+            dys = {}
+            for a, x in enumerate(h.basis.elements(R)):
+                dx = eng._delta_basis(h, A, B, x)
+                for b, y in enumerate(h.basis.elements(Rp)):
+                    if (a, b) not in xys:
+                        xys[a, b] = eng._nabla_basis(h, R, Rp, x, y)
+                    top = h.delta(S, Sp, xys[a, b])
+                    if b not in dys:
+                        dys[b] = eng._delta_basis(h, Ap, Bp, y)
+                    four = TensorVec(dx.parts + dys[b].parts, [
+                        (k + l, c * e) for k, c in dx.terms.items()
+                        for l, e in dys[b].terms.items()]).twist((0, 2, 1, 3))
+                    bottom = eng.apply_nabla_at(h, eng.apply_nabla_at(h, four, 0), 1)
+                    if top != bottom:
+                        return {"R": list(R), "Rp": list(Rp), "S": list(S), "Sp": list(Sp),
+                                "inputs": [str(x), str(y)],
+                                "top": str(top), "bottom": str(bottom)}
+    return None
+
+
+class _LoggedHopf(eng.LinearizedHopf):
+    """A LinearizedHopf that logs every rule call, in order."""
+
+    def __init__(self, h):
+        super().__init__(h.name, h.basis, h.product, h.coproduct)
+        self.calls = []
+
+    def products(self, S, T, x, y):
+        self.calls.append(("nabla", S, T, x, y))
+        return super().products(S, T, x, y)
+
+    def splits(self, S, T, z):
+        self.calls.append(("delta", S, T, z))
+        return super().splits(S, T, z)
+
+
+def _assert_bottom_routes_agree(h):
+    for n in range(eng.ORACLE_MAX_N + 1):
+        I = GroundSet.first(n)
+        decs = decompositions(I, 2)
+        got, want = _LoggedHopf(h), _LoggedHopf(h)
+        assert eng._hopf_compat(got, I, decs) == _hopf_compat_by_tensors(want, I, decs), (h.name, n)
+        assert got.calls == want.calls, (h.name, n)
+
+
+@pytest.mark.parametrize("family,args", _grid(), ids=str)
+def test_hopf_bottom_path_matches_the_tensor_route_on_control_systems(family, args):
+    _assert_bottom_routes_agree(eng._mu_mu(_MAKERS[family](*args).mu))
+
+
+@pytest.mark.parametrize("spec", ["Pi", "E_C:2", "S(X_C:2)"])
+def test_hopf_bottom_path_matches_the_tensor_route_on_catalog(spec):
+    entry = parse_species(spec)
+    if spec == "S(X_C:2)":
+        entry = with_derived_pi(entry, 3)
+    for variant in _ALL_VARIANTS:
+        _assert_bottom_routes_agree(hopf_from(entry, *variant))
+
+
+@pytest.mark.parametrize("label,message", [
+    (1, "element over {} in slot for {1}"),   # first bad result merges A and A'
+    (2, "element over {} in slot for {2}"),   # first bad result merges B and B'
+])
+def test_hopf_bottom_path_rejects_rule_results_over_wrong_ground(entries, label, message):
+    # mu(x, y) = x on (empty, {label}) alone, which only the bottom path asks
+    # for on {1,2}: on (empty, {1}) first when merging A and A', on
+    # (empty, {2}) first when merging B and B'
+    pi_entry = entries["Pi"]
+    sp, one = pi_entry.species, GroundSet.of([label])
+    drops_y = MultSystem(sp, lambda S, T, x, y: x if (S, T) == (EMPTY, one)
+                         else pi_entry.mu(S, T, x, y))
+    h = eng.LinearizedHopf("bad", sp, drops_y, pi_entry.pi)
+    I = GroundSet.first(2)
+    for route in (eng._hopf_compat, _hopf_compat_by_tensors):
+        _raises(ValueError, message, lambda: route(h, I, decompositions(I, 2)))
+
+
 # (spec, variant) -> the diagrams that fail at n <= 3; every other passes
 _CATALOG_FAILURES = {
     ("L", "mu-pi"): ["commutative"],
