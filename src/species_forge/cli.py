@@ -8,14 +8,16 @@ deterministic.
 
 Exit codes: 0 when everything passed or failed only where the species
 declares it should; 1 on an unexpected failure, a check that raises included,
-or on a usage error; 2 on a fatal inconsistency (a theorem contradicted, with
-a serialized witness).
+on a usage error, or when the reader closes stdout before the output ends;
+2 on a fatal inconsistency (a theorem contradicted, with a serialized
+witness).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -631,7 +633,14 @@ def main(argv=None) -> int:
         if args.max_n >= 5:
             print(f"warning: n = {args.max_n} components are large; expect a long run",
                   file=sys.stderr)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to the null
+        # device, so the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

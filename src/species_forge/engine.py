@@ -13,9 +13,9 @@ Hopf self-compatibility (two independent routes that must agree; the local
 one compares positions of the mu tables), structure constants, free
 self-duality (product and coproduct constants compared on positions),
 Takeuchi's antipode, duality by transposition (which swaps the systems), and
-the preorder rectangle on the mu and pi tables.  The local route, free
-self-duality and the rectangle keep their element routes as the oracle for
-n <= 2.
+the preorder rectangle, decided by the Hopf kernel of (nabla^mu, Delta^pi)
+over every subset of {1..n}.  The local route, free self-duality and the
+rectangle keep their element routes as the oracle for n <= 2.
 
 A check that contradicts a theorem that is supposed to hold at desk scale
 raises ``FatalInconsistency``: that always means an implementation bug, and
@@ -962,115 +962,64 @@ RECTANGLE_PARTS = (2, 3)
 
 
 def check_preorder_rectangle(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> CheckReport:
-    """mu-then-pi over crossed decompositions equals per-part pi, twist,
-    per-part mu; the set-level rectangle behind transitivity of the order.
+    """mu-then-pi over crossed decompositions R, S of J equals per-part pi,
+    twist, per-part mu, for every J inside {1..m}, m <= max_n: the set-level
+    rectangle behind transitivity of the order.
 
-    Compared on positions of the compiled mu and pi tables, with the element
-    route as the oracle for n <= ORACLE_MAX_N (``FatalInconsistency`` on a
-    split); a mu or pi result outside its component raises ``ValueError``."""
+    The 2x2 instances are the Hopf compatibility of (nabla^mu, Delta^pi),
+    which ``_hopf_terms`` decides on positions, and they give every k x l
+    instance, since mu.fold and pi.fold are left folds.  With J' = R_1 u
+    ... u R_{k-1}, peeling R_k off R splits the k x l instance over J into
+    the 2 x l one over J for (J', R_k) and the (k-1) x l one over J'.
+    Peeling S_1 off S splits a 2 x l instance over J into the 2x2 one over J
+    for (S_1, J - S_1) and the 2 x (l-1) one over J - S_1.  With one part
+    both sides are the same.
+    Only the folds' definitions are used: no (co)associativity, unit or
+    naturality.  The kernel names no witness; the element route, over the
+    same Js (I first) and every k, l in RECTANGLE_PARTS, is the oracle for
+    m <= ORACLE_MAX_N (``FatalInconsistency`` on a split) and the witness
+    finder.  A mu or pi result outside its component raises ``ValueError``.
+    """
     guard_max_n(max_n)
     if entry.mu is None or entry.pi is None:
         return CheckReport("preorder_rectangle", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
     h = LinearizedHopf(entry.key, entry.species, entry.mu, entry.pi)
-    return _check_diagram(h, "preorder_rectangle", max_n, 0,
-                          _rectangle_terms, _rectangle_elements)
+
+    def kernel(h, I, decs):
+        failed = any(_hopf_terms(h, J, decompositions(J, 2)) for J in _subgrounds(I))
+        return False if failed else None
+
+    return _check_diagram(h, "preorder_rectangle", max_n, 0, kernel, _rectangle_elements)
 
 
-def _fold_readers(mu: MultSystem, pi: ComultSystem):
-    """``mu_steps(parts)`` and ``pi_folds(parts)``, each built once per
-    decomposition from the compiled tables: mu.fold over ``parts`` as
-    (table, width) lookups after the first part, for ``_fold_positions``, and
-    pi.fold over ``parts`` of every position of P[union] as a position tuple."""
-    dim = mu.species.dim
-
-    @functools.cache
-    def mu_steps(parts):
-        steps, ground = [], parts[0]
-        for part in parts[1:]:
-            steps.append((mu.table(ground, part), dim(part)))
-            ground = ground.union(part)
-        return steps
-
-    @functools.cache
-    def pi_folds(parts):
-        rest, tables = union_all(parts), []
-        size = dim(rest)
-        for part in parts[:-1]:
-            rest = rest.minus(part)
-            tables.append(pi.table(part, rest))
-        folds = []
-        for c in range(size):
-            xs, r = [], c
-            for table in tables:  # peel the next part off the rest
-                x, r = table[r]
-                xs.append(x)
-            folds.append((*xs, r))
-        return folds
-
-    return mu_steps, pi_folds
-
-
-def _fold_positions(steps, xs) -> int:
-    """mu.fold of the positions ``xs`` along ``mu_steps``."""
-    acc = xs[0]
-    for (table, width), x in zip(steps, xs[1:]):
-        acc = table[acc * width + x]
-    return acc
-
-
-def _rectangle_terms(h, I, decs):
-    el, dim = h.basis.elements, h.basis.dim
-    mu_steps, pi_folds = _fold_readers(h.product, h.coproduct)
-    for k in RECTANGLE_PARTS:
-        rdecs = decompositions(I, k)
-        for l in RECTANGLE_PARTS:
-            sdecs = decompositions(I, l)
-            for rparts in rdecs:
-                plans = []
-                for sparts in sdecs:
-                    grid = [tuple(R.intersect(Sj) for Sj in sparts) for R in rparts]
-                    plans.append((sparts, pi_folds(sparts), [pi_folds(row) for row in grid],
-                                  [mu_steps(col) for col in zip(*grid)]))
-                steps = mu_steps(rparts)
-                for xs in itertools.product(*(range(dim(R)) for R in rparts)):
-                    lam = _fold_positions(steps, xs)
-                    for sparts, lhs_of, cells_of, cols in plans:
-                        lhs = lhs_of[lam]
-                        cells = [of[x] for of, x in zip(cells_of, xs)]
-                        rhs = tuple(_fold_positions(col, row)
-                                    for col, row in zip(cols, zip(*cells)))
-                        if lhs != rhs:
-                            return {"R_parts": [list(R) for R in rparts],
-                                    "S_parts": [list(S) for S in sparts],
-                                    "inputs": [str(el(R)[x]) for R, x in zip(rparts, xs)],
-                                    "lhs": [str(el(S)[p]) for S, p in zip(sparts, lhs)],
-                                    "rhs": [str(el(S)[p]) for S, p in zip(sparts, rhs)]}
-    return None
+def _subgrounds(I: GroundSet):
+    """I, then its proper subsets by size, then lexicographically."""
+    yield I
+    for size in range(len(I)):
+        yield from map(GroundSet, itertools.combinations(I.labels, size))
 
 
 def _rectangle_elements(h, I, decs):
     mu, pi, sp = h.product, h.coproduct, h.basis
-    for k in RECTANGLE_PARTS:
-        rdecs = decompositions(I, k)
-        for l in RECTANGLE_PARTS:
-            sdecs = decompositions(I, l)
-            for rparts in rdecs:
-                pools = [sp.elements(R) for R in rparts]
-                for xs in itertools.product(*pools):
-                    lam = mu.fold(rparts, xs)
-                    for sparts in sdecs:
-                        lhs = pi.fold(sparts, lam)
-                        cells = [pi.fold(tuple(R.intersect(Sj) for Sj in sparts), x)
-                                 for R, x in zip(rparts, xs)]
-                        rhs = tuple(
-                            mu.fold(tuple(R.intersect(Sj) for R in rparts),
-                                    tuple(cells[i][j] for i in range(k)))
-                            for j, Sj in enumerate(sparts))
-                        if tuple(lhs) != rhs:
-                            return {"R_parts": [list(R) for R in rparts],
-                                    "S_parts": [list(S) for S in sparts],
-                                    "inputs": [str(x) for x in xs],
-                                    "lhs": [str(e) for e in lhs],
-                                    "rhs": [str(e) for e in rhs]}
+    for J, k, l in itertools.product(_subgrounds(I), RECTANGLE_PARTS, RECTANGLE_PARTS):
+        rdecs, sdecs = decompositions(J, k), decompositions(J, l)
+        for rparts in rdecs:
+            pools = [sp.elements(R) for R in rparts]
+            for xs in itertools.product(*pools):
+                lam = mu.fold(rparts, xs)
+                for sparts in sdecs:
+                    lhs = pi.fold(sparts, lam)
+                    cells = [pi.fold(tuple(R.intersect(Sj) for Sj in sparts), x)
+                             for R, x in zip(rparts, xs)]
+                    rhs = tuple(
+                        mu.fold(tuple(R.intersect(Sj) for R in rparts),
+                                tuple(cells[i][j] for i in range(k)))
+                        for j, Sj in enumerate(sparts))
+                    if tuple(lhs) != rhs:
+                        return {"R_parts": [list(R) for R in rparts],
+                                "S_parts": [list(S) for S in sparts],
+                                "inputs": [str(x) for x in xs],
+                                "lhs": [str(e) for e in lhs],
+                                "rhs": [str(e) for e in rhs]}
     return None

@@ -33,12 +33,9 @@ import itertools
 from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
     TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, GroundSet, SetPartitionElt,
-    TensorVec, Vec, cross_check, decompositions, set_partitions,
+    TensorVec, Vec, cross_check, decompositions, set_partitions, union_all,
 )
-from .engine import (
-    DEFAULT_MAX_N, FatalInconsistency, LinearizedHopf, _fold_positions, _fold_readers,
-    guard_max_n, hopf_from,
-)
+from .engine import DEFAULT_MAX_N, FatalInconsistency, LinearizedHopf, guard_max_n, hopf_from
 from .classify import FMu, f_mu
 
 
@@ -169,6 +166,48 @@ def _certified(key: str, I: GroundSet, closure: set, kfold: set) -> frozenset:
                 f"order is not antisymmetric for {key} over {I}",
                 witness={"pair": [str(a), str(b)]})
     return frozenset(kfold)
+
+
+def _fold_readers(mu: MultSystem, pi: ComultSystem):
+    """``mu_steps(parts)`` and ``pi_folds(parts)``, each built once per
+    decomposition from the compiled tables: mu.fold over ``parts`` as
+    (table, width) lookups after the first part, for ``_fold_positions``, and
+    pi.fold over ``parts`` of every position of P[union] as a position tuple."""
+    dim = mu.species.dim
+
+    @functools.cache
+    def mu_steps(parts):
+        steps, ground = [], parts[0]
+        for part in parts[1:]:
+            steps.append((mu.table(ground, part), dim(part)))
+            ground = ground.union(part)
+        return steps
+
+    @functools.cache
+    def pi_folds(parts):
+        rest, tables = union_all(parts), []
+        size = dim(rest)
+        for part in parts[:-1]:
+            rest = rest.minus(part)
+            tables.append(pi.table(part, rest))
+        folds = []
+        for c in range(size):
+            xs, r = [], c
+            for table in tables:  # peel the next part off the rest
+                x, r = table[r]
+                xs.append(x)
+            folds.append((*xs, r))
+        return folds
+
+    return mu_steps, pi_folds
+
+
+def _fold_positions(steps, xs) -> int:
+    """mu.fold of the positions ``xs`` along ``mu_steps``."""
+    acc = xs[0]
+    for (table, width), x in zip(steps, xs[1:]):
+        acc = table[acc * width + x]
+    return acc
 
 
 def _order_tables(mu, pi, I, key, partitions, pairs) -> frozenset:

@@ -536,3 +536,25 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     loaded = json.loads(proc.stdout)
     assert "species_forge.cli" in loaded
     assert not {"dataclasses", "inspect"} & set(loaded), loaded
+
+
+@pytest.mark.parametrize("read,argv", [
+    # about 240 kB of JSON, far more than a pipe holds: the CLI is still
+    # writing when the reader goes away
+    (16, ("table", "--species", "Perm", "--max-n", "5", "--constants")),
+    # a few hundred bytes, which a buffered stdout writes only when main
+    # flushes it, after the reader is gone
+    (0, ("table", "--species", "E", "--max-n", "2")),
+], ids=["while-writing", "at-flush"])
+def test_reader_closing_stdout_early_is_exit_1_without_traceback(read, argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "species_forge.cli", *argv],
+        env=dict(env, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr

@@ -1,6 +1,7 @@
 """Axioms, self-compatibility, structure constants, antipode, duality."""
 
 import itertools
+import random
 
 import pytest
 
@@ -1325,10 +1326,17 @@ def _local_agree(mu, max_n=3):
 
 
 def _rectangle_agree(entry, max_n=3):
+    """The element route's (status, n, witness).  With the oracle off, the row
+    asks the element route only where the Hopf kernel fails, and a kernel
+    failure the element route does not confirm is fatal: so the row reports
+    the same only if the kernel fails first at the same n."""
     h = eng.LinearizedHopf(entry.key, entry.species, entry.mu, entry.pi)
-    fast = _route_report(eng._rectangle_terms, h, 0, max_n)
-    assert fast == _route_report(eng._rectangle_elements, h, 0, max_n), entry.key
-    return fast
+    slow = _route_report(eng._rectangle_elements, h, 0, max_n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eng, "ORACLE_MAX_N", -1)
+        rep = check_preorder_rectangle(entry, max_n)
+    assert (rep.status, rep.n, rep.witness) == slow, entry.key
+    return slow
 
 
 @pytest.mark.parametrize("family,args", _grid(), ids=str)
@@ -1351,7 +1359,7 @@ def test_local_routes_agree_on_catalog_and_mutants():
     assert _local_agree(make_L().mu)[2]["condition"] == "commutative"
 
 
-def test_rectangle_routes_agree_on_catalog_and_mutants():
+def test_rectangle_routes_agree_on_catalog_and_mutants(monkeypatch, entries):
     for spec in ("E", "E_C:2", "Pi", "L", "Perm"):
         assert _rectangle_agree(parse_species(spec)) == ("pass", 3, None)
     assert _rectangle_agree(with_derived_pi(parse_species("S(X_C:2)"), 3))[0] == "pass"
@@ -1369,6 +1377,86 @@ def test_rectangle_routes_agree_on_catalog_and_mutants():
     assert (status, n, witness["S_parts"]) == ("fail", 3, [[], [1, 2, 3]])
     rep = check_preorder_rectangle(_pi_mutant(), 3)
     assert (rep.status, rep.n) == ("fail", 3) and rep.witness["S_parts"] == [[1, 2], [3]]
+    # the fast route is the Hopf kernel of (nabla^mu, Delta^pi) over I = {1..m}
+    # first, then over its proper subsets by size, then lexicographically
+    seen = []
+
+    def spy(h, J, decs, route=eng._hopf_terms):
+        assert (h.product, h.coproduct, decs) == (entries["Pi"].mu, entries["Pi"].pi,
+                                                  decompositions(J, 2))
+        seen.append(J.labels)
+        return route(h, J, decs)
+
+    monkeypatch.setattr(eng, "_hopf_terms", spy)
+    assert check_preorder_rectangle(entries["Pi"], 2).ok
+    assert seen == [(), (1,), (), (1, 2), (), (1,), (2,)]
+
+
+def _rectangle_sides(entry, R, S, xs):
+    """The two sides of the rectangle on elements: pi.fold over S of mu.fold
+    over R, and per part of S the mu.fold of the cells R_i n S_j."""
+    mu, pi = entry.mu, entry.pi
+    cells = [pi.fold(tuple(Ri.intersect(Sj) for Sj in S), x) for Ri, x in zip(R, xs)]
+    return (tuple(pi.fold(S, mu.fold(R, xs))),
+            tuple(mu.fold(tuple(Ri.intersect(Sj) for Ri in R), col)
+                  for Sj, col in zip(S, zip(*cells))))
+
+
+def _rectangle_fails(entry, J):
+    """Some k x l instance of the rectangle over J fails, k, l in {2, 3}."""
+    for k, l in itertools.product((2, 3), repeat=2):
+        for R in decompositions(J, k):
+            for xs in itertools.product(*map(entry.species.elements, R)):
+                for S in decompositions(J, l):
+                    lhs, rhs = _rectangle_sides(entry, R, S, xs)
+                    if lhs != rhs:
+                        return True
+    return False
+
+
+def _single_value_mutant(entry, rng):
+    """``entry`` with one value of mu or pi over a disjoint pair of subsets of
+    {1,2,3} replaced by another element, all drawn from ``rng``."""
+    sp = entry.species
+    while True:
+        S, T, _ = rng.choice(decompositions(GroundSet.first(3), 3))
+        if rng.random() < 0.5:
+            key = (S, T, rng.choice(sp.elements(S)), rng.choice(sp.elements(T)))
+            others = [z for z in sp.elements(S.union(T)) if z != entry.mu(*key)]
+            if others:
+                new = rng.choice(others)
+                mu = MultSystem(sp, lambda *args: new if args == key else entry.mu(*args))
+                return CatalogEntry(entry.key + "-mu", sp, mu, entry.pi)
+        else:
+            key = (S, T, rng.choice(sp.elements(S.union(T))))
+            others = [p for p in itertools.product(sp.elements(S), sp.elements(T))
+                      if p != tuple(entry.pi(*key))]
+            if others:
+                new = rng.choice(others)
+                pi = ComultSystem(sp, lambda *args: new if args == key else entry.pi(*args))
+                return CatalogEntry(entry.key + "-pi", sp, entry.mu, pi)
+
+
+def test_rectangle_row_is_the_exhaustive_rectangle_over_every_subset_on_mutants():
+    # every one of these mutants breaks the rectangle, some at n = 2, where the
+    # element oracle runs beside the kernel, and some at n = 3, where it runs
+    # only because the kernel failed
+    rng, failed_at = random.Random(2201), []
+    for spec, count in (("E_C:2", 12), ("L", 12), ("Pi", 6)):
+        for _ in range(count):
+            entry = _single_value_mutant(parse_species(spec), rng)
+            rep = check_preorder_rectangle(entry, 3)  # a split would raise
+            first = next((m for m in range(4) if any(
+                _rectangle_fails(entry, GroundSet(labels)) for size in range(m + 1)
+                for labels in itertools.combinations(range(1, m + 1), size))), None)
+            assert (rep.status, rep.n) == ("fail", first), entry.key
+            failed_at.append(first)
+            w, sp = rep.witness, entry.species
+            R, S = (tuple(map(GroundSet.of, w[side])) for side in ("R_parts", "S_parts"))
+            xs = [next(x for x in sp.elements(Ri) if str(x) == s) for Ri, s in zip(R, w["inputs"])]
+            lhs, rhs = _rectangle_sides(entry, R, S, xs)
+            assert lhs != rhs and [w["lhs"], w["rhs"]] == [list(map(str, lhs)), list(map(str, rhs))]
+    assert set(failed_at) == {2, 3}
 
 
 def test_element_oracles_run_in_every_call(monkeypatch, entries):
@@ -1391,14 +1479,18 @@ def test_element_oracles_run_in_every_call(monkeypatch, entries):
     assert (rep.status, rep.n, seen) == ("fail", 2, [0, 2])
 
 
-@pytest.mark.parametrize("name", ["_local_terms", "_rectangle_terms", "_fsd_terms"])
+@pytest.mark.parametrize("name", ["_local_terms", "_hopf_terms", "_fsd_terms"])
 def test_table_split_from_element_oracle_is_fatal(monkeypatch, entries, name):
     route = getattr(eng, name)
 
     def lie(h, I, decs):
-        # the FSD kernel never names a witness: it flips None and False
+        # the FSD kernel never names a witness: it flips None and False; the
+        # rectangle keeps no witness of the Hopf kernel it runs over every J,
+        # so flipping that kernel over each J of size n flips the row at n
         if name == "_fsd_terms":
             return False if route(h, I, decs) is None else None
+        if name == "_hopf_terms":
+            return {"forced": True} if route(h, I, decs) is None else None
         return {"forced": True}
 
     def lies_at(n):
@@ -1415,15 +1507,16 @@ def test_table_split_from_element_oracle_is_fatal(monkeypatch, entries, name):
     with pytest.raises(FatalInconsistency, match="table and element"):
         check()
     if name == "_fsd_terms":
-        # the reverse flip is fatal too (Pi's mu-pi triple fails at n = 2), and
-        # past the oracle a False is fatal unless the element route confirms it
+        # the reverse flip is fatal too (Pi's mu-pi triple fails at n = 2)
         with pytest.raises(FatalInconsistency, match="table and element fsd"):
             check(("mu", "pi"))
-        monkeypatch.setattr(eng, name, lies_at(eng.ORACLE_MAX_N + 1))
-        with pytest.raises(FatalInconsistency, match=f"fsd checks .* at n={eng.ORACLE_MAX_N + 1}"):
-            check()
-        return
-    # past the oracle the table route alone decides
     monkeypatch.setattr(eng, name, lies_at(eng.ORACLE_MAX_N + 1))
-    rep = check()
-    assert (rep.status, rep.witness) == ("fail", {"forced": True})
+    if name == "_local_terms":
+        # past the oracle the table route alone decides
+        rep = check()
+        assert (rep.status, rep.witness) == ("fail", {"forced": True})
+        return
+    # past the oracle a False is fatal unless the element route confirms it
+    row = "fsd" if name == "_fsd_terms" else "preorder_rectangle"
+    with pytest.raises(FatalInconsistency, match=f"{row} checks .* at n={eng.ORACLE_MAX_N + 1}"):
+        check()
