@@ -78,6 +78,7 @@ class LinearizedHopf:
         self.basis = basis
         self.product = product
         self.coproduct = coproduct
+        self._readers = None  # _position_readers, when kept for a whole check
 
     def unit(self) -> Element:
         return self.basis.unit_element()
@@ -315,12 +316,15 @@ def _pi_counital(pi, I, decs):
 
 def _position_readers(h: LinearizedHopf):
     """``products(S, T)`` and ``splits(S, T)`` for ``_hopf_terms``,
-    ``_delta_nabla_terms`` and ``_fsd_terms``, each built once per (S, T):
+    ``_delta_nabla_terms`` and ``_fsd_terms``, each built once per (S, T)
+    (or the ones a check kept on h for all its calls):
     entry a * dim(T) + b of the first holds the terms of nabla_{S,T}(x_a (x)
     y_b) as positions in P[S u T], entry c of the second the terms of
     Delta_{S,T}(z_c) as pairs of positions in P[S] and P[T].  nabla^mu and
     Delta^pi read their system's table; nabla^pi and Delta^mu invert the other
     system's table, which keeps each fiber in the species' element order."""
+    if h._readers is not None:
+        return h._readers
     dim = h.basis.dim
 
     @functools.cache
@@ -975,16 +979,20 @@ def check_preorder_rectangle(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) ->
     for (S_1, J - S_1) and the 2 x (l-1) one over J - S_1.  With one part
     both sides are the same.
     Only the folds' definitions are used: no (co)associativity, unit or
-    naturality.  The kernel names no witness; the element route, over the
-    same Js (I first) and every k, l in RECTANGLE_PARTS, is the oracle for
-    m <= ORACLE_MAX_N (``FatalInconsistency`` on a split) and the witness
-    finder.  A mu or pi result outside its component raises ``ValueError``.
+    naturality.  At each m only the J that contain m are decided (J = I =
+    {} at m = 0), since the others were decided at m = max(J); the Hopf
+    readers are built once per row.  The kernel names no witness; the
+    element route, over the same Js (I first) and every k, l in
+    RECTANGLE_PARTS, is the oracle for m <= ORACLE_MAX_N
+    (``FatalInconsistency`` on a split) and the witness finder.  A mu or
+    pi result outside its component raises ``ValueError``.
     """
     guard_max_n(max_n)
     if entry.mu is None or entry.pi is None:
         return CheckReport("preorder_rectangle", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
     h = LinearizedHopf(entry.key, entry.species, entry.mu, entry.pi)
+    h._readers = _position_readers(h)  # shared by the kernel's calls over every J
 
     def kernel(h, I, decs):
         failed = any(_hopf_terms(h, J, decompositions(J, 2)) for J in _subgrounds(I))
@@ -994,10 +1002,14 @@ def check_preorder_rectangle(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) ->
 
 
 def _subgrounds(I: GroundSet):
-    """I, then its proper subsets by size, then lexicographically."""
+    """The J inside I = {1..m} that contain m (only J = I at m = 0): I, then
+    the others by size, then lexicographically.  Over m = 0..n each J inside
+    {1..n} comes once, at m = max(J), so the first failing m is the one
+    found by deciding every J inside {1..m} at each m."""
     yield I
-    for size in range(len(I)):
-        yield from map(GroundSet, itertools.combinations(I.labels, size))
+    for size in range(1, len(I)):
+        for labels in itertools.combinations(I.labels[:-1], size - 1):
+            yield GroundSet(labels + I.labels[-1:])
 
 
 def _rectangle_elements(h, I, decs):

@@ -11,9 +11,12 @@ The order is built and checked on positions in ``elements(I)``: the folds
 are chains of compiled mu/pi table lookups, the closure is Warshall on
 bitmasks, and each slice keeps, per position, the bitmask of the elements
 strictly above it and of those strictly below.  Transport (on the species'
-transport tables), the lower-interval lattices, (A)/(B) and the round trip
-are decided on those masks.  Each keeps its element route, which compares
-elements through ``le``/``lt``, that is through the pairs in ``strict``:
+transport tables), the lower-interval lattices, (A)/(B), the round trip and
+the four p/q basis identities (p as the masks of the elements above, q as
+integer rows of common-lower-bound counts, with nabla^pi and Delta^mu read
+off the compiled tables) are decided on those masks.  Each keeps its element
+route, which compares elements through ``le``/``lt``, that is through the
+pairs in ``strict`` (the basis identities keep their route on ``Vec``s):
 ``core.cross_check`` runs it up to n = TABLE_ORACLE_MAX_N, and wherever the
 masks see a failure, to find the witness (the lattices do the same, and
 compare the data they surface too).  The mask routes rely on what
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
@@ -85,12 +89,28 @@ class OrderSlice:
         return a == b or (a, b) in self.strict
 
     def down(self, lam: Element) -> list[Element]:
-        k = self.index[lam]
-        return [self.elements[j] for j in _bits(self.below[k] | 1 << k)]
+        return [self.elements[j] for j in _bits(self.downs[self.index[lam]])]
 
     def up(self, lam: Element) -> list[Element]:
-        k = self.index[lam]
-        return [self.elements[j] for j in _bits(self.above[k] | 1 << k)]
+        return [self.elements[j] for j in _bits(self.ups[self.index[lam]])]
+
+    @functools.cached_property
+    def downs(self) -> list[int]:
+        """Per position k, the mask of the positions below k or equal to it."""
+        return [m | 1 << k for k, m in enumerate(self.below)]
+
+    @functools.cached_property
+    def ups(self) -> list[int]:
+        """Per position k, the mask of the positions above k or equal to it:
+        the support of p at k."""
+        return [m | 1 << k for k, m in enumerate(self.above)]
+
+    @functools.cached_property
+    def q_rows(self) -> list[list[int]]:
+        """Entry f of row k is the coefficient of position f in q at k: the
+        number of positions below both k and f, so the rows are symmetric."""
+        downs = self.downs
+        return [[(d & e).bit_count() for e in downs] for d in downs]
 
     def covers(self) -> list[tuple[Element, Element]]:
         """Pairs a < b with nothing strictly between, in element order."""
@@ -102,7 +122,7 @@ class OrderSlice:
     def meetless(self) -> list[int]:
         """Bit b of entry a is set when the common lower bounds of a and b
         have no greatest element."""
-        le = [m | 1 << k for k, m in enumerate(self.below)]
+        le = self.downs
         principal = set(le)
         out = [0] * len(le)
         for a, la in enumerate(le):
@@ -275,6 +295,7 @@ class SpeciesOrder:
         self.pi = pi
         self.key = species_key or mu.species.name
         self._slices: dict[GroundSet, OrderSlice] = {}
+        self._pq: dict[GroundSet, PQTables] = {}
 
     def slice(self, I: GroundSet) -> OrderSlice:
         if I not in self._slices:
@@ -360,7 +381,7 @@ def _lower_lattice_masks(sl: OrderSlice, lam: Element, fmu: FMu | None) -> dict 
     """The pass witness of the lower interval of lam, or None where the
     masks see a failure."""
     k = sl.index[lam]
-    down = sl.below[k] | 1 << k
+    down = sl.downs[k]
     interval = _bits(down)
     if any(sl.meetless[a] & down for a in interval):
         return None
@@ -480,8 +501,8 @@ def check_AB(order: SpeciesOrder, mu: MultSystem, max_n: int = DEFAULT_MAX_N) ->
 def _greatest_in_image(sl: OrderSlice, image: int) -> list[int | None]:
     """Per position lam, the greatest position of ``image`` below lam (the
     unique maximal one), or None."""
-    top = {(sl.below[m] | 1 << m) & image: m for m in _bits(image)}
-    return [top.get((down | 1 << k) & image) for k, down in enumerate(sl.below)]
+    top = {sl.downs[m] & image: m for m in _bits(image)}
+    return [top.get(down & image) for down in sl.downs]
 
 
 def _AB_masks(order: SpeciesOrder, mu: MultSystem, I: GroundSet, decs) -> bool | None:
@@ -498,14 +519,14 @@ def _AB_masks(order: SpeciesOrder, mu: MultSystem, I: GroundSet, decs) -> bool |
     for S, T in decs:
         sls, slt = order.slice(S), order.slice(T)
         table, width = mu.table(S, T), len(slt.elements)
-        for lam, below_s in enumerate(sls.below):
-            rows = _bits(below_s | 1 << lam)
-            for lam2, below_t in enumerate(slt.below):
-                cols = _bits(below_t | 1 << lam2)
+        for lam, down_s in enumerate(sls.downs):
+            rows = _bits(down_s)
+            for lam2, down_t in enumerate(slt.downs):
+                cols = _bits(down_t)
                 prod = table[lam * width + lam2]
                 mapped = {table[a * width + b] for a in rows for b in cols}
                 if len(mapped) != len(rows) * len(cols) or \
-                        sum(1 << c for c in mapped) != sl.below[prod] | 1 << prod:
+                        sum(1 << c for c in mapped) != sl.downs[prod]:
                     return False
         if None in _greatest_in_image(sl, sum(1 << c for c in set(table))):
             return False
@@ -629,24 +650,30 @@ class PQTables:
 
 
 def pq_tables(order: SpeciesOrder, I: GroundSet) -> PQTables:
-    """p sums everything above an element; q sums p over everything below."""
-    sl = order.slice(I)
-    p = {lam: Vec(I, [(e, 1) for e in sl.up(lam)]) for lam in sl.elements}
-    q = {}
-    for lam in sl.elements:
-        acc = Vec.zero(I)
-        for e in sl.down(lam):
-            acc = acc + p[e]
-        q[lam] = acc
-    return PQTables(I, p, q)
+    """p sums everything above an element; q sums p over everything below.
+
+    Built once per slice and kept on the order."""
+    got = order._pq.get(I)
+    if got is None:
+        sl = order.slice(I)
+        p = {lam: Vec(I, [(e, 1) for e in sl.up(lam)]) for lam in sl.elements}
+        q = {}
+        for lam in sl.elements:
+            acc = Vec.zero(I)
+            for e in sl.down(lam):
+                acc = acc + p[e]
+            q[lam] = acc
+        got = order._pq[I] = PQTables(I, p, q)
+    return got
 
 
-def _p_product(h_pi_mu: LinearizedHopf, mu: MultSystem, tab, S: GroundSet, T: GroundSet,
+def _p_product(h_pi_mu: LinearizedHopf, mu: MultSystem, tables, S: GroundSet, T: GroundSet,
                a: Element, b: Element) -> tuple[Vec, Vec]:
     """Both sides of the p-product identity nabla^pi(p_a (x) p_b) = p_{mu(a,b)},
-    with ``tab`` giving the p/q tables of a ground set."""
-    got = h_pi_mu.nabla(S, T, TensorVec.tensor(tab(S).p[a], tab(T).p[b]))
-    return got, tab(S.union(T)).p[mu(S, T, a, b)]
+    with ``tables`` the p/q tables over S, T and S u T."""
+    ts, tt, ti = tables
+    got = h_pi_mu.nabla(S, T, TensorVec.tensor(ts.p[a], tt.p[b]))
+    return got, ti.p[mu(S, T, a, b)]
 
 
 def check_pq_unitriangular(order: SpeciesOrder, max_n: int = DEFAULT_MAX_N) -> CheckReport:
@@ -678,7 +705,10 @@ def check_basis_theorem(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> Chec
 
     In the p basis the mixed product acts like mu and the mu-coproduct splits
     products (or kills non-products); in the q basis both act exactly like
-    the original pair (mu, pi).  Any failure is fatal.
+    the original pair (mu, pi).  Any failure is fatal.  Decided on the masks
+    and the compiled mu/pi tables; the Vec route runs up to n =
+    TABLE_ORACLE_MAX_N and wherever the positions see a failure, and raises
+    the failure it finds (a split raises too).
     """
     guard_max_n(max_n)
     if entry.mu is None or entry.pi is None:
@@ -686,48 +716,102 @@ def check_basis_theorem(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> Chec
                            {"reason": "needs both systems"})
     order = order_of(entry)
     h_pi_mu = hopf_from(entry, "pi", "mu")   # product nabla^pi, coproduct Delta^mu
-    tab = functools.cache(lambda I: pq_tables(order, I))
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
-        ti = tab(I)
-        for S, T in decompositions(I, 2):
-            ts, tt = tab(S), tab(T)
-            mu_image = entry.mu.image(S, T)
-            for a in entry.species.elements(S):
-                for b in entry.species.elements(T):
-                    got, want = _p_product(h_pi_mu, entry.mu, tab, S, T, a, b)
-                    if got != want:
-                        raise FatalInconsistency(
-                            f"p-product identity fails for {entry.key}",
-                            witness={"S": list(S), "T": list(T),
-                                     "inputs": [str(a), str(b)],
-                                     "got": str(got), "want": str(want)})
-                    wantq = ti.q[entry.mu(S, T, a, b)]
-                    gotq = h_pi_mu.nabla(S, T, TensorVec.tensor(ts.q[a], tt.q[b]))
-                    if gotq != wantq:
-                        raise FatalInconsistency(
-                            f"q-product identity fails for {entry.key}",
-                            witness={"S": list(S), "T": list(T),
-                                     "inputs": [str(a), str(b)]})
-            for lam in entry.species.elements(I):
-                got = h_pi_mu.delta(S, T, ti.p[lam])
-                fiber = entry.mu.fiber(S, T, lam)
-                if lam in mu_image:
-                    a, b = fiber[0]
-                    want = TensorVec.tensor(ts.p[a], tt.p[b])
-                else:
-                    want = TensorVec.zero((S, T))
+    decs = functools.cache(lambda I: decompositions(I, 2))
+    return cross_check("basis_identities", entry.key, map(GroundSet.first, range(max_n + 1)),
+                       lambda I: _basis_positions(order, I, decs(I)),
+                       lambda I: _basis_vecs(order, h_pi_mu, I, decs(I)), TABLE_ORACLE_MAX_N)
+
+
+def _basis_positions(order: SpeciesOrder, I: GroundSet, decs) -> bool | None:
+    """None when the four identities hold over I, else False.
+
+    p_k is the mask ``ups[k]`` and q_k the row ``q_rows[k]``.  nabla^pi(x (x)
+    y) sums the z with pi(z) = (x, y), and Delta^mu(z) the pairs of the
+    mu-fiber of z, so per (S, T):
+    p-product: the z with pi(z) in ups[a] x ups[b] make up ups[mu(a, b)];
+    p-coproduct: mu(x, y) lies above lam iff lam is a product whose first
+    fiber pair (a, b) has a <= x and b <= y, which is compared per (x, y) as
+    masks of lam;
+    q-product: q_S[a][s] * q_T[b][t] = q_I[mu(a, b)][z] for each z, with
+    (s, t) = pi(z).  Since the q rows are symmetric, the q-coproduct
+    identity q_I[lam][mu(x, y)] = q_S[s][x] * q_T[t][y], with (s, t) =
+    pi(lam), is the q-product identity at (x, y) and z = lam.  Each sum of
+    masks below adds disjoint masks: a z has one pi(z), and a product one
+    first fiber pair."""
+    mu, pi = order.mu, order.pi
+    sl = order.slice(I)
+    for S, T in decs:
+        sls, slt = order.slice(S), order.slice(T)
+        table, split, width = mu.table(S, T), pi.table(S, T), len(slt.elements)
+        with_s, with_t = [0] * len(sls.elements), [0] * width
+        for z, (s, t) in enumerate(split):
+            with_s[s] |= 1 << z
+            with_t[t] |= 1 << z
+        over_s = [sum(with_s[x] for x in _bits(m)) for m in sls.ups]
+        over_t = [sum(with_t[y] for y in _bits(m)) for m in slt.ups]
+        if [u & v for u in over_s for v in over_t] != [sl.ups[c] for c in table]:
+            return False
+        first_s, first_t, seen = [0] * len(sls.elements), [0] * width, 0
+        for k, c in enumerate(table):
+            if not seen >> c & 1:
+                seen |= 1 << c
+                first_s[k // width] |= 1 << c
+                first_t[k % width] |= 1 << c
+        under_s = [sum(first_s[a] for a in _bits(m)) for m in sls.downs]
+        under_t = [sum(first_t[b] for b in _bits(m)) for m in slt.downs]
+        if [u & v for u in under_s for v in under_t] != [sl.downs[c] for c in table]:
+            return False
+        cols_s = [[row[s] for s, _ in split] for row in sls.q_rows]
+        cols_t = [[row[t] for _, t in split] for row in slt.q_rows]
+        if any(list(map(operator.mul, u, v)) != sl.q_rows[c]
+               for (u, v), c in zip(itertools.product(cols_s, cols_t), table)):
+            return False
+    return None
+
+
+def _basis_vecs(order: SpeciesOrder, h_pi_mu: LinearizedHopf, I: GroundSet, decs) -> None:
+    """The four identities over I on Vecs; the first failure raises."""
+    mu, pi, sp = order.mu, order.pi, order.mu.species
+    key = order.key
+    ti = pq_tables(order, I)
+    for S, T in decs:
+        ts, tt = pq_tables(order, S), pq_tables(order, T)
+        mu_image = mu.image(S, T)
+        for a in sp.elements(S):
+            for b in sp.elements(T):
+                got, want = _p_product(h_pi_mu, mu, (ts, tt, ti), S, T, a, b)
                 if got != want:
                     raise FatalInconsistency(
-                        f"p-coproduct identity fails for {entry.key}",
-                        witness={"S": list(S), "T": list(T), "lambda": str(lam),
+                        f"p-product identity fails for {key}",
+                        witness={"S": list(S), "T": list(T),
+                                 "inputs": [str(a), str(b)],
                                  "got": str(got), "want": str(want)})
-                a2, b2 = entry.pi(S, T, lam)
-                if h_pi_mu.delta(S, T, ti.q[lam]) != TensorVec.tensor(ts.q[a2], tt.q[b2]):
+                wantq = ti.q[mu(S, T, a, b)]
+                gotq = h_pi_mu.nabla(S, T, TensorVec.tensor(ts.q[a], tt.q[b]))
+                if gotq != wantq:
                     raise FatalInconsistency(
-                        f"q-coproduct identity fails for {entry.key}",
-                        witness={"S": list(S), "T": list(T), "lambda": str(lam)})
-    return CheckReport("basis_identities", entry.key, max_n, "pass")
+                        f"q-product identity fails for {key}",
+                        witness={"S": list(S), "T": list(T),
+                                 "inputs": [str(a), str(b)]})
+        for lam in sp.elements(I):
+            got = h_pi_mu.delta(S, T, ti.p[lam])
+            fiber = mu.fiber(S, T, lam)
+            if lam in mu_image:
+                a, b = fiber[0]
+                want = TensorVec.tensor(ts.p[a], tt.p[b])
+            else:
+                want = TensorVec.zero((S, T))
+            if got != want:
+                raise FatalInconsistency(
+                    f"p-coproduct identity fails for {key}",
+                    witness={"S": list(S), "T": list(T), "lambda": str(lam),
+                             "got": str(got), "want": str(want)})
+            a2, b2 = pi(S, T, lam)
+            if h_pi_mu.delta(S, T, ti.q[lam]) != TensorVec.tensor(ts.q[a2], tt.q[b2]):
+                raise FatalInconsistency(
+                    f"q-coproduct identity fails for {key}",
+                    witness={"S": list(S), "T": list(T), "lambda": str(lam)})
+    return None
 
 
 def check_basis_change_matrices(entry: CatalogEntry, max_n: int = 3) -> CheckReport:
@@ -740,13 +824,13 @@ def check_basis_change_matrices(entry: CatalogEntry, max_n: int = 3) -> CheckRep
                            {"reason": "needs both systems"})
     order = order_of(entry)
     h = hopf_from(entry, "pi", "mu")
-    tab = functools.cache(lambda I: pq_tables(order, I))
     for n in range(max_n + 1):
         I = GroundSet.first(n)
         for S, T in decompositions(I, 2):
+            tables = pq_tables(order, S), pq_tables(order, T), pq_tables(order, I)
             for a in entry.species.elements(S):
                 for b in entry.species.elements(T):
-                    got, want = _p_product(h, entry.mu, tab, S, T, a, b)
+                    got, want = _p_product(h, entry.mu, tables, S, T, a, b)
                     if got != want:
                         return CheckReport(
                             "basis_change", entry.key, n, "fail",

@@ -1378,18 +1378,35 @@ def test_rectangle_routes_agree_on_catalog_and_mutants(monkeypatch, entries):
     rep = check_preorder_rectangle(_pi_mutant(), 3)
     assert (rep.status, rep.n) == ("fail", 3) and rep.witness["S_parts"] == [[1, 2], [3]]
     # the fast route is the Hopf kernel of (nabla^mu, Delta^pi) over I = {1..m}
-    # first, then over its proper subsets by size, then lexicographically
-    seen = []
+    # first, then over the other subsets of I that contain m, by size, then
+    # lexicographically: a J without m was decided at m = max(J)
+    seen, hopfs = [], set()
 
     def spy(h, J, decs, route=eng._hopf_terms):
         assert (h.product, h.coproduct, decs) == (entries["Pi"].mu, entries["Pi"].pi,
                                                   decompositions(J, 2))
         seen.append(J.labels)
+        hopfs.add(id(h))
         return route(h, J, decs)
 
+    builds = []
+
+    def readers(h, build=eng._position_readers):
+        builds.append(h._readers is None)
+        return build(h)
+
     monkeypatch.setattr(eng, "_hopf_terms", spy)
-    assert check_preorder_rectangle(entries["Pi"], 2).ok
-    assert seen == [(), (1,), (), (1, 2), (), (1,), (2,)]
+    monkeypatch.setattr(eng, "_position_readers", readers)
+    assert check_preorder_rectangle(entries["Pi"], 3).ok
+    assert seen == [(), (1,), (1, 2), (2,), (1, 2, 3), (3,), (1, 3), (2, 3)]
+    # one row, one set of position readers, built before the kernel's calls
+    assert len(hopfs) == 1 and builds == [True] + [False] * len(seen)
+    # over m = 0..6 each of the 64 subsets of {1..6} is decided once
+    seen.clear()
+    monkeypatch.setenv("SPECIES_FORGE_CEILING", "6")
+    monkeypatch.setattr(eng, "_hopf_terms", lambda h, J, decs: seen.append(J) and None)
+    assert check_preorder_rectangle(entries["Pi"], 6).ok
+    assert len(seen) == len(set(seen)) == 64
 
 
 def _rectangle_sides(entry, R, S, xs):

@@ -9,7 +9,7 @@ import pytest
 
 from species_forge import order as order_mod
 from species_forge.catalog import (
-    MultSystem, _mapto_merge, make_E, make_E_C, make_Perm, make_Pi, make_S, make_X_C,
+    CatalogEntry, ComultSystem, MultSystem, _mapto_merge, make_E, make_E_C, make_Perm, make_Pi, make_S, make_X_C,
     with_derived_pi,
 )
 from species_forge.classify import f_mu
@@ -351,6 +351,152 @@ def test_basis_theorem_zero_case(entries, orders):
 @pytest.mark.parametrize("key", ["Perm", "Pi"])
 def test_basis_change_matrices(entries, key):
     assert check_basis_change_matrices(entries[key], 3).ok
+
+
+def test_pq_tables_built_once_per_slice(monkeypatch):
+    # the three bases rows share one set of Vec tables per ground set
+    built = []
+    real = order_mod.PQTables
+
+    def counted(I, p, q):
+        built.append(I)
+        return real(I, p, q)
+
+    monkeypatch.setattr(order_mod, "PQTables", counted)
+    entry = make_Perm()
+    so = order_mod.order_of(entry)
+    assert check_pq_unitriangular(so, 3).ok and check_basis_theorem(entry, 3).ok
+    assert check_basis_change_matrices(entry, 3).ok
+    assert len(built) == len(set(built)) == 8  # every subset of {1,2,3}
+    assert pq_tables(so, GroundSet.first(3)) is pq_tables(so, GroundSet.first(3))
+
+
+# the p/q identities on positions, against the Vec route
+
+_PQ_SPECIES = {
+    "Pi": make_Pi,
+    "Perm": make_Perm,
+    "E_C:2": lambda: make_E_C(2),
+    "S(X_C:2)": lambda: with_derived_pi(make_S(make_X_C(2)), 4),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PQ_SPECIES))
+def test_integer_rows_are_the_pq_tables(key):
+    so = order_mod.order_of(_PQ_SPECIES[key]())
+    for n in range(5):
+        I = GroundSet.first(n)
+        sl, t = so.slice(I), pq_tables(so, I)
+        positions = range(len(sl.elements))
+        for k, lam in enumerate(sl.elements):
+            assert [t.p[lam].coeff(e) for e in sl.elements] == [sl.ups[k] >> f & 1 for f in positions]
+            assert [t.q[lam].coeff(e) for e in sl.elements] == sl.q_rows[k]
+            assert sl.downs[k] == sum(1 << f for f in positions if sl.le(sl.elements[f], lam))
+
+
+def _basis_routes(entry, max_n):
+    """Per n <= max_n, the position route's verdict and the Vec route's
+    (None, or the message it raised)."""
+    so, h = order_mod.order_of(entry), hopf_from(entry, "pi", "mu")
+    out = []
+    for n in range(max_n + 1):
+        I = GroundSet.first(n)
+        decs = decompositions(I, 2)
+        fast = order_mod._basis_positions(so, I, decs)
+        try:
+            slow = order_mod._basis_vecs(so, h, I, decs)
+        except FatalInconsistency as exc:
+            slow = str(exc)
+        out.append((fast, slow))
+    return out
+
+
+def _one_value_changed(entry, rng):
+    """``entry`` with one value of mu or pi over a pair of disjoint subsets of
+    {1,2,3} replaced by another element, all drawn from ``rng``."""
+    sp = entry.species
+    while True:
+        S, T, _ = rng.choice(decompositions(GroundSet.first(3), 3))
+        if rng.random() < 0.5:
+            key = (S, T, rng.choice(sp.elements(S)), rng.choice(sp.elements(T)))
+            others = [z for z in sp.elements(S.union(T)) if z != entry.mu(*key)]
+            if others:
+                new = rng.choice(others)
+                mu = MultSystem(sp, lambda *args: new if args == key else entry.mu(*args))
+                return CatalogEntry(entry.key, sp, mu, entry.pi)
+        else:
+            key = (S, T, rng.choice(sp.elements(S.union(T))))
+            others = [p for p in itertools.product(sp.elements(S), sp.elements(T))
+                      if p != tuple(entry.pi(*key))]
+            if others:
+                new = rng.choice(others)
+                pi = ComultSystem(sp, lambda *args: new if args == key else entry.pi(*args))
+                return CatalogEntry(entry.key, sp, entry.mu, pi)
+
+
+@pytest.mark.parametrize("key", sorted(_PQ_SPECIES))
+def test_basis_routes_agree_on_catalog(key):
+    assert _basis_routes(_PQ_SPECIES[key](), 4) == [(None, None)] * 5
+
+
+def test_basis_routes_agree_on_mutants():
+    rng, failures = random.Random(2301), Counter()
+    for make in (make_Pi, make_Perm, lambda: make_E_C(2)) * 12:
+        entry = _one_value_changed(make(), rng)
+        try:
+            routes = _basis_routes(entry, 3)
+        except FatalInconsistency:  # the mutant's order is not a partial order
+            continue
+        for fast, slow in routes:
+            assert fast in (None, False) and (fast is None) == (slow is None), entry.key
+            if slow is not None:
+                failures[slow.split()[0]] += 1
+                break
+    assert set(failures) == {"p-product", "q-product"}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_basis_position_route_lying_is_fatal(monkeypatch, n):
+    # at n = 2 the Vec route runs beside the positions; at n = 4, beyond
+    # TABLE_ORACLE_MAX_N, it runs because they report a failure, and finds none
+    real = order_mod._basis_positions
+    monkeypatch.setattr(order_mod, "_basis_positions",
+                        lambda so, I, decs: False if len(I) == n else real(so, I, decs))
+    with pytest.raises(FatalInconsistency,
+                       match=f"table and element basis_identities checks disagree .* at n={n}"):
+        check_basis_theorem(make_Pi(), 4)
+
+
+@pytest.mark.parametrize("view", ["ups", "downs", "q_rows"])
+def test_each_basis_comparison_reads_its_view(view):
+    # p-product reads ups, p-coproduct downs, q-product (and q-coproduct)
+    # q_rows: one changed entry of one of them over {1..4} must be seen
+    entry = make_Pi()
+    so = order_mod.order_of(entry)
+    assert check_basis_theorem(entry, 4).ok
+    I = GroundSet.first(4)
+    sl = so.slice(I)
+    c = entry.mu.table(GroundSet.of([1, 2]), GroundSet.of([3, 4]))[0]  # a product
+    if view == "q_rows":
+        sl.q_rows[c][c] += 1
+    else:
+        getattr(sl, view)[c] ^= 1 << (c + 1) % len(sl.elements)
+    assert order_mod._basis_positions(so, I, decompositions(I, 2)) is False
+
+
+def test_swapped_pi_table_fails_the_position_route():
+    entry = make_Pi()
+    so = order_mod.order_of(entry)
+    assert check_basis_theorem(entry, 4).ok  # every slice and table built
+    I, S, T = GroundSet.first(4), GroundSet.of([1, 2]), GroundSet.of([3, 4])
+    table = entry.pi.table(S, T)
+    j = next(j for j, pair in enumerate(table) if pair != table[0])
+    table[0], table[j] = table[j], table[0]
+    assert order_mod._basis_positions(so, I, decompositions(I, 2)) is False
+    # the Vec route reads the rules, not the tables, so the row splits
+    with pytest.raises(FatalInconsistency,
+                       match="table and element basis_identities checks disagree .* at n=4"):
+        check_basis_theorem(entry, 4)
 
 
 # ---------------------------------------------------------------------------
