@@ -31,11 +31,9 @@ from .engine import (
 # ---------------------------------------------------------------------------
 # coordinates
 
-def _coords(v: Vec, index: dict) -> list[Fraction]:
-    row = [Fraction(0)] * len(index)
-    for e, c in v.terms.items():
-        row[index[e]] = c
-    return row
+def _coords(v: Vec, index: dict) -> dict[int, int | Fraction]:
+    """v as a sparse ``linalg`` row: its coefficients keyed by position."""
+    return {index[e]: c for e, c in v.terms.items()}
 
 
 def _vec_from_coords(basis: SetSpecies, I: GroundSet, coords) -> Vec:
@@ -44,15 +42,15 @@ def _vec_from_coords(basis: SetSpecies, I: GroundSet, coords) -> Vec:
 
 
 def _coproduct_rows(h: LinearizedHopf, S: GroundSet, T: GroundSet, index: dict) -> list:
-    """The matrix of Delta_{S,T}: a row per basis pair of (S, T), a column per
-    element of p[S u T] (numbered by ``index``), and 1 where the pair occurs."""
-    pairs = [(a, b) for a in h.basis.elements(S) for b in h.basis.elements(T)]
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    rows = [[Fraction(0)] * len(index) for _ in pairs]
+    """The matrix of Delta_{S,T} as sparse rows: a row per basis pair of (S, T)
+    that occurs in some Delta_{S,T}(e), a column per element e of p[S u T]
+    (numbered by ``index``), and 1 where the pair occurs.  The pairs that
+    occur nowhere would give all-zero rows, which change no kernel."""
+    rows: dict = {}
     for e, j in index.items():
         for pair in h.splits(S, T, e):
-            rows[pair_index[pair]][j] = 1
-    return rows
+            rows.setdefault(pair, {})[j] = 1
+    return list(rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +65,6 @@ def primitives(h: LinearizedHopf, I: GroundSet) -> list[Vec]:
     rows = []
     for S, T in decompositions(I, 2, nonempty=True):
         rows.extend(_coproduct_rows(h, S, T, index))
-    if not rows:
-        rows = [[Fraction(0)] * len(index)]
     return [_vec_from_coords(h.basis, I, v) for v in linalg.kernel_basis(rows, len(index))]
 
 
@@ -389,10 +385,9 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet,
         for S, T in decompositions(I, 2, nonempty=True):
             for x in h.basis.elements(S):
                 for y in h.basis.elements(T):
-                    row = [Fraction(0)] * dim
-                    for z in h.products(S, T, x, y):
-                        row[index[z]] = 1
-                    r_rows.append(row)
+                    row = {index[z]: 1 for z in h.products(S, T, x, y)}
+                    if row:
+                        r_rows.append(row)
         r_rank = linalg.rank(r_rows, dim)
         if len(q_rows) + r_rank != dim or linalg.rank(q_rows + r_rows, dim) != dim:
             raise FatalInconsistency(

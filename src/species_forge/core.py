@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -151,7 +152,7 @@ class Bijection(_Value):
     """A bijection between two ground sets; images aligned with source labels."""
 
     _fields = ("source", "target", "images")
-    __slots__ = _fields + ("_inverse",)
+    __slots__ = _fields + ("_inverse", "_hash")
 
     def __init__(self, source: GroundSet, target: GroundSet, images: tuple[int, ...]):
         if not isinstance(images, tuple):
@@ -164,6 +165,7 @@ class Bijection(_Value):
         _setattr(self, "target", target)
         _setattr(self, "images", images)
         _setattr(self, "_inverse", None)
+        _setattr(self, "_hash", hash((source, target, images)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -172,7 +174,7 @@ class Bijection(_Value):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.source, self.target, self.images))
+        return self._hash
 
     @staticmethod
     def identity(I: GroundSet) -> "Bijection":
@@ -204,12 +206,18 @@ class Bijection(_Value):
         return Bijection(inner.source, self.target,
                          tuple(self.apply(y) for y in inner.images))
 
+    def _images_of(self, sub: GroundSet) -> tuple[int, ...]:
+        """The images of sub's labels, in label order; ValueError for a label
+        outside the source."""
+        at, images = self.source.labels.index, self.images
+        return tuple([images[at(x)] for x in sub.labels])
+
     def restrict(self, sub: GroundSet) -> "Bijection":
-        images = tuple(self.apply(x) for x in sub.labels)
-        return Bijection(sub, GroundSet.of(images), images)
+        images = self._images_of(sub)
+        return Bijection(sub, GroundSet(tuple(sorted(images))), images)
 
     def image_of(self, sub: GroundSet) -> GroundSet:
-        return GroundSet.of(self.apply(x) for x in sub.labels)
+        return GroundSet(tuple(sorted(self._images_of(sub))))
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +305,41 @@ class MapTo(Element):
         return "[" + ",".join(f"{l}:{c}" for l, c in zip(self.ground.labels, self.colors)) + "]"
 
 
-class SetPartitionElt(Element):
-    """A set partition: disjoint nonempty blocks covering the ground set."""
+_labels = operator.attrgetter("labels")
 
-    __slots__ = _fields = ("ground", "blocks")
+
+def _check_partition(ground: GroundSet, blocks: Sequence[GroundSet], labels=()) -> None:
+    """``blocks``, sorted by labels, are nonempty, disjoint and cover
+    ``ground``, and each element of ``labels`` lives over its block.  One pass
+    over the sorted flat labels decides the partition; the errors come in
+    this order: an empty block (it sorts first), an element off its block, an
+    overlap, a label of ``ground`` in no block."""
+    if blocks and not blocks[0].labels:
+        raise ValueError("blocks must be nonempty")
+    for b, lab in zip(blocks, labels):
+        if lab.ground is not b:
+            raise ValueError(f"label over {lab.ground} does not live on block {b}")
+    flat = [x for b in blocks for x in b.labels]
+    flat.sort()
+    if tuple(flat) != ground.labels:
+        if len(set(flat)) < len(flat):
+            raise ValueError("blocks overlap")
+        raise ValueError("blocks do not cover the ground set")
+
+
+class SetPartitionElt(Element):
+    """A set partition: disjoint nonempty blocks covering the ground set; the
+    hash is that of the field tuple, computed once."""
+
+    _fields = ("ground", "blocks")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, ground: GroundSet, blocks: tuple[GroundSet, ...]):
-        blocks = tuple(sorted(blocks, key=lambda b: b.labels))
-        seen: set[int] = set()
-        for b in blocks:
-            if len(b) == 0:
-                raise ValueError("blocks must be nonempty")
-            if seen & set(b.labels):
-                raise ValueError("blocks overlap")
-            seen |= set(b.labels)
-        if seen != set(ground.labels):
-            raise ValueError("blocks do not cover the ground set")
+        blocks = tuple(sorted(blocks, key=_labels))
+        _check_partition(ground, blocks)
         _setattr(self, "ground", ground)
         _setattr(self, "blocks", blocks)
+        _setattr(self, "_hash", hash((ground, blocks)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -322,7 +347,7 @@ class SetPartitionElt(Element):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ground, self.blocks))
+        return self._hash
 
     @staticmethod
     def of(blocks: Iterable[Iterable[int]]) -> "SetPartitionElt":
@@ -429,25 +454,18 @@ class PermutationElt(Element):
 
 
 class LabeledPartitionElt(Element):
-    """A set partition whose blocks each carry an element living over that block."""
+    """A set partition whose blocks each carry an element living over that
+    block; the hash is that of the field tuple, computed once."""
 
-    __slots__ = _fields = ("ground", "blocks")
+    _fields = ("ground", "blocks")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, ground: GroundSet, blocks: tuple[tuple[GroundSet, Element], ...]):
         blocks = tuple(sorted(blocks, key=lambda p: p[0].labels))
-        seen: set[int] = set()
-        for b, lab in blocks:
-            if len(b) == 0:
-                raise ValueError("blocks must be nonempty")
-            if lab.ground != b:
-                raise ValueError(f"label over {lab.ground} does not live on block {b}")
-            if seen & set(b.labels):
-                raise ValueError("blocks overlap")
-            seen |= set(b.labels)
-        if seen != set(ground.labels):
-            raise ValueError("blocks do not cover the ground set")
+        _check_partition(ground, [b for b, _ in blocks], [lab for _, lab in blocks])
         _setattr(self, "ground", ground)
         _setattr(self, "blocks", blocks)
+        _setattr(self, "_hash", hash((ground, blocks)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -455,7 +473,7 @@ class LabeledPartitionElt(Element):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ground, self.blocks))
+        return self._hash
 
     @staticmethod
     def of(blocks: Iterable[tuple[GroundSet, Element]]) -> "LabeledPartitionElt":

@@ -1,11 +1,13 @@
 """Exact rational linear algebra.
 
-Sparse fraction-free elimination: rows are dicts from column to nonzero
-``int``, denominators cleared over each row's nonzero entries.  Rows are
-added one at a time; a new row is reduced against the stored rows, keyed by
-leading column, by integer cross-multiplication and division by its gcd, and
-whatever remains is stored.  Kernels, ranks, and span membership all come
-from this elimination.
+Sparse fraction-free elimination.  A row is a dict from column to an
+``int`` or ``Fraction`` entry; a column it does not name holds 0, so an
+all-zero row is an empty dict.  There is no dense input: the vector that
+``in_span`` tests is a row too.  Each row's denominators are cleared over
+its entries.  Rows are added one at a time; a new row is reduced against the
+stored rows, keyed by leading column, by integer cross-multiplication and
+division by its gcd, and whatever remains is stored.  Kernels, ranks, and
+span membership all come from this elimination.
 
 The kernel basis does not depend on how the elimination ran: the pivot
 columns are the leading columns of the reduced row echelon form of the row
@@ -13,7 +15,8 @@ space, and for each free column f there is exactly one kernel vector with 1
 at f and 0 at every other free column.  So every basis this module hands out
 is reproducible across runs, platforms and row orders.
 
-Matrices are sequences of rows; entries may be ints or Fractions.  Nothing
+Matrices are sequences of rows, and an empty sequence has the whole space as
+its kernel.  Kernel vectors come back dense, one entry per column.  Nothing
 here mutates its inputs.
 """
 
@@ -21,16 +24,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
+
+Row = Mapping[int, "int | Fraction"]
 
 
-def _sparse_int_row(row: Sequence) -> dict[int, int]:
-    nonzero = {j: Fraction(x) for j, x in enumerate(row) if x}
-    scale = lcm(*(x.denominator for x in nonzero.values()))
-    return {j: int(x * scale) for j, x in nonzero.items()}
+def _int_row(row: Row) -> dict[int, int]:
+    """The row's nonzero entries scaled to ints by the lcm of their
+    denominators."""
+    scale = lcm(*(x.denominator for x in row.values()))
+    return {j: int(x * scale) for j, x in row.items() if x}
 
 
-def echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[dict[int, int]], list[int]]:
+def echelon(rows: Sequence[Row], ncols: int) -> tuple[list[dict[int, int]], list[int]]:
     """Sparse integer row echelon form of the row space.
 
     Returns (rows, pivot_columns), sorted by pivot: rows[i] maps columns to
@@ -38,7 +44,7 @@ def echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[dict[int, int]],
     """
     by_lead: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = _sparse_int_row(row)
+        r = _int_row(row)
         while r:
             lead = min(r)
             p = by_lead.get(lead)
@@ -60,12 +66,12 @@ def echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[dict[int, int]],
     return [by_lead[c] for c in pivots], pivots
 
 
-def rank(rows: Sequence[Sequence], ncols: int) -> int:
+def rank(rows: Sequence[Row], ncols: int) -> int:
     _, pivots = echelon(rows, ncols)
     return len(pivots)
 
 
-def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[tuple[Fraction, ...]]:
+def kernel_basis(rows: Sequence[Row], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of {v : M v = 0}, one vector per free column.
 
     Each basis vector has coefficient 1 at its free column and 0 at the other
@@ -87,14 +93,14 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[tuple[Fraction, .
     return basis
 
 
-def in_span(rows: Sequence[Sequence], ncols: int, v: Sequence) -> bool:
+def in_span(rows: Sequence[Row], ncols: int, v: Row) -> bool:
     base = rank(rows, ncols)
-    return rank(list(rows) + [list(v)], ncols) == base
+    return rank([*rows, v], ncols) == base
 
 
-def spans_equal(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence], ncols: int) -> bool:
+def spans_equal(rows_a: Sequence[Row], rows_b: Sequence[Row], ncols: int) -> bool:
     ra = rank(rows_a, ncols)
     rb = rank(rows_b, ncols)
     if ra != rb:
         return False
-    return rank(list(rows_a) + list(rows_b), ncols) == ra
+    return rank([*rows_a, *rows_b], ncols) == ra

@@ -12,14 +12,15 @@ are chains of compiled mu/pi table lookups, the closure is Warshall on
 bitmasks, and each slice keeps, per position, the bitmask of the elements
 strictly above it and of those strictly below.  Transport (on the species'
 transport tables), the lower-interval lattices, (A)/(B), the round trip and
-the four p/q basis identities (p as the masks of the elements above, q as
-integer rows of common-lower-bound counts, with nabla^pi and Delta^mu read
-off the compiled tables) are decided on those masks.  Each keeps its element
-route, which compares elements through ``le``/``lt``, that is through the
-pairs in ``strict`` (the basis identities keep their route on ``Vec``s):
-``core.cross_check`` runs it up to n = TABLE_ORACLE_MAX_N, and wherever the
-masks see a failure, to find the witness (the lattices do the same, and
-compare the data they surface too).  The mask routes rely on what
+the p/q bases (p as the masks of the elements above, q as integer rows of
+common-lower-bound counts) are decided on those masks: the unitriangularity
+of the ``Vec`` tables by comparing them with the masks and rows, and the four
+basis identities with nabla^pi and Delta^mu read off the compiled tables.
+Each keeps its element route, which compares elements through ``le``/``lt``,
+that is through the pairs in ``strict`` (the p/q checks keep their routes on
+``Vec``s): ``core.cross_check`` runs it up to n = TABLE_ORACLE_MAX_N, and
+wherever the masks see a failure, to find the witness (the lattices do the
+same, and compare the data they surface too).  The mask routes rely on what
 ``compute_order`` certifies, that the relation is a strict partial order.
 
 On top of the order: lower-interval lattice checks, the two interval
@@ -677,27 +678,52 @@ def _p_product(h_pi_mu: LinearizedHopf, mu: MultSystem, tables, S: GroundSet, T:
 
 
 def check_pq_unitriangular(order: SpeciesOrder, max_n: int = DEFAULT_MAX_N) -> CheckReport:
-    """p is unitriangular over the element basis; q is unitriangular over p."""
+    """p is unitriangular over the element basis; q is unitriangular over p.
+
+    Decided by comparing the Vec tables with the masks and the q rows; the
+    Vec re-sum runs up to n = TABLE_ORACLE_MAX_N and wherever the masks see
+    a failure, and names the witness."""
     guard_max_n(max_n)
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
-        sl = order.slice(I)
-        tables = pq_tables(order, I)
-        for lam in sl.elements:
-            pv = tables.p[lam]
-            if pv.coeff(lam) != 1 or any(
-                    not sl.le(lam, e) for e in pv.terms):
-                return CheckReport("pq_unitriangular", order.key, n, "fail",
-                                   {"basis": "p", "lambda": str(lam), "vec": str(pv)})
-        # q in the p basis: coefficient of p_e in q_lam is [e <= lam]
-        for lam in sl.elements:
-            expanded = Vec.zero(I)
-            for e in sl.down(lam):
-                expanded = expanded + tables.p[e]
-            if expanded != tables.q[lam]:
-                return CheckReport("pq_unitriangular", order.key, n, "fail",
-                                   {"basis": "q", "lambda": str(lam)})
-    return CheckReport("pq_unitriangular", order.key, max_n, "pass")
+    return cross_check("pq_unitriangular", order.key, map(GroundSet.first, range(max_n + 1)),
+                       lambda I: _pq_positions(order, I), lambda I: _pq_vecs(order, I),
+                       TABLE_ORACLE_MAX_N)
+
+
+def _pq_positions(order: SpeciesOrder, I: GroundSet) -> bool | None:
+    """None when each p_lam is 1 on the positions of ``ups[k]`` and 0 elsewhere,
+    and each q_lam is the row ``q_rows[k]`` (k the position of lam), else
+    False.  Then p is unitriangular, and sum_{e <= lam} p_e has at f the
+    number of e below both lam and f, which is ``q_rows[k][f]``: q_lam is that
+    sum."""
+    sl, tables = order.slice(I), pq_tables(order, I)
+    index = sl.index
+    for k, lam in enumerate(sl.elements):
+        p = tables.p[lam].terms
+        if sum(1 << index[e] for e in p) != sl.ups[k] or any(c != 1 for c in p.values()):
+            return False
+        row = [0] * len(index)
+        for e, c in tables.q[lam].terms.items():
+            row[index[e]] = c
+        if row != sl.q_rows[k]:
+            return False
+    return None
+
+
+def _pq_vecs(order: SpeciesOrder, I: GroundSet) -> dict | None:
+    """The first failure over I on Vecs: p_lam is 1 at lam and lives above
+    it, and q_lam re-sums as p_e over the e <= lam."""
+    sl, tables = order.slice(I), pq_tables(order, I)
+    for lam in sl.elements:
+        pv = tables.p[lam]
+        if pv.coeff(lam) != 1 or any(not sl.le(lam, e) for e in pv.terms):
+            return {"basis": "p", "lambda": str(lam), "vec": str(pv)}
+    for lam in sl.elements:
+        expanded = Vec.zero(I)
+        for e in sl.down(lam):
+            expanded = expanded + tables.p[e]
+        if expanded != tables.q[lam]:
+            return {"basis": "q", "lambda": str(lam)}
+    return None
 
 
 def check_basis_theorem(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> CheckReport:

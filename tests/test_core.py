@@ -134,6 +134,64 @@ def test_bijection_compose_invert():
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(Bijection(I, I, (2, 3, 1)))
 
 
+def test_bijection_restrict_and_image_of_match_ground_set_of():
+    I = GroundSet.first(4)
+    subsets = [GroundSet(c) for k in range(5) for c in itertools.combinations(I.labels, k)]
+    for sigma in Bijection.all_endo(I):
+        for sub in subsets:
+            images = tuple(sigma.apply(x) for x in sub.labels)
+            assert sigma.image_of(sub) is GroundSet.of(images)
+            r = sigma.restrict(sub)
+            assert r == Bijection(sub, GroundSet.of(images), images)
+            assert r.source is sub and r.target is GroundSet.of(images)
+
+
+def test_bijection_refuses_labels_outside_its_source():
+    sigma = Bijection(GroundSet((1, 2, 3)), GroundSet((2, 4, 6)), (4, 6, 2))
+    for call in (lambda: sigma.apply(5), lambda: sigma.restrict(GroundSet((1, 5))),
+                 lambda: sigma.image_of(GroundSet((0,))), lambda: sigma.image_of(GroundSet((4,)))):
+        with pytest.raises(ValueError):
+            call()
+
+
+_A, _B, _C = GroundSet((1, 2)), GroundSet((2, 3)), GroundSet((4,))
+_NONEMPTY, _OVERLAP, _COVER = ("blocks must be nonempty", "blocks overlap",
+                               "blocks do not cover the ground set")
+
+
+@pytest.mark.parametrize("ground, blocks, message", [
+    (GroundSet.first(2), (_A, EMPTY), _NONEMPTY),
+    (GroundSet.first(3), (_A, _B), _OVERLAP),
+    (GroundSet.first(3), (_A,), _COVER),
+    (GroundSet.first(2), (GroundSet.first(3),), _COVER),
+    (GroundSet.first(2), (), _COVER),
+    # precedence: an empty block first, then an overlap, then a missing label
+    (GroundSet.first(3), (_B, _A, EMPTY), _NONEMPTY),
+    (GroundSet.first(4), (_A, EMPTY), _NONEMPTY),
+    (GroundSet.first(4), (_A, _B), _OVERLAP),
+    (GroundSet.first(3), (_A, _B, _C), _OVERLAP),
+])
+def test_partition_errors_and_their_precedence(ground, blocks, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SetPartitionElt(ground, blocks)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LabeledPartitionElt(ground, tuple((b, MapTo(b, (0,) * len(b))) for b in blocks))
+
+
+def test_labeled_partition_refuses_a_label_off_its_block():
+    with pytest.raises(ValueError, match="does not live on block"):
+        LabeledPartitionElt(GroundSet.first(2), ((GroundSet.first(2), MapTo(GroundSet((1,)), (0,))),))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_partition_hashes_are_the_field_tuple_hash(n):
+    I = GroundSet.first(n)
+    for blocks in set_partitions(I):
+        for x in (SetPartitionElt(I, blocks[::-1]),
+                  LabeledPartitionElt(I, tuple((b, MapTo(b, (1,) * len(b))) for b in blocks))):
+            assert hash(x) == hash((x.ground, x.blocks))
+
+
 # ---------------------------------------------------------------------------
 # value classes: equality and hash on the fields, repr, immutability, copies
 

@@ -317,6 +317,14 @@ def test_reconstruct_S_X2_roundtrip():
 # ---------------------------------------------------------------------------
 # p and q bases
 
+_PQ_SPECIES = {
+    "Pi": make_Pi,
+    "Perm": make_Perm,
+    "E_C:2": lambda: make_E_C(2),
+    "S(X_C:2)": lambda: with_derived_pi(make_S(make_X_C(2)), 4),
+}
+
+
 def test_pq_tables_Pi_n2(orders):
     t = pq_tables(orders["Pi"], GroundSet.first(2))
     split = SetPartitionElt.of([[1], [2]])
@@ -353,6 +361,46 @@ def test_basis_change_matrices(entries, key):
     assert check_basis_change_matrices(entries[key], 3).ok
 
 
+@pytest.mark.parametrize("key", sorted(_PQ_SPECIES))
+def test_pq_unitriangular_routes_agree_on_catalog(key):
+    so = order_mod.order_of(_PQ_SPECIES[key]())
+    for n in range(5):
+        I = GroundSet.first(n)
+        assert order_mod._pq_positions(so, I) is None and order_mod._pq_vecs(so, I) is None
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("basis", ["p", "q"])
+def test_pq_unitriangular_doctored_table_fails_with_vec_witness(n, basis):
+    # one doctored p or q vector: the rows see it (beyond TABLE_ORACLE_MAX_N
+    # alone) and the Vec route names it, in the shape the check always gave
+    so = order_mod.order_of(make_Pi())
+    I = GroundSet.first(n)
+    sl, t = so.slice(I), pq_tables(so, I)
+    lam = sl.elements[-1]
+    table = getattr(t, basis)
+    table[lam] = table[lam] + Vec.basis(lam)
+    assert order_mod._pq_positions(so, I) is False
+    want = {"basis": "q", "lambda": str(lam)} if basis == "q" else \
+        {"basis": "p", "lambda": str(lam), "vec": str(table[lam])}
+    rep = check_pq_unitriangular(so, 4)
+    assert (rep.status, rep.n, rep.witness) == ("fail", n, want)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_pq_unitriangular_rows_lying_is_fatal(monkeypatch, n):
+    # the Vec route runs at n <= TABLE_ORACLE_MAX_N, and beyond it only where
+    # the rows report a failure
+    real, seen = order_mod._pq_vecs, []
+    monkeypatch.setattr(order_mod, "_pq_positions",
+                        lambda so, I: False if len(I) == n else None)
+    monkeypatch.setattr(order_mod, "_pq_vecs", lambda so, I: seen.append(len(I)) or real(so, I))
+    with pytest.raises(FatalInconsistency,
+                       match=f"table and element pq_unitriangular checks disagree .* at n={n}"):
+        check_pq_unitriangular(order_mod.order_of(make_Pi()), 5)
+    assert seen == ([0, 1, 2] if n == 2 else [0, 1, 2, 3, 5])
+
+
 def test_pq_tables_built_once_per_slice(monkeypatch):
     # the three bases rows share one set of Vec tables per ground set
     built = []
@@ -372,14 +420,6 @@ def test_pq_tables_built_once_per_slice(monkeypatch):
 
 
 # the p/q identities on positions, against the Vec route
-
-_PQ_SPECIES = {
-    "Pi": make_Pi,
-    "Perm": make_Perm,
-    "E_C:2": lambda: make_E_C(2),
-    "S(X_C:2)": lambda: with_derived_pi(make_S(make_X_C(2)), 4),
-}
-
 
 @pytest.mark.parametrize("key", sorted(_PQ_SPECIES))
 def test_integer_rows_are_the_pq_tables(key):
