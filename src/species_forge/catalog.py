@@ -159,17 +159,17 @@ class CatalogEntry:
 def _mapto_transport(sigma: Bijection, f: MapTo) -> MapTo:
     inv = sigma.invert()
     target = sigma.target
-    return MapTo(target, tuple(f.color_of(inv.apply(t)) for t in target.labels))
+    return MapTo.canonical(target, tuple(f.color_of(inv.apply(t)) for t in target.labels))
 
 
 def _mapto_merge(S: GroundSet, T: GroundSet, x: MapTo, y: MapTo) -> MapTo:
     ground = S.union(T)
     colors = tuple(x.color_of(l) if l in S else y.color_of(l) for l in ground.labels)
-    return MapTo(ground, colors)
+    return MapTo.canonical(ground, colors)
 
 
 def _mapto_restrict(f: MapTo, S: GroundSet) -> MapTo:
-    return MapTo(S, tuple(f.color_of(l) for l in S.labels))
+    return MapTo.canonical(S, tuple(f.color_of(l) for l in S.labels))
 
 
 def make_E_C(colors: int, key: str | None = None) -> CatalogEntry:
@@ -179,7 +179,8 @@ def make_E_C(colors: int, key: str | None = None) -> CatalogEntry:
         raise ValueError("colors must be nonnegative")
 
     def elements(I: GroundSet):
-        return [MapTo(I, word) for word in itertools.product(range(colors), repeat=len(I))]
+        words = itertools.product(range(colors), repeat=len(I))
+        return [MapTo.canonical(I, word) for word in words]
 
     sp = SetSpecies(key or f"E_C:{colors}", elements, _mapto_transport)
     mu = MultSystem(sp, _mapto_merge)
@@ -208,7 +209,7 @@ def make_X_C(colors: int) -> CatalogEntry:
     def elements(I: GroundSet):
         if len(I) != 1:
             return []
-        return [MapTo(I, (c,)) for c in range(colors)]
+        return [MapTo.canonical(I, (c,)) for c in range(colors)]
 
     sp = SetSpecies(f"X_C:{colors}", elements, _mapto_transport)
     return CatalogEntry(sp.name, sp, None, None)
@@ -218,26 +219,23 @@ def make_X_C(colors: int) -> CatalogEntry:
 # set partitions (Pi)
 
 def _partition_transport(sigma: Bijection, X: SetPartitionElt) -> SetPartitionElt:
-    return SetPartitionElt(sigma.target, tuple(sigma.image_of(b) for b in X.blocks))
+    return SetPartitionElt.canonical(sigma.target, tuple(sigma.image_of(b) for b in X.blocks))
 
 
 def _partition_restrict(Z: SetPartitionElt, S: GroundSet) -> SetPartitionElt:
-    blocks = []
-    for b in Z.blocks:
-        piece = b.intersect(S)
-        if len(piece):
-            blocks.append(piece)
-    return SetPartitionElt(S, tuple(blocks))
+    pieces = [b.intersect(S) for b in Z.blocks]
+    return SetPartitionElt.canonical(S, [p for p in pieces if p.labels])
 
 
 def make_Pi() -> CatalogEntry:
     """Set partitions; product is disjoint union, coproduct is induced restriction."""
 
     def elements(I: GroundSet):
-        return [SetPartitionElt(I, blocks) for blocks in set_partitions(I)]
+        return [SetPartitionElt.canonical(I, blocks) for blocks in set_partitions(I)]
 
     sp = SetSpecies("Pi", elements, _partition_transport)
-    mu = MultSystem(sp, lambda S, T, x, y: SetPartitionElt(S.union(T), x.blocks + y.blocks))
+    mu = MultSystem(sp, lambda S, T, x, y:
+                    SetPartitionElt.canonical(S.union(T), x.blocks + y.blocks))
     pi = ComultSystem(sp, lambda S, T, z: (_partition_restrict(z, S), _partition_restrict(z, T)))
     return CatalogEntry(
         sp.name, sp, mu, pi,
@@ -250,7 +248,7 @@ def make_Pi() -> CatalogEntry:
 # linear orders (L)
 
 def _order_transport(sigma: Bijection, l: LinearOrderElt) -> LinearOrderElt:
-    return LinearOrderElt(sigma.target, tuple(sigma.apply(x) for x in l.seq))
+    return LinearOrderElt.canonical(sigma.target, tuple(sigma.apply(x) for x in l.seq))
 
 
 def make_L() -> CatalogEntry:
@@ -258,14 +256,14 @@ def make_L() -> CatalogEntry:
     coproduct keeps induced relative orders."""
 
     def elements(I: GroundSet):
-        return [LinearOrderElt(I, seq) for seq in itertools.permutations(I.labels)]
+        return [LinearOrderElt.canonical(I, seq) for seq in itertools.permutations(I.labels)]
 
     sp = SetSpecies("L", elements, _order_transport)
-    mu = MultSystem(sp, lambda S, T, x, y: LinearOrderElt(S.union(T), x.seq + y.seq))
+    mu = MultSystem(sp, lambda S, T, x, y: LinearOrderElt.canonical(S.union(T), x.seq + y.seq))
 
     def restrict(S, T, z):
-        return (LinearOrderElt(S, tuple(v for v in z.seq if v in S)),
-                LinearOrderElt(T, tuple(v for v in z.seq if v in T)))
+        return (LinearOrderElt.canonical(S, tuple(v for v in z.seq if v in S)),
+                LinearOrderElt.canonical(T, tuple(v for v in z.seq if v in T)))
 
     pi = ComultSystem(sp, restrict)
     return CatalogEntry(
@@ -281,7 +279,7 @@ def make_L() -> CatalogEntry:
 def _perm_transport(sigma: Bijection, p: PermutationElt) -> PermutationElt:
     target = sigma.target
     inv = sigma.invert()
-    return PermutationElt(
+    return PermutationElt.canonical(
         target, tuple(sigma.apply(p.apply(inv.apply(t))) for t in target.labels))
 
 
@@ -293,7 +291,7 @@ def _first_return(p: PermutationElt, S: GroundSet) -> PermutationElt:
         while y not in keep:
             y = p.apply(y)
         images.append(y)
-    return PermutationElt(S, tuple(images))
+    return PermutationElt.canonical(S, tuple(images))
 
 
 def make_Perm() -> CatalogEntry:
@@ -301,13 +299,13 @@ def make_Perm() -> CatalogEntry:
     first-return map on each part."""
 
     def elements(I: GroundSet):
-        return [PermutationElt(I, images) for images in itertools.permutations(I.labels)]
+        return [PermutationElt.canonical(I, images) for images in itertools.permutations(I.labels)]
 
     sp = SetSpecies("Perm", elements, _perm_transport)
 
     def merge(S, T, x, y):
         ground = S.union(T)
-        return PermutationElt(
+        return PermutationElt.canonical(
             ground, tuple(x.apply(l) if l in S else y.apply(l) for l in ground.labels))
 
     mu = MultSystem(sp, merge)
@@ -336,14 +334,14 @@ def labeled_partition_species(Q: SetSpecies, name: str) -> SetSpecies:
             if any(not pool for pool in pools):
                 continue
             for labels in itertools.product(*pools):
-                out.append(LabeledPartitionElt(I, tuple(zip(blocks, labels))))
+                out.append(LabeledPartitionElt.canonical(I, tuple(zip(blocks, labels))))
         return out
 
     def transport(sigma: Bijection, X: LabeledPartitionElt) -> LabeledPartitionElt:
         blocks = tuple(
             (sigma.image_of(b), Q.transport(sigma.restrict(b), lab))
             for b, lab in X.blocks)
-        return LabeledPartitionElt(sigma.target, blocks)
+        return LabeledPartitionElt.canonical(sigma.target, blocks)
 
     return SetSpecies(name, elements, transport)
 
@@ -356,7 +354,8 @@ def make_S(inner: CatalogEntry) -> CatalogEntry:
     """
     key = f"S({inner.key})"
     sp = labeled_partition_species(inner.species, key)
-    mu = MultSystem(sp, lambda S, T, x, y: LabeledPartitionElt(S.union(T), x.blocks + y.blocks))
+    mu = MultSystem(sp, lambda S, T, x, y:
+                    LabeledPartitionElt.canonical(S.union(T), x.blocks + y.blocks))
     return CatalogEntry(
         key, sp, mu, None,
         mu_flags=frozenset({"associative", "commutative", "unital", "injective"}),

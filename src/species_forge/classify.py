@@ -213,7 +213,7 @@ def check_fmu_intertwines(fm: FMu, max_n: int = DEFAULT_MAX_N,
         for S, T in decompositions(I, 2):
             for X in sq.elements(S):
                 for Y in sq.elements(T):
-                    union = LabeledPartitionElt(I, X.blocks + Y.blocks)
+                    union = LabeledPartitionElt.canonical(I, X.blocks + Y.blocks)
                     if fm.table(I)[union] != mu(S, T, fm.apply(X), fm.apply(Y)):
                         return CheckReport(
                             "fmu_intertwines", key, n, "fail",

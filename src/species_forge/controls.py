@@ -51,7 +51,7 @@ def concat_system(mirrored: bool) -> PerturbedSystem:
 
     def rule(S, T, x, y):
         seq = y.seq + x.seq if mirrored else x.seq + y.seq
-        return LinearOrderElt(S.union(T), seq)
+        return LinearOrderElt.canonical(S.union(T), seq)
 
     return PerturbedSystem(key, MultSystem(sp, rule), "commutative")
 
@@ -73,11 +73,11 @@ def blob_system(kind: str, m: int) -> PerturbedSystem:
 
     def elements(I: GroundSet):
         if len(I) == 0:
-            return [MapTo(EMPTY, ())]
-        return [MapTo(I, (v,) * len(I)) for v in range(m)]
+            return [MapTo.canonical(EMPTY, ())]
+        return [MapTo.canonical(I, (v,) * len(I)) for v in range(m)]
 
     def transport(sigma: Bijection, f: MapTo):
-        return MapTo(sigma.target, f.colors[:1] * len(sigma.target))
+        return MapTo.canonical(sigma.target, f.colors[:1] * len(sigma.target))
 
     sp = SetSpecies(f"blob[{kind}:{m}]", elements, transport)
 
@@ -87,7 +87,7 @@ def blob_system(kind: str, m: int) -> PerturbedSystem:
         if not T.labels:
             return x
         v = op(x.colors[0], y.colors[0])
-        return MapTo(S.union(T), (v,) * (len(S.labels) + len(T.labels)))
+        return MapTo.canonical(S.union(T), (v,) * (len(S.labels) + len(T.labels)))
 
     return PerturbedSystem(sp.name, MultSystem(sp, rule), "injective")
 
@@ -97,7 +97,7 @@ def blob_system(kind: str, m: int) -> PerturbedSystem:
 
 def _wrap(I: GroundSet, value: int) -> LabeledPartitionElt:
     # one-block labeled partition carrying a constant map: transport-stable
-    return LabeledPartitionElt(I, ((I, MapTo(I, (value,) * len(I))),))
+    return LabeledPartitionElt.canonical(I, ((I, MapTo.canonical(I, (value,) * len(I))),))
 
 
 def collapse_system(c: int, d: int) -> PerturbedSystem:
@@ -112,14 +112,14 @@ def collapse_system(c: int, d: int) -> PerturbedSystem:
     def elements(I: GroundSet):
         n = len(I)
         if n == 0:
-            return [MapTo(EMPTY, ())]
+            return [MapTo.canonical(EMPTY, ())]
         if n == 1:
-            return [MapTo(I, (a,)) for a in range(c)]
+            return [MapTo.canonical(I, (a,)) for a in range(c)]
         if n == 2:
-            maps = [MapTo(I, w) for w in itertools.product(range(c), repeat=2)]
+            maps = [MapTo.canonical(I, w) for w in itertools.product(range(c), repeat=2)]
             return maps + [_wrap(I, m) for m in range(d)]
         if n == 3:
-            maps = [MapTo(I, w) for w in itertools.product(range(c), repeat=3)]
+            maps = [MapTo.canonical(I, w) for w in itertools.product(range(c), repeat=3)]
             return maps + [_wrap(I, m * c + a) for m in range(d) for a in range(c)]
         raise ValueError("collapse species is defined only up to three points")
 
@@ -194,8 +194,8 @@ def label_dropping_species() -> SetSpecies:
 
     def transport(sigma: Bijection, X: LabeledPartitionElt):
         blocks = tuple(
-            (sigma.image_of(b), MapTo(sigma.image_of(b), (0,)))
+            (sigma.image_of(b), MapTo.canonical(sigma.image_of(b), (0,)))
             for b, _ in X.blocks)
-        return LabeledPartitionElt(sigma.target, blocks)
+        return LabeledPartitionElt.canonical(sigma.target, blocks)
 
     return SetSpecies("broken", good.elements_fn, transport)

@@ -223,6 +223,9 @@ class Bijection(_Value):
 # ---------------------------------------------------------------------------
 # basis elements
 
+_ELEMENTS: dict[tuple, "Element"] = {}
+
+
 class Element(_Value):
     """A combinatorial basis element living over a fixed ground set.
 
@@ -233,6 +236,32 @@ class Element(_Value):
 
     __slots__ = ()
     ground: GroundSet
+    # the key the constructor sorts a payload by, if it sorts it (read
+    # through the class, so a plain function is not bound)
+    _payload_key: Callable | None = None
+
+    @classmethod
+    def canonical(cls, ground: GroundSet, payload) -> "Element":
+        """The one instance of ``cls(ground, payload)`` in a module-level
+        table, keyed on ``(cls, ground, payload)`` with the payload coerced
+        (and sorted) as the constructor does.
+
+        A value seen before costs one dict lookup, and every later lookup of
+        the instance in a dict matches by identity.  A new value runs the
+        constructor with all its checks, so an invalid one raises the same
+        error and registers nothing.  Instances built by the constructor
+        itself stay outside the table and still compare equal by value."""
+        order = cls._payload_key
+        if order is not None:
+            payload = tuple(sorted(payload, key=order))
+        elif type(payload) is not tuple:
+            payload = tuple(payload)
+        key = (cls, ground, payload)
+        got = _ELEMENTS.get(key)
+        if got is None:
+            # setdefault: concurrent first calls still agree on one instance
+            got = _ELEMENTS.setdefault(key, cls(ground, payload))
+        return got
 
     def sort_key(self):
         raise NotImplementedError
@@ -308,6 +337,10 @@ class MapTo(Element):
 _labels = operator.attrgetter("labels")
 
 
+def _block_labels(pair: tuple[GroundSet, Element]) -> tuple[int, ...]:
+    return pair[0].labels
+
+
 def _check_partition(ground: GroundSet, blocks: Sequence[GroundSet], labels=()) -> None:
     """``blocks``, sorted by labels, are nonempty, disjoint and cover
     ``ground``, and each element of ``labels`` lives over its block.  One pass
@@ -333,6 +366,7 @@ class SetPartitionElt(Element):
 
     _fields = ("ground", "blocks")
     __slots__ = _fields + ("_hash",)
+    _payload_key = _labels
 
     def __init__(self, ground: GroundSet, blocks: tuple[GroundSet, ...]):
         blocks = tuple(sorted(blocks, key=_labels))
@@ -364,9 +398,11 @@ class SetPartitionElt(Element):
 
 
 class LinearOrderElt(Element):
-    """A linear order of the ground set, first element first."""
+    """A linear order of the ground set, first element first; the hash is
+    that of the field tuple, computed once."""
 
-    __slots__ = _fields = ("ground", "seq")
+    _fields = ("ground", "seq")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, ground: GroundSet, seq: tuple[int, ...]):
         if not isinstance(seq, tuple):
@@ -375,6 +411,7 @@ class LinearOrderElt(Element):
             raise ValueError("sequence must use each label exactly once")
         _setattr(self, "ground", ground)
         _setattr(self, "seq", seq)
+        _setattr(self, "_hash", hash((ground, seq)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -382,7 +419,7 @@ class LinearOrderElt(Element):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ground, self.seq))
+        return self._hash
 
     @staticmethod
     def of(seq: Sequence[int]) -> "LinearOrderElt":
@@ -396,9 +433,11 @@ class LinearOrderElt(Element):
 
 
 class PermutationElt(Element):
-    """A permutation of the ground set, stored in one-line form."""
+    """A permutation of the ground set, stored in one-line form; the hash is
+    that of the field tuple, computed once."""
 
-    __slots__ = _fields = ("ground", "images")
+    _fields = ("ground", "images")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, ground: GroundSet, images: tuple[int, ...]):
         if not isinstance(images, tuple):
@@ -407,6 +446,7 @@ class PermutationElt(Element):
             raise ValueError("images must permute the ground set")
         _setattr(self, "ground", ground)
         _setattr(self, "images", images)
+        _setattr(self, "_hash", hash((ground, images)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -414,7 +454,7 @@ class PermutationElt(Element):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ground, self.images))
+        return self._hash
 
     @staticmethod
     def from_cycles(ground: GroundSet, cycles: Iterable[Sequence[int]]) -> "PermutationElt":
@@ -459,9 +499,10 @@ class LabeledPartitionElt(Element):
 
     _fields = ("ground", "blocks")
     __slots__ = _fields + ("_hash",)
+    _payload_key = _block_labels
 
     def __init__(self, ground: GroundSet, blocks: tuple[tuple[GroundSet, Element], ...]):
-        blocks = tuple(sorted(blocks, key=lambda p: p[0].labels))
+        blocks = tuple(sorted(blocks, key=_block_labels))
         _check_partition(ground, [b for b, _ in blocks], [lab for _, lab in blocks])
         _setattr(self, "ground", ground)
         _setattr(self, "blocks", blocks)
@@ -481,7 +522,7 @@ class LabeledPartitionElt(Element):
         return LabeledPartitionElt(union_all(b for b, _ in bs), bs)
 
     def shape(self) -> SetPartitionElt:
-        return SetPartitionElt(self.ground, tuple(b for b, _ in self.blocks))
+        return SetPartitionElt.canonical(self.ground, tuple(b for b, _ in self.blocks))
 
     def sort_key(self):
         return ("labeled", tuple((b.labels, lab.sort_key()) for b, lab in self.blocks))

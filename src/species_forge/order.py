@@ -403,7 +403,7 @@ def _refinement(I: GroundSet) -> tuple[dict, list[int]]:
     """The set partitions of I, each mapped to its position in
     ``set_partitions(I)``, and per position the mask of the partitions that
     refine it."""
-    shapes = [SetPartitionElt(I, blocks) for blocks in set_partitions(I)]
+    shapes = [SetPartitionElt.canonical(I, blocks) for blocks in set_partitions(I)]
     finer = [sum(1 << j for j, x in enumerate(shapes) if _refines(x, y)) for y in shapes]
     return {x: j for j, x in enumerate(shapes)}, finer
 
@@ -451,8 +451,8 @@ def _lower_lattice_elements(order: SpeciesOrder, I: GroundSet, lam: Element,
                     {"lambda": str(lam), "law": "shape comparability",
                      "pair": [str(a), str(b)],
                      "shapes": [str(shapes[a]), str(shapes[b])]})
-        target = [SetPartitionElt(I, blocks) for blocks in set_partitions(I)
-                  if _refines(SetPartitionElt(I, blocks), shapes[lam])]
+        partitions = (SetPartitionElt.canonical(I, blocks) for blocks in set_partitions(I))
+        target = [x for x in partitions if _refines(x, shapes[lam])]
         image = set(shapes.values())
         info["shape_map_injective"] = len(image) == len(interval)
         info["shape_map_surjective"] = image == set(target)

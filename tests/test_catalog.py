@@ -10,9 +10,12 @@ from species_forge.catalog import (
     MAX_COLORS, MAX_NESTING, CatalogEntry, make_E, make_E_C, make_L, make_Perm, make_Pi, make_S, make_X_C,
     parse_species, with_derived_pi,
 )
+from species_forge.controls import (
+    blob_system, collapse_system, concat_system, label_dropping_species,
+)
 from species_forge.core import (
-    GroundSet, LabeledPartitionElt, LinearOrderElt, MapTo, PermutationElt,
-    SetPartitionElt,
+    Bijection, GroundSet, LabeledPartitionElt, LinearOrderElt, MapTo, PermutationElt,
+    SetPartitionElt, decompositions,
 )
 from species_forge.engine import check_naturality
 
@@ -123,6 +126,52 @@ def test_naturality_catalog_exhaustive_n4(spec):
 
 def test_naturality_S_of_maps_n4():
     assert check_naturality(make_S(make_E_C(2)), 4).status == "pass"
+
+
+def _systems(name: str):
+    """The species, mu and pi (None where it has none) of a catalog spec or
+    a control."""
+    if name == "broken":
+        return label_dropping_species(), None, None
+    if name in _CONTROLS:
+        mu = _CONTROLS[name]().mu
+        return mu.species, mu, None
+    entry = parse_species(name)
+    if entry.pi is None:
+        entry = with_derived_pi(entry, 3)
+    return entry.species, entry.mu, entry.pi
+
+
+_CONTROLS = {"concat": lambda: concat_system(True), "blob": lambda: blob_system("zadd", 3),
+             "collapse": lambda: collapse_system(2, 2)}
+
+
+@pytest.mark.parametrize("name", ["E_C:2", "Pi", "L", "Perm", "S(X_C:2)", *_CONTROLS, "broken"])
+def test_rule_and_transport_results_are_the_enumerated_elements(name):
+    """Every construction site builds through ``Element.canonical``: each
+    result is the very instance enumerated at its position, and each block
+    label is the registered instance of its value, so later dict lookups
+    match them by identity."""
+    sp, mu, pi = _systems(name)
+
+    def enumerated(z):
+        labels = [lab for _, lab in z.blocks] if isinstance(z, LabeledPartitionElt) else []
+        return z is sp.elements(z.ground)[sp.index(z.ground)[z]] and all(
+            lab is MapTo.canonical(lab.ground, lab.colors) for lab in labels)
+
+    for n in range(4):
+        I = GroundSet.first(n)
+        assert all(enumerated(x) for x in sp.elements(I))
+        for S, T in decompositions(I, 2):
+            if mu is not None:
+                assert all(enumerated(mu(S, T, x, y))
+                           for x in sp.elements(S) for y in sp.elements(T))
+            if pi is not None:
+                assert all(enumerated(z) for c in sp.elements(I) for z in pi(S, T, c))
+        for sigma in Bijection.all_endo(I):
+            for A, _ in decompositions(I, 2):
+                tau = sigma.restrict(A)
+                assert all(enumerated(sp.transport(tau, x)) for x in sp.elements(A))
 
 
 def test_dims_depend_only_on_size():

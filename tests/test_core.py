@@ -17,6 +17,7 @@ from species_forge.core import (
     LinearOrderElt, MapTo, PermutationElt, SetPartitionElt, TensorVec, UnitElement, Vec,
     cross_check, decompositions, nonempty_compositions, set_partitions, transport_check,
 )
+from species_forge import core
 from species_forge.catalog import make_Perm, make_Pi
 from species_forge.controls import label_dropping_species
 
@@ -159,7 +160,7 @@ _NONEMPTY, _OVERLAP, _COVER = ("blocks must be nonempty", "blocks overlap",
                                "blocks do not cover the ground set")
 
 
-@pytest.mark.parametrize("ground, blocks, message", [
+_PARTITION_ERRORS = [
     (GroundSet.first(2), (_A, EMPTY), _NONEMPTY),
     (GroundSet.first(3), (_A, _B), _OVERLAP),
     (GroundSet.first(3), (_A,), _COVER),
@@ -170,12 +171,19 @@ _NONEMPTY, _OVERLAP, _COVER = ("blocks must be nonempty", "blocks overlap",
     (GroundSet.first(4), (_A, EMPTY), _NONEMPTY),
     (GroundSet.first(4), (_A, _B), _OVERLAP),
     (GroundSet.first(3), (_A, _B, _C), _OVERLAP),
-])
+]
+
+
+def _labeled(blocks) -> tuple:
+    return tuple((b, MapTo(b, (0,) * len(b))) for b in blocks)
+
+
+@pytest.mark.parametrize("ground, blocks, message", _PARTITION_ERRORS)
 def test_partition_errors_and_their_precedence(ground, blocks, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         SetPartitionElt(ground, blocks)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        LabeledPartitionElt(ground, tuple((b, MapTo(b, (0,) * len(b))) for b in blocks))
+        LabeledPartitionElt(ground, _labeled(blocks))
 
 
 def test_labeled_partition_refuses_a_label_off_its_block():
@@ -190,6 +198,82 @@ def test_partition_hashes_are_the_field_tuple_hash(n):
         for x in (SetPartitionElt(I, blocks[::-1]),
                   LabeledPartitionElt(I, tuple((b, MapTo(b, (1,) * len(b))) for b in blocks))):
             assert hash(x) == hash((x.ground, x.blocks))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_order_and_permutation_hashes_are_the_field_tuple_hash(n):
+    I = GroundSet.first(n)
+    for images in itertools.permutations(I.labels):
+        for x in (LinearOrderElt(I, list(images)), PermutationElt(I, images),
+                  LinearOrderElt.canonical(I, images), PermutationElt.canonical(I, list(images))):
+            assert hash(x) == hash((x.ground, images)) == hash((I, images))
+
+
+# ---------------------------------------------------------------------------
+# the element table: one instance per value
+
+_OFF_BLOCK = ((GroundSet.first(2), MapTo(GroundSet((1,)), (0,))),)
+_CANONICAL = [
+    (MapTo, _A, [0, 1]),
+    (SetPartitionElt, GroundSet.first(4), (GroundSet((2, 4)), GroundSet((1, 3)))),
+    (LinearOrderElt, GroundSet.first(3), (3, 1, 2)),
+    (PermutationElt, GroundSet.first(3), (2, 3, 1)),
+    (LabeledPartitionElt, GroundSet.first(3), _labeled((GroundSet((3,)), _A))),
+]
+_CANONICAL_ERRORS = [
+    (MapTo, _A, (0,)),
+    (MapTo, _A, (0, -1)),
+    (LinearOrderElt, _A, (1, 1)),
+    (PermutationElt, _A, (1, 3)),
+    (LabeledPartitionElt, GroundSet.first(2), _OFF_BLOCK),
+] + [(SetPartitionElt, g, b) for g, b, _ in _PARTITION_ERRORS] + [
+    (LabeledPartitionElt, g, _labeled(b)) for g, b, _ in _PARTITION_ERRORS]
+
+
+@pytest.mark.parametrize("cls, ground, payload", _CANONICAL,
+                         ids=[cls.__name__ for cls, _, _ in _CANONICAL])
+def test_canonical_is_one_instance_per_value(cls, ground, payload):
+    x = cls.canonical(ground, payload)
+    built = cls(ground, payload)
+    assert type(x) is cls and x is not built and x == built and built == x
+    assert hash(x) == hash(built) and repr(x) == repr(built) and str(x) == str(built)
+    assert cls.canonical(ground, list(payload)) is x
+    assert cls.canonical(built.ground, getattr(built, cls._fields[1])) is x
+
+
+def test_canonical_partition_is_one_instance_for_every_block_order():
+    I = GroundSet.first(5)
+    blocks = (GroundSet((1, 4)), GroundSet((2,)), GroundSet((3, 5)))
+    for cls, payload in ((SetPartitionElt, blocks), (LabeledPartitionElt, _labeled(blocks))):
+        first = cls.canonical(I, payload)
+        assert all(cls.canonical(I, p) is first for p in itertools.permutations(payload))
+        assert first == cls(I, payload)
+
+
+@pytest.mark.parametrize("cls, ground, payload", _CANONICAL_ERRORS)
+def test_canonical_refuses_what_the_constructor_refuses(cls, ground, payload):
+    with pytest.raises(ValueError) as built:
+        cls(ground, payload)
+    size = len(core._ELEMENTS)
+    for _ in range(2):
+        with pytest.raises(ValueError) as got:
+            cls.canonical(ground, payload)
+        assert str(got.value) == str(built.value)
+    assert len(core._ELEMENTS) == size
+
+
+def test_canonical_runs_the_constructor_on_a_miss_only(monkeypatch):
+    calls = []
+    init = MapTo.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MapTo, "__init__", counted)
+    ground = GroundSet((101, 102))
+    x = MapTo.canonical(ground, (7, 9))
+    assert MapTo.canonical(ground, [7, 9]) is x and calls == [(ground, (7, 9))]
 
 
 # ---------------------------------------------------------------------------
