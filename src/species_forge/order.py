@@ -14,13 +14,13 @@ strictly above it and of those strictly below.  Transport (on the species'
 transport tables), the lower-interval lattices, (A)/(B), the round trip and
 the p/q bases (p as the masks of the elements above, q as integer rows of
 common-lower-bound counts) are decided on those masks: the unitriangularity
-of the ``Vec`` tables by comparing them with the masks and rows, and the four
-basis identities with nabla^pi and Delta^mu read off the compiled tables.
-Each keeps its element route, which compares elements through ``le``/``lt``,
-that is through the pairs in ``strict`` (the p/q checks keep their routes on
-``Vec``s): ``core.cross_check`` runs it up to n = TABLE_ORACLE_MAX_N, and
-wherever the masks see a failure, to find the witness (the lattices do the
-same, and compare the data they surface too).  The mask routes rely on what
+of p and q as the partial-order axioms, and the four basis identities with
+nabla^pi and Delta^mu read off the compiled tables.  Each keeps its element
+route, which reads only ``le``/``lt``, that is the pairs in ``strict`` (the
+p/q routes on ``Vec``s built from ``le``, the only place those live):
+``core.cross_check`` runs it up to n = TABLE_ORACLE_MAX_N, and wherever the
+masks see a failure, to find the witness (the lattices do the same, and
+compare the data they surface too).  The other mask routes rely on what
 ``compute_order`` certifies, that the relation is a strict partial order.
 
 On top of the order: lower-interval lattice checks, the two interval
@@ -67,7 +67,9 @@ class OrderSlice:
     Derived from ``strict`` once: ``index`` maps each element to its position
     in ``elements``; bit j of ``above[k]`` is set when elements[k] <
     elements[j], and bit j of ``below[k]`` when elements[j] < elements[k].
-    ``_shapes`` keeps ``_shape_table`` per f_mu map.
+    The mask routes read these and the views built on them; the element
+    routes read only ``le``/``lt``.  ``_shapes`` keeps ``_shape_table`` per
+    f_mu map.
     """
 
     def __init__(self, I: GroundSet, elements: tuple[Element, ...], strict: frozenset):
@@ -88,12 +90,6 @@ class OrderSlice:
 
     def le(self, a: Element, b: Element) -> bool:
         return a == b or (a, b) in self.strict
-
-    def down(self, lam: Element) -> list[Element]:
-        return [self.elements[j] for j in _bits(self.downs[self.index[lam]])]
-
-    def up(self, lam: Element) -> list[Element]:
-        return [self.elements[j] for j in _bits(self.ups[self.index[lam]])]
 
     @functools.cached_property
     def downs(self) -> list[int]:
@@ -431,7 +427,7 @@ def _lower_lattice_elements(order: SpeciesOrder, I: GroundSet, lam: Element,
     """The report on the lower interval of lam, on elements."""
     key = order.key
     sl = order.slice(I)
-    interval = sl.down(lam)
+    interval = [e for e in sl.elements if sl.le(e, lam)]
     for a, b in itertools.combinations(interval, 2):
         lower = [c for c in interval if sl.le(c, a) and sl.le(c, b)]
         maximal = [c for c in lower
@@ -541,10 +537,10 @@ def _AB_elements(order: SpeciesOrder, mu: MultSystem, I: GroundSet, decs) -> dic
         sls, slt = order.slice(S), order.slice(T)
         for lam in mu.species.elements(S):
             for lam2 in mu.species.elements(T):
-                down_s = sls.down(lam)
-                down_t = slt.down(lam2)
+                down_s = [e for e in sls.elements if sls.le(e, lam)]
+                down_t = [e for e in slt.elements if slt.le(e, lam2)]
                 prod = mu(S, T, lam, lam2)
-                target = sl.down(prod)
+                target = [e for e in sl.elements if sl.le(e, prod)]
                 mapped = {}
                 for a in down_s:
                     for b in down_t:
@@ -653,17 +649,15 @@ class PQTables:
 def pq_tables(order: SpeciesOrder, I: GroundSet) -> PQTables:
     """p sums everything above an element; q sums p over everything below.
 
-    Built once per slice and kept on the order."""
+    Built from ``le`` over the elements, never from the masks, for the Vec
+    routes of the bases rows, which run at n <= TABLE_ORACLE_MAX_N and where
+    a mask route sees a failure.  Built once per slice and kept on the order."""
     got = order._pq.get(I)
     if got is None:
         sl = order.slice(I)
-        p = {lam: Vec(I, [(e, 1) for e in sl.up(lam)]) for lam in sl.elements}
-        q = {}
-        for lam in sl.elements:
-            acc = Vec.zero(I)
-            for e in sl.down(lam):
-                acc = acc + p[e]
-            q[lam] = acc
+        el = sl.elements
+        p = {lam: Vec(I, [(e, 1) for e in el if sl.le(lam, e)]) for lam in el}
+        q = {lam: sum((p[e] for e in el if sl.le(e, lam)), Vec.zero(I)) for lam in el}
         got = order._pq[I] = PQTables(I, p, q)
     return got
 
@@ -680,9 +674,9 @@ def _p_product(h_pi_mu: LinearizedHopf, mu: MultSystem, tables, S: GroundSet, T:
 def check_pq_unitriangular(order: SpeciesOrder, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     """p is unitriangular over the element basis; q is unitriangular over p.
 
-    Decided by comparing the Vec tables with the masks and the q rows; the
-    Vec re-sum runs up to n = TABLE_ORACLE_MAX_N and wherever the masks see
-    a failure, and names the witness."""
+    Decided as the partial-order axioms on the masks; the Vec route runs up
+    to n = TABLE_ORACLE_MAX_N and wherever the masks see a failure, and names
+    the witness."""
     guard_max_n(max_n)
     return cross_check("pq_unitriangular", order.key, map(GroundSet.first, range(max_n + 1)),
                        lambda I: _pq_positions(order, I), lambda I: _pq_vecs(order, I),
@@ -690,38 +684,36 @@ def check_pq_unitriangular(order: SpeciesOrder, max_n: int = DEFAULT_MAX_N) -> C
 
 
 def _pq_positions(order: SpeciesOrder, I: GroundSet) -> bool | None:
-    """None when each p_lam is 1 on the positions of ``ups[k]`` and 0 elsewhere,
-    and each q_lam is the row ``q_rows[k]`` (k the position of lam), else
-    False.  Then p is unitriangular, and sum_{e <= lam} p_e has at f the
-    number of e below both lam and f, which is ``q_rows[k][f]``: q_lam is that
-    sum."""
-    sl, tables = order.slice(I), pq_tables(order, I)
-    index = sl.index
-    for k, lam in enumerate(sl.elements):
-        p = tables.p[lam].terms
-        if sum(1 << index[e] for e in p) != sl.ups[k] or any(c != 1 for c in p.values()):
-            return False
-        row = [0] * len(index)
-        for e, c in tables.q[lam].terms.items():
-            row[index[e]] = c
-        if row != sl.q_rows[k]:
+    """None when <= is a partial order over I, else False: for each position
+    k, ``ups[k] & downs[k]`` is k alone (antisymmetry), and ``ups[f]`` lies
+    inside ``ups[k]`` for each f in ``ups[k]`` (transitivity).
+
+    Then <= has a linear extension.  In it, p_k (1 on ``ups[k]``) is 1 at k
+    and 0 before k, so p is unitriangular over the element basis; and q_k is
+    p_k plus the p_f with f < k, each before k, so q is unitriangular over
+    p.  ``ups[k]`` holds k by construction, so reflexivity needs no check."""
+    sl = order.slice(I)
+    ups, downs = sl.ups, sl.downs
+    for k, up in enumerate(ups):
+        if up & downs[k] != 1 << k or any(ups[f] & ~up for f in _bits(up)):
             return False
     return None
 
 
 def _pq_vecs(order: SpeciesOrder, I: GroundSet) -> dict | None:
-    """The first failure over I on Vecs: p_lam is 1 at lam and lives above
-    it, and q_lam re-sums as p_e over the e <= lam."""
+    """The first failure over I on Vecs: p_lam is 1 at lam; for each other
+    term e, lam is not in supp(p_e) and supp(p_e) lies inside supp(p_lam);
+    and q_lam re-sums as p_e over the e <= lam."""
     sl, tables = order.slice(I), pq_tables(order, I)
+    p = tables.p
     for lam in sl.elements:
-        pv = tables.p[lam]
-        if pv.coeff(lam) != 1 or any(not sl.le(lam, e) for e in pv.terms):
+        pv = p[lam]
+        if pv.coeff(lam) != 1 or any(
+                e != lam and (lam in p[e].terms or not p[e].terms.keys() <= pv.terms.keys())
+                for e in pv.terms):
             return {"basis": "p", "lambda": str(lam), "vec": str(pv)}
     for lam in sl.elements:
-        expanded = Vec.zero(I)
-        for e in sl.down(lam):
-            expanded = expanded + tables.p[e]
-        if expanded != tables.q[lam]:
+        if sum((p[e] for e in sl.elements if sl.le(e, lam)), Vec.zero(I)) != tables.q[lam]:
             return {"basis": "q", "lambda": str(lam)}
     return None
 

@@ -15,8 +15,8 @@ from species_forge.catalog import (
 from species_forge.classify import f_mu
 from species_forge.cli import main
 from species_forge.core import (
-    Bijection, GroundSet, MapTo, PermutationElt, SetPartitionElt, TensorVec, Vec,
-    decompositions, set_partitions,
+    TABLE_ORACLE_MAX_N, Bijection, GroundSet, MapTo, PermutationElt, SetPartitionElt, TensorVec,
+    Vec, decompositions, set_partitions,
 )
 from species_forge.engine import FatalInconsistency, hopf_from
 from species_forge.order import (
@@ -267,7 +267,7 @@ def test_Pi_lower_intervals_are_full_refinement_lattices(orders):
     I = GroundSet.first(4)
     sl = orders["Pi"].slice(I)
     top = SetPartitionElt.of([[1, 2, 3, 4]])
-    assert set(sl.down(top)) == set(sl.elements)
+    assert sl.downs[sl.index[top]] == (1 << len(sl.elements)) - 1
 
 
 def test_Perm_interval_shape_comparability(entries, orders):
@@ -370,20 +370,21 @@ def test_pq_unitriangular_routes_agree_on_catalog(key):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-@pytest.mark.parametrize("basis", ["p", "q"])
-def test_pq_unitriangular_doctored_table_fails_with_vec_witness(n, basis):
-    # one doctored p or q vector: the rows see it (beyond TABLE_ORACLE_MAX_N
-    # alone) and the Vec route names it, in the shape the check always gave
-    so = order_mod.order_of(make_Pi())
+@pytest.mark.parametrize("law", ["antisymmetry", "transitivity"])
+def test_pq_unitriangular_doctored_slice_fails_with_vec_witness(n, law):
+    # E_C:2's order is discrete; the doctored slice over {1..n} holds a
+    # 2-cycle a < b < a, or a < b < c without a < c.  The masks see it
+    # (beyond TABLE_ORACLE_MAX_N alone) and the Vec route names a, whose p is
+    # a + b, in the shape the check always gave
+    entry = make_E_C(2)
+    so = order_mod.order_of(entry)
     I = GroundSet.first(n)
-    sl, t = so.slice(I), pq_tables(so, I)
-    lam = sl.elements[-1]
-    table = getattr(t, basis)
-    table[lam] = table[lam] + Vec.basis(lam)
+    a, b, c = entry.species.elements(I)[:3]
+    pairs = [(a, b), (b, a)] if law == "antisymmetry" else [(a, b), (b, c)]
+    _doctor(so, I, add=[(str(x), str(y)) for x, y in pairs])
     assert order_mod._pq_positions(so, I) is False
-    want = {"basis": "q", "lambda": str(lam)} if basis == "q" else \
-        {"basis": "p", "lambda": str(lam), "vec": str(table[lam])}
     rep = check_pq_unitriangular(so, 4)
+    want = {"basis": "p", "lambda": str(a), "vec": str(Vec(I, [(a, 1), (b, 1)]))}
     assert (rep.status, rep.n, rep.witness) == ("fail", n, want)
 
 
@@ -417,6 +418,59 @@ def test_pq_tables_built_once_per_slice(monkeypatch):
     assert check_basis_change_matrices(entry, 3).ok
     assert len(built) == len(set(built)) == 8  # every subset of {1,2,3}
     assert pq_tables(so, GroundSet.first(3)) is pq_tables(so, GroundSet.first(3))
+
+
+@pytest.mark.parametrize("key", ["Pi", "Perm"])
+def test_bases_build_vec_tables_only_at_oracle_sizes(monkeypatch, key):
+    # past TABLE_ORACLE_MAX_N the bases rows read only the masks and rows
+    built = []
+    real = order_mod.PQTables
+    monkeypatch.setattr(order_mod, "PQTables",
+                        lambda I, p, q: built.append(len(I)) or real(I, p, q))
+    entry = _PQ_SPECIES[key]()
+    assert check_pq_unitriangular(order_mod.order_of(entry), 5).ok
+    assert check_basis_theorem(entry, 5).ok
+    assert built and max(built) <= TABLE_ORACLE_MAX_N
+
+
+def _order_oracles(entry, max_n):
+    """What the order oracles that read only ``strict`` return over {1..n},
+    n <= max_n: the p/q and basis Vec routes (None, or the message raised),
+    (A)/(B) on elements, and each lower-interval report."""
+    so, h = order_mod.order_of(entry), hopf_from(entry, "pi", "mu")
+    fmu = f_mu(entry.mu, max_n, check_preconditions=False, species_key=entry.key)
+    out = []
+    for n in range(max_n + 1):
+        I = GroundSet.first(n)
+        decs = decompositions(I, 2)
+        try:
+            basis = order_mod._basis_vecs(so, h, I, decs)
+        except FatalInconsistency as exc:
+            basis = str(exc)
+        lattices = [order_mod._lower_lattice_elements(so, I, lam, fmu)
+                    for lam in entry.species.elements(I)]
+        out.append((order_mod._pq_vecs(so, I), basis,
+                    order_mod._AB_elements(so, entry.mu, I, decs),
+                    [(rep.status, rep.witness) for rep in lattices]))
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(_PQ_SPECIES))
+def test_order_oracles_ignore_the_masks(monkeypatch, key):
+    # the element routes share only strict with the mask routes: with every
+    # slice's above, below, ups and downs complemented, they answer the same
+    want = _order_oracles(_PQ_SPECIES[key](), TABLE_ORACLE_MAX_N)
+    real = order_mod.compute_order
+
+    def scrambled(*args):
+        sl = real(*args)
+        full = (1 << len(sl.elements)) - 1
+        masks = [[full ^ m for m in view] for view in (sl.above, sl.below, sl.ups, sl.downs)]
+        sl.above, sl.below, sl.ups, sl.downs = masks
+        return sl
+
+    monkeypatch.setattr(order_mod, "compute_order", scrambled)
+    assert _order_oracles(_PQ_SPECIES[key](), TABLE_ORACLE_MAX_N) == want
 
 
 # the p/q identities on positions, against the Vec route
