@@ -65,6 +65,14 @@ class Runner:
             self.stopped = True
         return rep
 
+    def skip(self, name: str, reason: str, n: int | None = None) -> None:
+        """A skip row for check ``name`` at n (max_n by default); none once
+        the run has stopped, as ``run`` writes no row then."""
+        if not self.stopped:
+            self.reports.append(CheckReport(name, self.entry.key,
+                                            self.max_n if n is None else n, "skip",
+                                            {"reason": reason}))
+
     def summary(self) -> dict:
         counts = dict.fromkeys(("pass", "fail_expected", "fail_unexpected", "fatal", "skip"), 0)
         for r in self.reports:
@@ -121,18 +129,13 @@ def _expect(entry: CatalogEntry, flag: str, side: str = "mu") -> bool:
     return flag in flags
 
 
-def _skip(name: str, entry: CatalogEntry, max_n: int, reason: str) -> CheckReport:
-    return CheckReport(name, entry.key, max_n, "skip", {"reason": reason})
-
-
 def _run_axioms(r: Runner) -> None:
     entry, n = r.entry, r.max_n
     for m in range(n + 1):
         rep = r.run(False, _transport, entry, m)
         if rep.status != "pass":
-            if not r.stopped:
-                r.reports += [_skip("transport", entry, later, f"transport did not pass at n={m}")
-                              for later in range(m + 1, n + 1)]
+            for later in range(m + 1, n + 1):
+                r.skip("transport", f"transport did not pass at n={m}", later)
             break
     r.run(False, engine.check_naturality, entry, n)
     p, c = _canonical_variant(entry)
@@ -154,7 +157,7 @@ def _transport(entry: CatalogEntry, m: int) -> CheckReport:
 def _run_ssd(r: Runner) -> None:
     entry, n = r.entry, r.max_n
     if entry.mu is None:
-        r.reports.append(_skip("self_compatible", entry, n, "no multiplicative system"))
+        r.skip("self_compatible", "no multiplicative system")
         return
     exp = not _expect(entry, "commutative")
     r.run(exp, engine.check_self_compatible, entry.mu, "both", n, species_key=entry.key)
@@ -168,10 +171,9 @@ def _run_ssd(r: Runner) -> None:
         r.run(False, classify.check_primitives_match, entry, n)
         r.run(False, _fmu_intertwines, entry, n)
     else:
-        r.reports.append(_skip("ssd_conditions", entry, n,
-                               "characterizes Hopf triples only"))
+        r.skip("ssd_conditions", "characterizes Hopf triples only")
         for name in ("takeuchi_closed_form", "primitives_match", "fmu_intertwines"):
-            r.reports.append(_skip(name, entry, n, "product not commutative"))
+            r.skip(name, "product not commutative")
 
 
 def _selfcompat_controls(entry: CatalogEntry, seed: int) -> CheckReport:
@@ -223,7 +225,7 @@ def _fmu_intertwines(entry: CatalogEntry, max_n: int) -> CheckReport:
 def _run_lsd(r: Runner) -> None:
     entry, n = r.entry, r.max_n
     if entry.pi is None:
-        r.reports.append(_skip("lsd", entry, n, "no comultiplicative system"))
+        r.skip("lsd", "no comultiplicative system")
         return
     exp_bij = not _expect(entry, "bijective", "pi")
     r.run(exp_bij, _pi_bijective, entry, n)
@@ -232,13 +234,13 @@ def _run_lsd(r: Runner) -> None:
     if entry.mu is not None:
         r.run(exp_bij, engine.check_fsd, engine.hopf_from(entry, "mu", "pi"), n)
     else:
-        r.reports.append(_skip("fsd", entry, n, "needs both systems"))
+        r.skip("fsd", "needs both systems")
     if not exp_bij:
         r.run(False, _fpi_intertwines, entry, min(n, 3))
         r.run(False, _lsd_primitive_profile, entry, min(n, 3))
     else:
         for name in ("fpi_intertwines", "lsd_primitive_profile"):
-            r.reports.append(_skip(name, entry, n, "coproduct not bijective"))
+            r.skip(name, "coproduct not bijective")
 
 
 def _pi_bijective(entry: CatalogEntry, max_n: int) -> CheckReport:
@@ -269,8 +271,7 @@ def _lsd_primitive_profile(entry: CatalogEntry, max_n: int) -> CheckReport:
 def _run_order(r: Runner) -> None:
     entry, n = r.entry, r.max_n
     if entry.mu is None or entry.pi is None or not _expect(entry, "commutative"):
-        r.reports.append(_skip("order", entry, n,
-                               "order needs a commutative product and a coproduct"))
+        r.skip("order", "order needs a commutative product and a coproduct")
         return
     so = order_mod.order_of(entry)
     r.run(False, _order_valid, so, n)
@@ -291,8 +292,7 @@ def _order_valid(so: order_mod.SpeciesOrder, max_n: int) -> CheckReport:
 def _run_bases(r: Runner) -> None:
     entry, n = r.entry, r.max_n
     if entry.mu is None or entry.pi is None or not _expect(entry, "commutative"):
-        r.reports.append(_skip("bases", entry, n,
-                               "bases need a commutative product and a coproduct"))
+        r.skip("bases", "bases need a commutative product and a coproduct")
         return
     so = order_mod.order_of(entry)
     r.run(False, order_mod.check_pq_unitriangular, so, n)
@@ -308,13 +308,12 @@ def _run_full_extras(r: Runner) -> None:
     if entry.mu is not None and entry.pi is not None:
         r.run(False, engine.check_dual_tables, engine.hopf_from(entry, "mu", "pi"), n)
     else:
-        r.reports.append(_skip("dual_tables", entry, n, "needs both systems"))
+        r.skip("dual_tables", "needs both systems")
     r.run(False, engine.check_preorder_rectangle, entry, n)  # skips itself without both
     if entry.mu is not None and _expect(entry, "commutative"):
         r.run(False, _nabla_x_decomposition, entry, min(n, 3))
     else:
-        r.reports.append(_skip("nabla_x_decomposition", entry, n,
-                               "needs a commutative product"))
+        r.skip("nabla_x_decomposition", "needs a commutative product")
 
 
 def _nabla_x_decomposition(entry: CatalogEntry, max_n: int) -> CheckReport:

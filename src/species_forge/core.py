@@ -25,11 +25,18 @@ class _Value:
     """An immutable slotted value with the fields ``_fields``.
 
     Copies, deep copies and pickles rebuild a value through its constructor,
-    and its repr lists its fields.  Each value class writes its own
-    ``__eq__`` (same class, then the field tuple) and ``__hash__`` (the hash
-    of the field tuple) out literally: a generic ``getattr`` loop over
-    ``_fields`` hashes about 2.7x slower in CPython 3.11, and the checks hash
-    elements hundreds of thousands of times."""
+    and its repr lists its fields.  Equality and hashing are per kind:
+
+    - ``Element`` kinds share one ``__eq__`` on a stored key
+      (``Element._seal``), but each writes its one-line ``__hash__`` itself:
+      CPython 3.11 specializes attribute loads per code object, so one
+      ``__hash__`` shared by every kind stays unspecialized, and ``Pi``'s full
+      suite at n = 3 ran about 1 % slower with one.
+    - ``GroundSet`` is interned, so its equality is identity: a Python-level
+      ``__eq__`` would slow every ``ground != ground`` check.
+    - ``Bijection`` writes its ``__eq__`` and ``__hash__`` out: bijections are
+      not interned, and a stored key per bijection raised the peak memory of
+      ``Pi``'s axioms at n = 6 from 28.7 to 29.5 MB."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
@@ -229,12 +236,14 @@ _ELEMENTS: dict[tuple, "Element"] = {}
 class Element(_Value):
     """A combinatorial basis element living over a fixed ground set.
 
-    Subclasses are canonical-form value objects: two elements are equal iff
-    they are of one kind and their payloads match structurally, and
-    ``sort_key`` gives the fixed enumeration order used in reports.
+    Subclasses are canonical-form value objects: each constructor validates
+    its payload and ends in ``_seal``, which keeps the field tuple as
+    ``_key`` and its hash as ``_hash``.  Two elements are equal iff they are
+    of one kind and their keys match, and ``sort_key`` gives the fixed
+    enumeration order used in reports.
     """
 
-    __slots__ = ()
+    __slots__ = ("_key", "_hash")
     ground: GroundSet
     # the key the constructor sorts a payload by, if it sorts it (read
     # through the class, so a plain function is not bound)
@@ -263,6 +272,19 @@ class Element(_Value):
             got = _ELEMENTS.setdefault(key, cls(ground, payload))
         return got
 
+    def _seal(self, *values) -> None:
+        """Set the fields to ``values``, in ``_fields`` order, and keep their
+        tuple and its hash."""
+        for f, v in zip(self._fields, values):
+            _setattr(self, f, v)
+        _setattr(self, "_key", values)
+        _setattr(self, "_hash", hash(values))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
     def sort_key(self):
         raise NotImplementedError
 
@@ -275,15 +297,10 @@ class UnitElement(Element):
     def __init__(self, ground: GroundSet = EMPTY):
         if len(ground) != 0:
             raise ValueError("UnitElement lives over the empty set only")
-        _setattr(self, "ground", ground)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ground,) == (other.ground,)
-        return NotImplemented
+        self._seal(ground)
 
     def __hash__(self):
-        return hash((self.ground,))
+        return self._hash
 
     def sort_key(self):
         return ("unit",)
@@ -293,11 +310,9 @@ class UnitElement(Element):
 
 
 class MapTo(Element):
-    """A map from the ground set to colors 0..c-1, stored label-aligned; the
-    hash is that of the field tuple, computed once."""
+    """A map from the ground set to colors 0..c-1, stored label-aligned."""
 
-    _fields = ("ground", "colors")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields = ("ground", "colors")
 
     def __init__(self, ground: GroundSet, colors: tuple[int, ...]):
         if not isinstance(colors, tuple):
@@ -306,14 +321,7 @@ class MapTo(Element):
             raise ValueError("one color per label required")
         if colors and min(colors) < 0:
             raise ValueError("colors are nonnegative indices")
-        _setattr(self, "ground", ground)
-        _setattr(self, "colors", colors)
-        _setattr(self, "_hash", hash((ground, colors)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ground, self.colors) == (other.ground, other.colors)
-        return NotImplemented
+        self._seal(ground, colors)
 
     def __hash__(self):
         return self._hash
@@ -361,24 +369,15 @@ def _check_partition(ground: GroundSet, blocks: Sequence[GroundSet], labels=()) 
 
 
 class SetPartitionElt(Element):
-    """A set partition: disjoint nonempty blocks covering the ground set; the
-    hash is that of the field tuple, computed once."""
+    """A set partition: disjoint nonempty blocks covering the ground set."""
 
-    _fields = ("ground", "blocks")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields = ("ground", "blocks")
     _payload_key = _labels
 
     def __init__(self, ground: GroundSet, blocks: tuple[GroundSet, ...]):
         blocks = tuple(sorted(blocks, key=_labels))
         _check_partition(ground, blocks)
-        _setattr(self, "ground", ground)
-        _setattr(self, "blocks", blocks)
-        _setattr(self, "_hash", hash((ground, blocks)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ground, self.blocks) == (other.ground, other.blocks)
-        return NotImplemented
+        self._seal(ground, blocks)
 
     def __hash__(self):
         return self._hash
@@ -398,25 +397,16 @@ class SetPartitionElt(Element):
 
 
 class LinearOrderElt(Element):
-    """A linear order of the ground set, first element first; the hash is
-    that of the field tuple, computed once."""
+    """A linear order of the ground set, first element first."""
 
-    _fields = ("ground", "seq")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields = ("ground", "seq")
 
     def __init__(self, ground: GroundSet, seq: tuple[int, ...]):
         if not isinstance(seq, tuple):
             seq = tuple(seq)
         if tuple(sorted(seq)) != ground.labels:
             raise ValueError("sequence must use each label exactly once")
-        _setattr(self, "ground", ground)
-        _setattr(self, "seq", seq)
-        _setattr(self, "_hash", hash((ground, seq)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ground, self.seq) == (other.ground, other.seq)
-        return NotImplemented
+        self._seal(ground, seq)
 
     def __hash__(self):
         return self._hash
@@ -433,25 +423,16 @@ class LinearOrderElt(Element):
 
 
 class PermutationElt(Element):
-    """A permutation of the ground set, stored in one-line form; the hash is
-    that of the field tuple, computed once."""
+    """A permutation of the ground set, stored in one-line form."""
 
-    _fields = ("ground", "images")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields = ("ground", "images")
 
     def __init__(self, ground: GroundSet, images: tuple[int, ...]):
         if not isinstance(images, tuple):
             images = tuple(images)
         if tuple(sorted(images)) != ground.labels:
             raise ValueError("images must permute the ground set")
-        _setattr(self, "ground", ground)
-        _setattr(self, "images", images)
-        _setattr(self, "_hash", hash((ground, images)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ground, self.images) == (other.ground, other.images)
-        return NotImplemented
+        self._seal(ground, images)
 
     def __hash__(self):
         return self._hash
@@ -495,23 +476,15 @@ class PermutationElt(Element):
 
 class LabeledPartitionElt(Element):
     """A set partition whose blocks each carry an element living over that
-    block; the hash is that of the field tuple, computed once."""
+    block."""
 
-    _fields = ("ground", "blocks")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields = ("ground", "blocks")
     _payload_key = _block_labels
 
     def __init__(self, ground: GroundSet, blocks: tuple[tuple[GroundSet, Element], ...]):
         blocks = tuple(sorted(blocks, key=_block_labels))
         _check_partition(ground, [b for b, _ in blocks], [lab for _, lab in blocks])
-        _setattr(self, "ground", ground)
-        _setattr(self, "blocks", blocks)
-        _setattr(self, "_hash", hash((ground, blocks)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ground, self.blocks) == (other.ground, other.blocks)
-        return NotImplemented
+        self._seal(ground, blocks)
 
     def __hash__(self):
         return self._hash

@@ -415,6 +415,25 @@ def test_lsd_without_a_product_leaves_an_fsd_skip_row():
         "Pi", "skip", {"reason": "needs both systems"})
 
 
+def test_fail_fast_writes_no_skip_row_after_the_stop():
+    # Pi's coproduct is not bijective: declared bijective, pi_bijective fails
+    # unexpectedly, and --fail-fast writes no row after it, skip rows included
+    from species_forge.catalog import CatalogEntry, make_Pi
+    from species_forge.cli import Runner, _run_lsd
+
+    pi = make_Pi()
+    entry = CatalogEntry("Pi", pi.species, None, pi.pi, pi_flags=frozenset({"bijective"}))
+    r = Runner(entry, 2, 0, True)
+    _run_lsd(r)
+    assert [(rep.check, rep.status) for rep in r.reports] == [("pi_bijective", "fail")]
+    assert r.stopped and r.exit_code() == 1
+    r = Runner(entry, 2, 0, False)     # without --fail-fast every row is written
+    _run_lsd(r)
+    assert [(rep.check, rep.status) for rep in r.reports] == [
+        ("pi_bijective", "fail"), ("cocommutative", "pass"), ("fsd", "skip"),
+        ("fpi_intertwines", "fail"), ("lsd_primitive_profile", "fail")]
+
+
 def test_transport_stop_leaves_skip_rows():
     from species_forge.catalog import CatalogEntry, MultSystem
     from species_forge.cli import Runner, _run_axioms

@@ -330,6 +330,17 @@ def test_value_class_contract(x, fields, text):
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(y) is type(x) and y == x and hash(y) == hash(x) and repr(y) == text
         assert all(a is b for a, b in zip(_grounds(y), _grounds(x)))
+    if isinstance(x, core.Element):
+        # every kind compares through Element.__eq__ on the key its
+        # constructor sealed, and keeps its own one-line __hash__
+        cls = type(x)
+        assert "__eq__" not in vars(cls) and "__hash__" in vars(cls)
+        assert x._key == tuple(getattr(x, f) for f in x._fields) == values
+        # a twin built by the constructor finds the stored instance by value
+        stored = x if cls is UnitElement else cls.canonical(*values)
+        assert stored is not twin and {stored: 0}[twin] == 0
+        P = core.SetSpecies("one", lambda I: [stored] if I is x.ground else [], lambda s, y: y)
+        assert P.index(x.ground)[twin] == 0
 
 
 def test_value_classes_with_equal_fields_differ_by_kind():
@@ -337,6 +348,7 @@ def test_value_classes_with_equal_fields_differ_by_kind():
     assert order != perm and perm != order and hash(order) == hash(perm)
     assert len({order, perm}) == 2
     assert MapTo(EMPTY, ()) != UnitElement() and SetPartitionElt(EMPTY, ()) != UnitElement()
+    assert hash(UnitElement()) == hash((EMPTY,)) == UnitElement()._hash
 
 
 def test_bijection_inverse_stays_out_of_eq_hash_repr_and_copies():

@@ -1537,3 +1537,63 @@ def test_table_split_from_element_oracle_is_fatal(monkeypatch, entries, name):
     row = "fsd" if name == "_fsd_terms" else "preorder_rectangle"
     with pytest.raises(FatalInconsistency, match=f"{row} checks .* at n={eng.ORACLE_MAX_N + 1}"):
         check()
+
+
+# ---------------------------------------------------------------------------
+# the oracles read the rules, never the compiled tables
+
+_ORACLE_SPECIES = {
+    "E_C:2": lambda: make_E_C(2),
+    "Pi": make_Pi,
+    "L": make_L,
+    "Perm": make_Perm,
+    "S(X_C:2)": lambda: with_derived_pi(make_S(make_X_C(2)), eng.ORACLE_MAX_N),
+}
+# linear checker or element route -> parts per decomposition, 0 for none
+_DIAGRAM_ORACLES = {eng._assoc: 3, eng._comm: 2, eng._unital: 0, eng._coassoc: 3,
+                    eng._cocomm: 2, eng._counital: 0, eng._hopf_compat: 2,
+                    eng._delta_nabla_linear: 2, eng._fsd_elements: 2}
+
+
+def _oracle_results(entry, max_n):
+    """What every engine and core oracle returns over {1..n}, n <= max_n, on
+    each variant it takes: a witness, None, or the error it raised."""
+    def result(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    out = []
+    for n in range(max_n + 1):
+        I = GroundSet.first(n)
+        out.append(result(eng._naturality_exhaustive, entry, I))
+        out.append(result(lambda: core._transport_exhaustive(entry.species, I).witness))
+        for p, c in itertools.product(("mu", "pi"), repeat=2):
+            h = hopf_from(entry, p, c)
+            for oracle, parts in _DIAGRAM_ORACLES.items():
+                out.append(result(oracle, h, I, decompositions(I, parts) if parts else ()))
+            if p == "mu":
+                out.append(result(eng._local_elements, h, I, decompositions(I, 2)))
+            if (p, c) == ("mu", "pi"):
+                out.append(result(eng._rectangle_elements, h, I, ()))
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(_ORACLE_SPECIES))
+def test_oracles_ignore_the_compiled_tables(monkeypatch, key):
+    # ROADMAP item 11, narrowed to the engine and core oracles: on a fresh
+    # entry, with every position table and reader refusing to be read, each
+    # oracle answers as before
+    want = _oracle_results(_ORACLE_SPECIES[key](), eng.ORACLE_MAX_N)
+
+    def refuse(name):
+        def read(*args, **kwargs):
+            raise AssertionError(f"an oracle read {name}")
+        return read
+
+    for owner, name in ((MultSystem, "table"), (ComultSystem, "table"),
+                        (SetSpecies, "transport_table"), (SetSpecies, "positions"),
+                        (eng, "_position_readers")):
+        monkeypatch.setattr(owner, name, refuse(name))
+    assert _oracle_results(_ORACLE_SPECIES[key](), eng.ORACLE_MAX_N) == want
