@@ -33,8 +33,9 @@ from typing import Optional
 from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
     EMPTY, TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, FatalInconsistency,
-    GroundSet, SetSpecies, TensorVec, Vec, _check_disjoint, _check_keys, cross_check,
-    decompositions, derived_tensor, derived_vec, nonempty_compositions, union_all,
+    GroundSet, SetSpecies, TensorVec, Vec, _check_disjoint, _check_grounds, _check_keys,
+    _nonzero, cross_check, decompositions, derived_tensor, derived_vec, nonempty_compositions,
+    union_all,
 )
 
 DEFAULT_MAX_N = 4
@@ -98,7 +99,11 @@ class LinearizedHopf:
     def nabla(self, S: GroundSet, T: GroundSet, t: TensorVec) -> Vec:
         if t.parts != (S, T):
             raise ValueError("tensor parts do not match (S, T)")
-        return derived_vec(S.union(T), self._nabla_terms(S, T, t.terms.items()))
+        acc: dict = {}
+        for (x, y), c in t.terms.items():
+            for z in self.products(S, T, x, y):
+                acc[z] = acc.get(z, 0) + c
+        return derived_vec(S.union(T), acc)
 
     def delta(self, S: GroundSet, T: GroundSet, v: Vec) -> TensorVec:
         if v.ground is not S.union(T):
@@ -108,26 +113,6 @@ class LinearizedHopf:
             for pair in self.splits(S, T, z):
                 acc[pair] = acc.get(pair, 0) + c
         return derived_tensor((S, T), acc, (0, 1))
-
-    def _nabla_terms(self, S: GroundSet, T: GroundSet, terms) -> dict:
-        """The accumulated terms of nabla_{S,T} on the pairs ``((x, y), c)``
-        of ``terms``, in their order; unchecked (``derived_vec`` checks)."""
-        acc: dict = {}
-        for (x, y), c in terms:
-            for z in self.products(S, T, x, y):
-                acc[z] = acc.get(z, 0) + c
-        return acc
-
-    def _nabla_at_terms(self, S: GroundSet, T: GroundSet, terms, pos: int) -> dict:
-        """As ``_nabla_terms``, on slots pos and pos+1 of the keys of the
-        pairs ``(key, c)``; unchecked (``derived_tensor`` checks)."""
-        acc: dict = {}
-        for key, c in terms:
-            head, tail = key[:pos], key[pos + 2:]
-            for e in self.products(S, T, key[pos], key[pos + 1]):
-                k = head + (e,) + tail
-                acc[k] = acc.get(k, 0) + c
-        return acc
 
 
 _SYSTEM_NAMES = {"mu": "multiplicative", "pi": "comultiplicative"}
@@ -147,17 +132,33 @@ def hopf_from(entry: CatalogEntry, product: str = "mu", coproduct: str = "pi") -
 
 def _nabla_basis(h: LinearizedHopf, S: GroundSet, T: GroundSet, x: Element, y: Element) -> Vec:
     """nabla_{S,T}(x (x) y) as a vector."""
-    return derived_vec(S.union(T), h._nabla_terms(S, T, [((x, y), 1)]))
+    return Vec(S.union(T), _product_terms(h, S, T, x, y), _trusted=True)
 
 
 def _delta_basis(h: LinearizedHopf, S: GroundSet, T: GroundSet, z: Element) -> TensorVec:
     """Delta_{S,T}(z) as a tensor."""
+    return TensorVec((S, T), _split_terms(h, S, T, z), _trusted=True)
+
+
+# The terms of one basis (co)product, checked as derived_vec/derived_tensor
+# check them; each coefficient counts a rule result, so none is zero.
+
+def _product_terms(h: LinearizedHopf, S: GroundSet, T: GroundSet, x: Element, y: Element) -> dict:
+    acc: dict = {}
+    for z in h.products(S, T, x, y):
+        acc[z] = acc.get(z, 0) + 1
+    _check_grounds(S.union(T), acc)
+    return acc
+
+
+def _split_terms(h: LinearizedHopf, S: GroundSet, T: GroundSet, z: Element) -> dict:
     acc: dict = {}
     for pair in h.splits(S, T, z):
         pair = tuple(pair)
         acc[pair] = acc.get(pair, 0) + 1
     _check_disjoint(S.labels, T.labels)
-    return derived_tensor((S, T), acc, (0, 1))
+    _check_keys((S, T), acc, (0, 1))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +168,13 @@ def apply_nabla_at(h: LinearizedHopf, t: TensorVec, pos: int) -> TensorVec:
     """id (x) ... (x) nabla (x) ... (x) id, merging slots pos and pos+1."""
     S, T = t.parts[pos], t.parts[pos + 1]
     parts = t.parts[:pos] + (S.union(T),) + t.parts[pos + 2:]
-    return derived_tensor(parts, h._nabla_at_terms(S, T, t.terms.items(), pos), (pos,))
+    acc: dict = {}
+    for key, c in t.terms.items():
+        head, tail = key[:pos], key[pos + 2:]
+        for e in h.products(S, T, key[pos], key[pos + 1]):
+            k = head + (e,) + tail
+            acc[k] = acc.get(k, 0) + c
+    return derived_tensor(parts, acc, (pos,))
 
 
 def apply_delta_at(h: LinearizedHopf, t: TensorVec, pos: int,
@@ -398,14 +405,17 @@ def _delta_nabla_terms(h, I, decs):
     return None
 
 
-# The linear checkers, the kernels' reference: each builds its diagram's
-# vectors, and runs only for n <= ORACLE_MAX_N.
+# The linear checkers, the kernels' reference, run only for n <= ORACLE_MAX_N.
+# _assoc and _hopf_compat, which run on every control system, accumulate each
+# side's terms in checked dicts and build a Vec or TensorVec only for the
+# witness.  The other checkers, which run only on catalog entries (about 1 ms
+# a row), build their diagram's vectors through the public linear maps.
 
 def _assoc(h, I, decs):
     # Each memo is filled on first use, so the rules are called in the same
     # order as without it, and a rule that raises raises at the same instance.
-    # nabla(xy (x) z) and nabla(x (x) yz) run over the terms of those tensors,
-    # in TensorVec.tensor's order, without building them.
+    # nabla(xy (x) z) and nabla(x (x) yz) run nabla's loop over the terms of
+    # those tensors, in TensorVec.tensor's order, without building them.
     for R, S, T in decs:
         RS, ST, yzs = R.union(S), S.union(T), {}
         RST = RS.union(T)
@@ -414,17 +424,24 @@ def _assoc(h, I, decs):
                 xy = None
                 for c, z in enumerate(h.basis.elements(T)):
                     if xy is None:
-                        xy = _nabla_basis(h, R, S, x, y)
-                    lhs = derived_vec(RST, h._nabla_terms(
-                        RS, T, [((w, z), k) for w, k in xy.terms.items()]))
+                        xy = _product_terms(h, R, S, x, y)
+                    lhs = {}
+                    for w, k in xy.items():
+                        for p in h.products(RS, T, w, z):
+                            lhs[p] = lhs.get(p, 0) + k
+                    _check_grounds(RST, lhs)
                     if (b, c) not in yzs:
-                        yzs[b, c] = _nabla_basis(h, S, T, y, z)
-                    rhs = derived_vec(RST, h._nabla_terms(
-                        R, ST, [((x, w), k) for w, k in yzs[b, c].terms.items()]))
-                    if lhs != rhs:
+                        yzs[b, c] = _product_terms(h, S, T, y, z)
+                    rhs = {}
+                    for w, k in yzs[b, c].items():
+                        for p in h.products(R, ST, x, w):
+                            rhs[p] = rhs.get(p, 0) + k
+                    _check_grounds(RST, rhs)
+                    if _nonzero(lhs) != _nonzero(rhs):
                         return {"decomposition": [list(R), list(S), list(T)],
                                 "inputs": [str(x), str(y), str(z)],
-                                "lhs": str(lhs), "rhs": str(rhs)}
+                                "lhs": str(derived_vec(RST, lhs)),
+                                "rhs": str(derived_vec(RST, rhs))}
     return None
 
 
@@ -493,10 +510,10 @@ def _counital(h, I, decs):
 
 def _hopf_compat(h, I, decs):
     # The bottom path twists (A, B, A', B') -> (A, A', B, B'); this is the
-    # displayed convention, and _hopf_terms follows it.  Both of its nablas run
-    # apply_nabla_at's loop on terms, first over dx (x) dy in twisted order,
-    # then over the merged terms (positive, so none cancel): no tensor is built
-    # in between.  The memos are filled on first use, as in _assoc.
+    # displayed convention, and _hopf_terms follows it.  Each side runs the
+    # loops of delta and apply_nabla_at in a dict (the bottom over dx (x) dy in
+    # twisted order, then over the merged terms, positive so none cancel),
+    # checked as they check it.  The memos are filled on first use, as in _assoc.
     for R, Rp in decs:
         xys = {}
         for S, Sp in decs:
@@ -504,22 +521,33 @@ def _hopf_compat(h, I, decs):
             Ap, Bp = Rp.intersect(S), Rp.intersect(Sp)
             dys = {}
             for a, x in enumerate(h.basis.elements(R)):
-                dx = _delta_basis(h, A, B, x).terms.items()
+                dx = _split_terms(h, A, B, x).items()
                 for b, y in enumerate(h.basis.elements(Rp)):
                     if (a, b) not in xys:
-                        xys[a, b] = _nabla_basis(h, R, Rp, x, y)
-                    top = h.delta(S, Sp, xys[a, b])
+                        xys[a, b] = _product_terms(h, R, Rp, x, y)
+                    top = {}
+                    for z, c in xys[a, b].items():
+                        for pair in h.splits(S, Sp, z):
+                            top[pair] = top.get(pair, 0) + c
+                    _check_keys((S, Sp), top, (0, 1))
                     if b not in dys:
-                        dys[b] = _delta_basis(h, Ap, Bp, y).terms.items()
-                    merged = h._nabla_at_terms(A, Ap, [((u, up, v, vp), c * cp) for (u, v), c in dx
-                                                       for (up, vp), cp in dys[b]], 0)
+                        dys[b] = _split_terms(h, Ap, Bp, y).items()
+                    merged = {}
+                    for (u, v), c in dx:
+                        for (up, vp), cp in dys[b]:
+                            for e in h.products(A, Ap, u, up):
+                                merged[e, v, vp] = merged.get((e, v, vp), 0) + c * cp
                     _check_keys((S, B, Bp), merged, (0,))     # (A u A', B, B')
-                    bottom = derived_tensor(                  # (A u A', B u B')
-                        (S, Sp), h._nabla_at_terms(B, Bp, merged.items(), 1), (1,))
-                    if top != bottom:
+                    bottom = {}
+                    for (s, v, vp), c in merged.items():
+                        for e in h.products(B, Bp, v, vp):
+                            bottom[s, e] = bottom.get((s, e), 0) + c
+                    _check_keys((S, Sp), bottom, (1,))        # (A u A', B u B')
+                    if _nonzero(top) != _nonzero(bottom):
                         return {"R": list(R), "Rp": list(Rp), "S": list(S), "Sp": list(Sp),
                                 "inputs": [str(x), str(y)],
-                                "top": str(top), "bottom": str(bottom)}
+                                "top": str(derived_tensor((S, Sp), top, (0, 1))),
+                                "bottom": str(derived_tensor((S, Sp), bottom, (1,)))}
     return None
 
 

@@ -14,7 +14,9 @@ from species_forge.core import (
     EMPTY, Bijection, CheckReport, GroundSet, LinearOrderElt, MapTo, SetPartitionElt, SetSpecies,
     TensorVec, UnitElement, Vec, decompositions,
 )
-from species_forge.controls import _MAKERS, _grid, blob_system, perturbed_systems
+from species_forge.controls import (
+    _MAKERS, _grid, blob_system, collapse_system, concat_system, perturbed_systems,
+)
 from species_forge.engine import (
     AXIOMS, FatalInconsistency, check_antipode_convolution, check_axiom,
     check_delta_nabla_identity, check_dual_tables, check_fsd,
@@ -572,6 +574,30 @@ def test_kernel_that_misses_a_control_failure_is_fatal(monkeypatch):
         check_axiom(h, "hopf_compatible", 2)
 
 
+def _assoc_by_vectors(h, I, decs):
+    # _assoc with both sides built as vectors: xy (x) z and x (x) yz through
+    # TensorVec.tensor, then the public nabla; the same memos, so the same
+    # rule calls
+    for R, S, T in decs:
+        RS, ST, yzs = R.union(S), S.union(T), {}
+        RST = RS.union(T)
+        for x in h.basis.elements(R):
+            for b, y in enumerate(h.basis.elements(S)):
+                xy = None
+                for c, z in enumerate(h.basis.elements(T)):
+                    if xy is None:
+                        xy = eng._nabla_basis(h, R, S, x, y)
+                    lhs = h.nabla(RS, T, TensorVec.tensor(xy, Vec.basis(z)))
+                    if (b, c) not in yzs:
+                        yzs[b, c] = eng._nabla_basis(h, S, T, y, z)
+                    rhs = h.nabla(R, ST, TensorVec.tensor(Vec.basis(x), yzs[b, c]))
+                    if lhs != rhs:
+                        return {"decomposition": [list(R), list(S), list(T)],
+                                "inputs": [str(x), str(y), str(z)],
+                                "lhs": str(lhs), "rhs": str(rhs)}
+    return None
+
+
 def _hopf_compat_by_tensors(h, I, decs):
     # _hopf_compat with its bottom path built as tensors: dx (x) dy through
     # the public constructor, its twist to (A, A', B, B'), then nabla at slot
@@ -617,13 +643,27 @@ class _LoggedHopf(eng.LinearizedHopf):
         return super().splits(S, T, z)
 
 
-def _assert_bottom_routes_agree(h):
-    for n in range(eng.ORACLE_MAX_N + 1):
+def _logged_run(h, checker, I, parts):
+    """What ``checker`` returns over I on a logged copy of h, or the error it
+    raises, and the rule calls it made, in order."""
+    logged = _LoggedHopf(h)
+    try:
+        got = checker(logged, I, decompositions(I, parts))
+    except Exception as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    return got, logged.calls
+
+
+def _assert_logged_routes_agree(h, route, reference, parts, max_n=eng.ORACLE_MAX_N):
+    """``route`` and ``reference`` return the same witness, or raise the same
+    error, over {1..n}, n <= max_n, after the same rule calls in the same order."""
+    for n in range(max_n + 1):
         I = GroundSet.first(n)
-        decs = decompositions(I, 2)
-        got, want = _LoggedHopf(h), _LoggedHopf(h)
-        assert eng._hopf_compat(got, I, decs) == _hopf_compat_by_tensors(want, I, decs), (h.name, n)
-        assert got.calls == want.calls, (h.name, n)
+        assert _logged_run(h, route, I, parts) == _logged_run(h, reference, I, parts), (h.name, n)
+
+
+def _assert_bottom_routes_agree(h):
+    _assert_logged_routes_agree(h, eng._hopf_compat, _hopf_compat_by_tensors, 2)
 
 
 @pytest.mark.parametrize("family,args", _grid(), ids=str)
@@ -638,6 +678,102 @@ def test_hopf_bottom_path_matches_the_tensor_route_on_catalog(spec):
         entry = with_derived_pi(entry, 3)
     for variant in _ALL_VARIANTS:
         _assert_bottom_routes_agree(hopf_from(entry, *variant))
+
+
+@pytest.mark.parametrize("family,args", _grid(), ids=str)
+def test_assoc_matches_the_vector_route_on_control_systems(family, args):
+    h = eng._mu_mu(_MAKERS[family](*args).mu)
+    _assert_logged_routes_agree(h, eng._assoc, _assoc_by_vectors, 3)
+
+
+@pytest.mark.parametrize("spec,variant", [
+    (spec, "-".join(variant))
+    for spec in ("E", "E_C:2", "Pi", "L", "Perm", "S(X_C:2)")
+    for variant in _ALL_VARIANTS
+] + [("S(E_C:2)", "mu-mu")])
+def test_assoc_matches_the_vector_route_on_catalog(spec, variant):
+    entry = parse_species(spec)
+    if spec == "S(X_C:2)":
+        entry = with_derived_pi(entry, 3)
+    h = hopf_from(entry, *variant.split("-"))
+    _assert_logged_routes_agree(h, eng._assoc, _assoc_by_vectors, 3)
+
+
+def test_assoc_matches_the_vector_route_on_a_non_associative_system():
+    # the interleaving product fails at n = 3, where the witnesses must agree
+    mu = _interleave_system()
+    h = hopf_from(CatalogEntry("interleave", mu.species, mu, None), "mu", "mu")
+    _assert_logged_routes_agree(h, eng._assoc, _assoc_by_vectors, 3, max_n=3)
+    assert eng._assoc(h, GroundSet.first(3), decompositions(GroundSet.first(3), 3))
+
+
+def _wrong_at_call(entry, k):
+    """entry's (nabla^mu, Delta^pi) whose k-th rule call, counted from 1 over
+    both systems, gives a result over other ground sets (unless all its parts
+    are empty): mu returns an input, pi its pair reversed."""
+    count = itertools.count(1)
+    sp = entry.species
+
+    def mu(S, T, x, y):
+        return entry.mu(S, T, x, y) if next(count) != k else (y if S else x)
+
+    def pi(S, T, z):
+        pair = entry.pi(S, T, z)
+        return pair if next(count) != k else pair[::-1]
+
+    return eng.LinearizedHopf("wrong", sp, MultSystem(sp, mu), ComultSystem(sp, pi))
+
+
+@pytest.mark.parametrize("route,reference,parts", [
+    (eng._assoc, _assoc_by_vectors, 3), (eng._hopf_compat, _hopf_compat_by_tensors, 2)],
+    ids=["assoc", "hopf_compat"])
+def test_oracles_check_a_bad_rule_result_as_their_vector_routes(route, reference, parts):
+    # whichever ground or key check sees the bad result first, the error and
+    # the rule calls made before it agree
+    entry = make_Pi()
+    I = GroundSet.first(2)
+    calls = len(_logged_run(hopf_from(entry, "mu", "pi"), route, I, parts)[1])
+    errors = 0
+    for k in range(1, calls + 1):
+        got, want = (_logged_run(_wrong_at_call(entry, k), r, I, parts) for r in (route, reference))
+        assert got == want, k
+        errors += isinstance(got[0], str)
+    assert errors > calls // 2   # most of the bad results lie over another ground set
+
+
+def _vectors_built(monkeypatch):
+    """A list that gains one entry per Vec or TensorVec built from now on."""
+    built = []
+    for cls in (Vec, TensorVec):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_assoc_and_hopf_oracles_build_vectors_only_for_a_witness(monkeypatch):
+    # each instance is accumulated in dicts: a passing instance builds no
+    # vector, a failing one the witness's two (Hopf compatibility fails at
+    # n = 2 for Pi's (nabla^pi, Delta^pi), concat, blob and L's (nabla^mu,
+    # Delta^mu))
+    systems = ([hopf_from(make_Pi(), *variant) for variant in _ALL_VARIANTS]
+               + [eng._mu_mu(ps.mu) for ps in (concat_system(False), blob_system("zadd", 3),
+                                               collapse_system(2, 2))]
+               + [hopf_from(make_L(), "mu", "mu")])
+    built = _vectors_built(monkeypatch)
+    witnesses = 0
+    for h in systems:
+        for oracle, parts in ((eng._assoc, 3), (eng._hopf_compat, 2)):
+            for n in range(eng.ORACLE_MAX_N + 1):
+                I = GroundSet.first(n)
+                del built[:]
+                witness = oracle(h, I, decompositions(I, parts))
+                want = [] if witness is None else (
+                    ["Vec", "Vec"] if oracle is eng._assoc else ["TensorVec", "TensorVec"])
+                assert built == want, (h.name, oracle.__name__, n)
+                witnesses += witness is not None
+    assert witnesses == 4
 
 
 @pytest.mark.parametrize("label,message", [
@@ -1580,13 +1716,8 @@ def _oracle_results(entry, max_n):
     return out
 
 
-@pytest.mark.parametrize("key", sorted(_ORACLE_SPECIES))
-def test_oracles_ignore_the_compiled_tables(monkeypatch, key):
-    # ROADMAP item 11, narrowed to the engine and core oracles: on a fresh
-    # entry, with every position table and reader refusing to be read, each
-    # oracle answers as before
-    want = _oracle_results(_ORACLE_SPECIES[key](), eng.ORACLE_MAX_N)
-
+def _refuse_the_compiled_tables(monkeypatch):
+    """Make every position table and reader raise when read."""
     def refuse(name):
         def read(*args, **kwargs):
             raise AssertionError(f"an oracle read {name}")
@@ -1596,4 +1727,33 @@ def test_oracles_ignore_the_compiled_tables(monkeypatch, key):
                         (SetSpecies, "transport_table"), (SetSpecies, "positions"),
                         (eng, "_position_readers")):
         monkeypatch.setattr(owner, name, refuse(name))
+
+
+@pytest.mark.parametrize("key", sorted(_ORACLE_SPECIES))
+def test_oracles_ignore_the_compiled_tables(monkeypatch, key):
+    # ROADMAP item 11, narrowed to the engine and core oracles: on a fresh
+    # entry, with every position table and reader refusing to be read, each
+    # oracle answers as before
+    want = _oracle_results(_ORACLE_SPECIES[key](), eng.ORACLE_MAX_N)
+    _refuse_the_compiled_tables(monkeypatch)
     assert _oracle_results(_ORACLE_SPECIES[key](), eng.ORACLE_MAX_N) == want
+
+
+_CONTROL_ORACLES = {eng._assoc: 3, eng._hopf_compat: 2, eng._comm: 2, eng._unital: 0,
+                    eng._local_elements: 2}
+
+
+@pytest.mark.parametrize("make", [lambda: concat_system(False), lambda: blob_system("zadd", 3),
+                                  lambda: collapse_system(2, 2)],
+                         ids=["concat", "blob[zadd:3]", "collapse[c=2,d=2]"])
+def test_oracles_ignore_the_compiled_tables_on_control_systems(monkeypatch, make):
+    # the oracles that run on every control system, on a fresh one each time
+    def results():
+        h = eng._mu_mu(make().mu)
+        return [oracle(h, I, decompositions(I, parts) if parts else ())
+                for I in map(GroundSet.first, range(eng.ORACLE_MAX_N + 1))
+                for oracle, parts in _CONTROL_ORACLES.items()]
+
+    want = results()
+    _refuse_the_compiled_tables(monkeypatch)
+    assert results() == want
