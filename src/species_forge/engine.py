@@ -34,8 +34,7 @@ from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
     EMPTY, TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, FatalInconsistency,
     GroundSet, SetSpecies, TensorVec, Vec, _check_disjoint, _check_grounds, _check_keys,
-    _nonzero, cross_check, decompositions, derived_tensor, derived_vec, nonempty_compositions,
-    union_all,
+    cross_check, decompositions, derived_tensor, derived_vec, nonempty_compositions, union_all,
 )
 
 DEFAULT_MAX_N = 4
@@ -99,20 +98,42 @@ class LinearizedHopf:
     def nabla(self, S: GroundSet, T: GroundSet, t: TensorVec) -> Vec:
         if t.parts != (S, T):
             raise ValueError("tensor parts do not match (S, T)")
-        acc: dict = {}
-        for (x, y), c in t.terms.items():
-            for z in self.products(S, T, x, y):
-                acc[z] = acc.get(z, 0) + c
-        return derived_vec(S.union(T), acc)
+        return derived_vec(S.union(T), self._nabla_terms(S, T, t.terms.items()))
 
     def delta(self, S: GroundSet, T: GroundSet, v: Vec) -> TensorVec:
         if v.ground is not S.union(T):
             raise ValueError("vector ground does not match S u T")
+        return derived_tensor((S, T), self._delta_terms(S, T, v.terms.items()), (0, 1))
+
+    # The maps' accumulators, shared with _assoc and _hopf_compat; unchecked
+    # (derived_vec/derived_tensor or the oracles check what they return).
+
+    def _nabla_terms(self, S: GroundSet, T: GroundSet, terms) -> dict:
+        """The terms of nabla_{S,T} on the pairs ``((x, y), c)`` of ``terms``."""
         acc: dict = {}
-        for z, c in v.terms.items():
+        for (x, y), c in terms:
+            for z in self.products(S, T, x, y):
+                acc[z] = acc.get(z, 0) + c
+        return acc
+
+    def _delta_terms(self, S: GroundSet, T: GroundSet, terms) -> dict:
+        """The terms of Delta_{S,T} on the pairs ``(z, c)`` of ``terms``."""
+        acc: dict = {}
+        for z, c in terms:
             for pair in self.splits(S, T, z):
                 acc[pair] = acc.get(pair, 0) + c
-        return derived_tensor((S, T), acc, (0, 1))
+        return acc
+
+    def _nabla_at_terms(self, S: GroundSet, T: GroundSet, terms, pos: int) -> dict:
+        """As ``_nabla_terms``, on slots pos and pos+1 of the keys of the
+        pairs ``(key, c)`` of ``terms``."""
+        acc: dict = {}
+        for key, c in terms:
+            head, tail = key[:pos], key[pos + 2:]
+            for e in self.products(S, T, key[pos], key[pos + 1]):
+                k = head + (e,) + tail
+                acc[k] = acc.get(k, 0) + c
+        return acc
 
 
 _SYSTEM_NAMES = {"mu": "multiplicative", "pi": "comultiplicative"}
@@ -168,13 +189,7 @@ def apply_nabla_at(h: LinearizedHopf, t: TensorVec, pos: int) -> TensorVec:
     """id (x) ... (x) nabla (x) ... (x) id, merging slots pos and pos+1."""
     S, T = t.parts[pos], t.parts[pos + 1]
     parts = t.parts[:pos] + (S.union(T),) + t.parts[pos + 2:]
-    acc: dict = {}
-    for key, c in t.terms.items():
-        head, tail = key[:pos], key[pos + 2:]
-        for e in h.products(S, T, key[pos], key[pos + 1]):
-            k = head + (e,) + tail
-            acc[k] = acc.get(k, 0) + c
-    return derived_tensor(parts, acc, (pos,))
+    return derived_tensor(parts, h._nabla_at_terms(S, T, t.terms.items(), pos), (pos,))
 
 
 def apply_delta_at(h: LinearizedHopf, t: TensorVec, pos: int,
@@ -414,8 +429,8 @@ def _delta_nabla_terms(h, I, decs):
 def _assoc(h, I, decs):
     # Each memo is filled on first use, so the rules are called in the same
     # order as without it, and a rule that raises raises at the same instance.
-    # nabla(xy (x) z) and nabla(x (x) yz) run nabla's loop over the terms of
-    # those tensors, in TensorVec.tensor's order, without building them.
+    # nabla(xy (x) z) and nabla(x (x) yz) run nabla's accumulator over the
+    # terms of those tensors, in TensorVec.tensor's order, without building them.
     for R, S, T in decs:
         RS, ST, yzs = R.union(S), S.union(T), {}
         RST = RS.union(T)
@@ -425,19 +440,13 @@ def _assoc(h, I, decs):
                 for c, z in enumerate(h.basis.elements(T)):
                     if xy is None:
                         xy = _product_terms(h, R, S, x, y)
-                    lhs = {}
-                    for w, k in xy.items():
-                        for p in h.products(RS, T, w, z):
-                            lhs[p] = lhs.get(p, 0) + k
+                    lhs = h._nabla_terms(RS, T, [((w, z), k) for w, k in xy.items()])
                     _check_grounds(RST, lhs)
                     if (b, c) not in yzs:
                         yzs[b, c] = _product_terms(h, S, T, y, z)
-                    rhs = {}
-                    for w, k in yzs[b, c].items():
-                        for p in h.products(R, ST, x, w):
-                            rhs[p] = rhs.get(p, 0) + k
+                    rhs = h._nabla_terms(R, ST, [((x, w), k) for w, k in yzs[b, c].items()])
                     _check_grounds(RST, rhs)
-                    if _nonzero(lhs) != _nonzero(rhs):
+                    if lhs != rhs:
                         return {"decomposition": [list(R), list(S), list(T)],
                                 "inputs": [str(x), str(y), str(z)],
                                 "lhs": str(derived_vec(RST, lhs)),
@@ -511,9 +520,9 @@ def _counital(h, I, decs):
 def _hopf_compat(h, I, decs):
     # The bottom path twists (A, B, A', B') -> (A, A', B, B'); this is the
     # displayed convention, and _hopf_terms follows it.  Each side runs the
-    # loops of delta and apply_nabla_at in a dict (the bottom over dx (x) dy in
-    # twisted order, then over the merged terms, positive so none cancel),
-    # checked as they check it.  The memos are filled on first use, as in _assoc.
+    # accumulators of delta and apply_nabla_at (the bottom over dx (x) dy in
+    # twisted order, then over the merged terms, positive so none cancel), and
+    # checks their terms as they do.  The memos are filled on first use, as in _assoc.
     for R, Rp in decs:
         xys = {}
         for S, Sp in decs:
@@ -525,25 +534,16 @@ def _hopf_compat(h, I, decs):
                 for b, y in enumerate(h.basis.elements(Rp)):
                     if (a, b) not in xys:
                         xys[a, b] = _product_terms(h, R, Rp, x, y)
-                    top = {}
-                    for z, c in xys[a, b].items():
-                        for pair in h.splits(S, Sp, z):
-                            top[pair] = top.get(pair, 0) + c
+                    top = h._delta_terms(S, Sp, xys[a, b].items())
                     _check_keys((S, Sp), top, (0, 1))
                     if b not in dys:
                         dys[b] = _split_terms(h, Ap, Bp, y).items()
-                    merged = {}
-                    for (u, v), c in dx:
-                        for (up, vp), cp in dys[b]:
-                            for e in h.products(A, Ap, u, up):
-                                merged[e, v, vp] = merged.get((e, v, vp), 0) + c * cp
+                    merged = h._nabla_at_terms(A, Ap, [((u, up, v, vp), c * cp) for (u, v), c in dx
+                                                       for (up, vp), cp in dys[b]], 0)
                     _check_keys((S, B, Bp), merged, (0,))     # (A u A', B, B')
-                    bottom = {}
-                    for (s, v, vp), c in merged.items():
-                        for e in h.products(B, Bp, v, vp):
-                            bottom[s, e] = bottom.get((s, e), 0) + c
+                    bottom = h._nabla_at_terms(B, Bp, merged.items(), 1)
                     _check_keys((S, Sp), bottom, (1,))        # (A u A', B u B')
-                    if _nonzero(top) != _nonzero(bottom):
+                    if top != bottom:
                         return {"R": list(R), "Rp": list(Rp), "S": list(S), "Sp": list(Sp),
                                 "inputs": [str(x), str(y)],
                                 "top": str(derived_tensor((S, Sp), top, (0, 1))),
