@@ -202,12 +202,10 @@ def f_mu(mu: MultSystem, max_n: int = DEFAULT_MAX_N, *, check_preconditions: boo
     return fm
 
 
-def check_fmu_intertwines(fm: FMu, max_n: int = DEFAULT_MAX_N,
-                          species_key: str | None = None) -> CheckReport:
+def check_fmu_intertwines(fm: FMu, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     """f(X u Y) = mu(f X, f Y) and transport-equivariance, exhaustively."""
     guard_max_n(max_n)
-    key = species_key or fm.mu.species.name
-    sq, mu = fm.sq, fm.mu
+    key, sq, mu = fm.key, fm.sq, fm.mu
     for n in range(max_n + 1):
         I = GroundSet.first(n)
         for S, T in decompositions(I, 2):
@@ -235,9 +233,9 @@ class FPi(_Tabulated):
     """The comultiplicative-system isomorphism from maps-to-colors onto P."""
 
     def __init__(self, pi: ComultSystem, colors: tuple[Element, ...],
-                 e_c: CatalogEntry, build):
+                 e_c: CatalogEntry, build, key: str):
         super().__init__(build)
-        self.pi = pi
+        self.pi, self.key = pi, key
         self.colors = colors   # the component over {1}, fixing the color order
         self.e_c = e_c
 
@@ -302,18 +300,16 @@ def f_pi(pi: ComultSystem, max_n: int = 3, *, species_key: str | None = None) ->
                 witness={"maps": len(fwd), "hit": len(hit), "dim": sp.dim(I)})
         return fwd
 
-    fp = FPi(pi, colors, e_c, build)
+    fp = FPi(pi, colors, e_c, build, key)
     for n in range(max_n + 1):
         fp.table(GroundSet.first(n))
     return fp
 
 
-def check_fpi_intertwines(fp: FPi, max_n: int = 3,
-                          species_key: str | None = None) -> CheckReport:
+def check_fpi_intertwines(fp: FPi, max_n: int = 3) -> CheckReport:
     """(f x f) o rho = pi o f on every component, plus the normalization."""
     guard_max_n(max_n)
-    key = species_key or fp.pi.species.name
-    rho = fp.e_c.pi
+    key, rho = fp.key, fp.e_c.pi
     one = GroundSet.of([1])
     for idx, f in enumerate(fp.e_c.species.elements(one)):
         if fp.apply(f) != fp.colors[idx]:
@@ -354,8 +350,7 @@ class NablaXDecomposition:
         }
 
 
-def nabla_X_decompose(h: LinearizedHopf, I: GroundSet,
-                      species_key: str | None = None) -> NablaXDecomposition:
+def nabla_X_decompose(h: LinearizedHopf, I: GroundSet) -> NablaXDecomposition:
     """Split p[I] into block products of primitives, one summand per set
     partition, and certify the direct sum, the inverse-isomorphism property,
     and the straddling-block description of coproduct kernels.
@@ -363,7 +358,7 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet,
     Any failed certificate is fatal for commutative input: each one is a
     theorem at this scale.
     """
-    key = species_key or h.basis.name
+    key = h.basis.name
     rep = check_axiom(h, "commutative", len(I))
     if not rep.ok:
         raise ValueError(f"nabla_X_decompose needs a commutative product: {rep.witness}")
@@ -413,12 +408,14 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet,
     # (b): nabla/Delta restrict to inverse isomorphisms between summands
     inverse_iso = True
     for S, T in decompositions(I, 2, nonempty=True):
+        ys = {Y: spans_on(h, Y, prim) for Y in set_partitions(T)}
         for X in set_partitions(S):
-            for Y in set_partitions(T):
+            us = spans_on(h, X, prim)
+            for Y, ws in ys.items():
                 target_rows = [_coords(v, index) for v in spans[
                     tuple(sorted(X + Y, key=lambda b: b.labels))]]
-                for u in spans_on(h, X, prim):
-                    for w in spans_on(h, Y, prim):
+                for u in us:
+                    for w in ws:
                         prod = h.nabla(S, T, TensorVec.tensor(u, w))
                         if not linalg.in_span(target_rows, dim, _coords(prod, index)):
                             inverse_iso = False

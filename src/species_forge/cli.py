@@ -94,7 +94,7 @@ class Runner:
 # the checks whose row is not named after their function without "check_"
 _ROW_NAMES = {"check_AB": "property_AB", "check_all_lower_lattices": "lower_lattice",
               "check_basis_change_matrices": "basis_change",
-              "check_basis_theorem": "basis_identities"}
+              "check_basis_theorem": "basis_identities", "transport_check": "transport"}
 
 
 def _row_name(fn, args) -> str:
@@ -132,7 +132,7 @@ def _expect(entry: CatalogEntry, flag: str, side: str = "mu") -> bool:
 def _run_axioms(r: Runner) -> None:
     entry, n = r.entry, r.max_n
     for m in range(n + 1):
-        rep = r.run(False, _transport, entry, m)
+        rep = r.run(False, transport_check, entry.species, GroundSet.first(m))
         if rep.status != "pass":
             for later in range(m + 1, n + 1):
                 r.skip("transport", f"transport did not pass at n={m}", later)
@@ -146,12 +146,6 @@ def _run_axioms(r: Runner) -> None:
             expected_fail = not _expect(entry, "commutative")
         r.run(expected_fail, engine.check_axiom, h, axiom, n)
     r.run(False, engine.check_delta_nabla_identity, h, n)
-
-
-def _transport(entry: CatalogEntry, m: int) -> CheckReport:
-    rep = transport_check(entry.species, GroundSet.first(m))
-    rep.species = entry.key
-    return rep
 
 
 def _run_ssd(r: Runner) -> None:
@@ -219,7 +213,7 @@ def _fsd_coco_consequence(entry: CatalogEntry, max_n: int) -> CheckReport:
 
 def _fmu_intertwines(entry: CatalogEntry, max_n: int) -> CheckReport:
     fm = classify.f_mu(entry.mu, max_n, species_key=entry.key)
-    return classify.check_fmu_intertwines(fm, max_n, species_key=entry.key)
+    return classify.check_fmu_intertwines(fm, max_n)
 
 
 def _run_lsd(r: Runner) -> None:
@@ -254,7 +248,7 @@ def _pi_bijective(entry: CatalogEntry, max_n: int) -> CheckReport:
 
 def _fpi_intertwines(entry: CatalogEntry, max_n: int) -> CheckReport:
     fp = classify.f_pi(entry.pi, max_n, species_key=entry.key)
-    return classify.check_fpi_intertwines(fp, max_n, species_key=entry.key)
+    return classify.check_fpi_intertwines(fp, max_n)
 
 
 def _lsd_primitive_profile(entry: CatalogEntry, max_n: int) -> CheckReport:
@@ -320,7 +314,7 @@ def _nabla_x_decomposition(entry: CatalogEntry, max_n: int) -> CheckReport:
     h = engine.hopf_from(entry, "mu", "mu")
     dims = []
     for m in range(max_n + 1):
-        dec = classify.nabla_X_decompose(h, GroundSet.first(m), species_key=entry.key)
+        dec = classify.nabla_X_decompose(h, GroundSet.first(m))
         dims.append(dec.total_dim)
     return CheckReport("nabla_x_decomposition", entry.key, max_n, "pass",
                        {"total_dims": dims})
@@ -471,7 +465,7 @@ def cmd_hasse(args) -> int:
     if _order_undefined(entry, args.max_n):
         return 1
     so = order_mod.SpeciesOrder(entry.mu, entry.pi, entry.key)
-    sys.stdout.write(order_mod.hasse_dot(so, GroundSet.first(args.max_n), entry.key))
+    sys.stdout.write(order_mod.hasse_dot(so, GroundSet.first(args.max_n)))
     return 0
 
 
@@ -523,7 +517,7 @@ def cmd_fmu(args) -> int:
         print(f"species {entry.key} has no product", file=sys.stderr)
         return 1
     fm = classify.f_mu(entry.mu, args.max_n, species_key=entry.key)
-    rep = classify.check_fmu_intertwines(fm, args.max_n, species_key=entry.key)
+    rep = classify.check_fmu_intertwines(fm, args.max_n)
     payload = {"command": "fmu", "species": entry.key, "max_n": args.max_n,
                "intertwines": rep.to_json(args.timings), "maps": _maps(fm, args.max_n)}
     print(json.dumps(payload, indent=2, default=str))
@@ -537,7 +531,7 @@ def cmd_fpi(args) -> int:
               file=sys.stderr)
         return 1
     fp = classify.f_pi(entry.pi, args.max_n, species_key=entry.key)
-    rep = classify.check_fpi_intertwines(fp, args.max_n, species_key=entry.key)
+    rep = classify.check_fpi_intertwines(fp, args.max_n)
     payload = {"command": "fpi", "species": entry.key, "max_n": args.max_n,
                "colors": [str(c) for c in fp.colors],
                "intertwines": rep.to_json(args.timings), "maps": _maps(fp, args.max_n)}

@@ -7,10 +7,10 @@ claim), and the result must be a strict partial order; a miss is fatal.
 A catalog entry's order is built once, by ``order_of``, and kept on the
 entry, so each slice is computed (by both routes) once per run.
 
-The order is built and checked on positions in ``elements(I)``: the folds
-are chains of compiled mu/pi table lookups, the closure is Warshall on
-bitmasks, and each slice keeps, per position, the bitmask of the elements
-strictly above it and of those strictly below.  Transport (on the species'
+The order is built and checked on positions in ``elements(I)``: the folds are
+chains of compiled mu/pi table lookups, the closure is Warshall on bitmasks,
+and each slice keeps, per position, the bitmask of the elements above it or
+equal to it and of those below it or equal to it.  Transport (on the species'
 transport tables), the lower-interval lattices, (A)/(B), the round trip and
 the p/q bases (p as the masks of the elements above, q as integer rows of
 common-lower-bound counts) are decided on those masks: the unitriangularity
@@ -65,11 +65,12 @@ class OrderSlice:
     """The strict order on one component, as a set of (smaller, larger) pairs.
 
     Derived from ``strict`` once: ``index`` maps each element to its position
-    in ``elements``; bit j of ``above[k]`` is set when elements[k] <
-    elements[j], and bit j of ``below[k]`` when elements[j] < elements[k].
-    The mask routes read these and the views built on them; the element
-    routes read only ``le``/``lt``.  ``_shapes`` keeps ``_shape_table`` per
-    f_mu map.
+    in ``elements``; bit j of ``ups[k]`` is set when elements[k] <=
+    elements[j], and bit j of ``downs[k]`` when elements[j] <= elements[k], so
+    ``ups[k]`` is the support of p at k.  The mask routes read these and the
+    views built on them, clearing bit k where they need the strict relation;
+    the element routes read only ``le``/``lt``.  ``_shapes`` keeps
+    ``_shape_table`` per f_mu map.
     """
 
     def __init__(self, I: GroundSet, elements: tuple[Element, ...], strict: frozenset):
@@ -78,29 +79,18 @@ class OrderSlice:
         self.strict = strict
         self._shapes: dict = {}
         self.index = {e: k for k, e in enumerate(elements)}
-        self.above = [0] * len(elements)
-        self.below = [0] * len(elements)
+        self.ups = [1 << k for k in range(len(elements))]
+        self.downs = self.ups[:]
         for a, b in strict:
             i, j = self.index[a], self.index[b]
-            self.above[i] |= 1 << j
-            self.below[j] |= 1 << i
+            self.ups[i] |= 1 << j
+            self.downs[j] |= 1 << i
 
     def lt(self, a: Element, b: Element) -> bool:
         return (a, b) in self.strict
 
     def le(self, a: Element, b: Element) -> bool:
         return a == b or (a, b) in self.strict
-
-    @functools.cached_property
-    def downs(self) -> list[int]:
-        """Per position k, the mask of the positions below k or equal to it."""
-        return [m | 1 << k for k, m in enumerate(self.below)]
-
-    @functools.cached_property
-    def ups(self) -> list[int]:
-        """Per position k, the mask of the positions above k or equal to it:
-        the support of p at k."""
-        return [m | 1 << k for k, m in enumerate(self.above)]
 
     @functools.cached_property
     def q_rows(self) -> list[list[int]]:
@@ -111,9 +101,10 @@ class OrderSlice:
 
     def covers(self) -> list[tuple[Element, Element]]:
         """Pairs a < b with nothing strictly between, in element order."""
-        el, below = self.elements, self.below
-        return sorted(((el[i], el[j]) for i, up in enumerate(self.above)
-                       for j in _bits(up) if not up & below[j]), key=_pair_key)
+        el, downs = self.elements, self.downs
+        return sorted(((el[i], el[j]) for i, up in enumerate(self.ups)
+                       for j in _bits(up & ~(1 << i)) if up & downs[j] == 1 << i | 1 << j),
+                      key=_pair_key)
 
     @functools.cached_property
     def meetless(self) -> list[int]:
@@ -230,7 +221,7 @@ def _fold_positions(steps, xs) -> int:
 def _order_tables(mu, pi, I, key, partitions, pairs) -> frozenset:
     """The order on positions: mu.fold and pi.fold are chains of table
     lookups, and the closure of the two-block relation is Warshall on
-    ``above`` masks."""
+    successor masks."""
     elements = mu.species.elements(I)
     size = len(elements)
     mu_steps, pi_folds = _fold_readers(mu, pi)
@@ -319,8 +310,9 @@ def check_order_transport(order: SpeciesOrder, max_n: int = DEFAULT_MAX_N) -> Ch
 
 
 def _transport_masks(sp, sl: OrderSlice) -> bool | None:
-    """None when every sigma moves the ``above`` masks onto themselves."""
-    ups = [_bits(m) for m in sl.above]
+    """None when every sigma, by a one-to-one table, moves the ``ups`` masks,
+    and so the strict relation, onto themselves; ``bit[i]`` moves i itself."""
+    ups = [_bits(m & ~(1 << k)) for k, m in enumerate(sl.ups)]
     for sigma in Bijection.all_endo(sl.I):
         try:
             p = sp.transport_table(sigma)
@@ -331,8 +323,8 @@ def _transport_masks(sp, sl: OrderSlice) -> bool | None:
         bit = [1 << k for k in p]
         moved = [0] * len(p)
         for i, up in enumerate(ups):
-            moved[p[i]] = sum(bit[j] for j in up)
-        if moved != sl.above:
+            moved[p[i]] = sum((bit[j] for j in up), bit[i])
+        if moved != sl.ups:
             return False
     return None
 
@@ -385,7 +377,7 @@ def _lower_lattice_masks(sl: OrderSlice, lam: Element, fmu: FMu | None) -> dict 
     info: dict = {"lambda": str(lam), "interval_size": len(interval)}
     if fmu is not None:
         shape, coarser, finer = _shape_table(sl, fmu)
-        if any((sl.above[a] ^ coarser[a]) & down & ~(1 << a) for a in interval):
+        if any((sl.ups[a] ^ coarser[a]) & down & ~(1 << a) for a in interval):
             return None
         image = 0
         for a in interval:
@@ -409,8 +401,8 @@ def _shape_table(sl: OrderSlice, fmu: FMu):
     partitions of I, and the mask of the positions whose shapes its shape
     refines; with the ``finer`` masks of ``_refinement``.  Built once per
     slice and fmu."""
-    got = sl._shapes.get(id(fmu))
-    if got is None or got[0] is not fmu:
+    got = sl._shapes.get(fmu)
+    if got is None:
         position, finer = _refinement(sl.I)
         shape = [position[fmu.shape(e)] for e in sl.elements]
         with_shape = [0] * len(finer)
@@ -418,8 +410,8 @@ def _shape_table(sl: OrderSlice, fmu: FMu):
             with_shape[s] |= 1 << a
         coarser = {s: sum(m for t, m in enumerate(with_shape) if finer[t] >> s & 1)
                    for s in set(shape)}
-        got = sl._shapes[id(fmu)] = fmu, shape, [coarser[s] for s in shape], finer
-    return got[1:]
+        got = sl._shapes[fmu] = shape, [coarser[s] for s in shape], finer
+    return got
 
 
 def _lower_lattice_elements(order: SpeciesOrder, I: GroundSet, lam: Element,
@@ -859,11 +851,10 @@ def check_basis_change_matrices(entry: CatalogEntry, max_n: int = 3) -> CheckRep
 # ---------------------------------------------------------------------------
 # Hasse diagrams
 
-def hasse_dot(order: SpeciesOrder, I: GroundSet, species_key: str | None = None) -> str:
+def hasse_dot(order: SpeciesOrder, I: GroundSet) -> str:
     """Cover relations of the component order as DOT text, edges upward."""
-    key = species_key or order.key
     sl = order.slice(I)
-    lines = [f'digraph "{key}_{len(I)}" {{', "  rankdir=BT;"]
+    lines = [f'digraph "{order.key}_{len(I)}" {{', "  rankdir=BT;"]
     for e in sl.elements:
         lines.append(f'  "{e}";')
     for a, b in sl.covers():

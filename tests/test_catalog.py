@@ -11,7 +11,7 @@ from species_forge.catalog import (
     parse_species, with_derived_pi,
 )
 from species_forge.controls import (
-    blob_system, collapse_system, concat_system, label_dropping_species,
+    _MAKERS, _grid, blob_system, collapse_system, concat_system, label_dropping_species,
 )
 from species_forge.core import (
     Bijection, GroundSet, LabeledPartitionElt, LinearOrderElt, MapTo, PermutationElt,
@@ -238,6 +238,26 @@ def test_parse_species_errors_list_alternatives():
     assert parse_species(deepest).key == deepest
     assert parse_species("S(E_C:2)").key == "S(E_C:2)"
     assert parse_species("S(S(X_C:2))").key == "S(S(X_C:2))"
+
+
+_KEYED_SPECS = ["E", "E_C:0", "E_C:3", "X_C:1", "X_C:2", "Pi", "L", "Perm",
+                "S(E)", "S(X_C:2)", "S(S(Pi))", "S(S(S(X_C:2)))", "S(S(S(E_C:2)))"]
+
+
+@pytest.mark.parametrize("spec", _KEYED_SPECS)
+def test_entry_key_is_its_species_name(spec):
+    # transport rows print P.name and nabla_X_decompose messages
+    # h.basis.name, so each must be the key the entry reports under
+    entry = parse_species(spec)
+    assert entry.key == spec == entry.species.name
+
+
+def test_derived_pi_and_control_keys_are_their_species_names():
+    derived = with_derived_pi(make_S(make_X_C(2)), 3)
+    assert derived.key == derived.species.name == "S(X_C:2)"
+    systems = [_MAKERS[family](*args) for family, args in _grid()]
+    assert len(systems) == 51
+    assert all(ps.key == ps.mu.species.name for ps in systems)
 
 
 @pytest.mark.parametrize("prefix", ["E_C:", "X_C:"])

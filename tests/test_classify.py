@@ -171,7 +171,7 @@ def test_lsd_primitive_profile():
 
 def test_nabla_X_Pi_n2(entries):
     h = hopf_from(entries["Pi"], "mu", "mu")
-    dec = nabla_X_decompose(h, GroundSet.first(2), species_key="Pi")
+    dec = nabla_X_decompose(h, GroundSet.first(2))
     dims = {tuple(tuple(b) for b in blocks): len(vecs) for blocks, vecs in dec.components}
     assert dims == {((1, 2),): 1, ((1,), (2,)): 1}
     assert dec.total_dim == 2
@@ -181,7 +181,7 @@ def test_nabla_X_Pi_n2(entries):
 
 def test_nabla_X_Perm_n3_dims_by_type(entries):
     h = hopf_from(entries["Perm"], "mu", "mu")
-    dec = nabla_X_decompose(h, GroundSet.first(3), species_key="Perm")
+    dec = nabla_X_decompose(h, GroundSet.first(3))
     by_type = {}
     for blocks, vecs in dec.components:
         t = tuple(sorted((len(b) for b in blocks), reverse=True))
@@ -193,14 +193,14 @@ def test_nabla_X_Perm_n3_dims_by_type(entries):
 def test_nabla_X_kernel_example(entries):
     # ker Delta_{{1},{2}} on partitions is spanned by the straddling one-block
     h = hopf_from(entries["Pi"], "mu", "mu")
-    dec = nabla_X_decompose(h, GroundSet.first(2), species_key="Pi")
+    dec = nabla_X_decompose(h, GroundSet.first(2))
     straddle = [vecs for blocks, vecs in dec.components if len(blocks) == 1][0]
     assert straddle[0].items()[0][0] == SetPartitionElt.of([[1, 2]])
 
 
 def test_nabla_X_json_shape(entries):
     h = hopf_from(entries["Pi"], "mu", "mu")
-    dec = nabla_X_decompose(h, GroundSet.first(2), species_key="Pi")
+    dec = nabla_X_decompose(h, GroundSet.first(2))
     js = dec.to_json()
     assert js["total_dim"] == 2
     assert {"blocks": [[1, 2]], "dim": 1} in js["components"]
@@ -210,7 +210,7 @@ def test_nabla_X_requires_commutative():
     from species_forge.catalog import make_L
     h = hopf_from(make_L(), "mu", "mu")
     with pytest.raises(ValueError, match="commutative"):
-        nabla_X_decompose(h, GroundSet.first(2), species_key="L")
+        nabla_X_decompose(h, GroundSet.first(2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Axioms, self-compatibility, structure constants, antipode, duality."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -1539,14 +1541,37 @@ def test_rectangle_routes_agree_on_catalog_and_mutants(monkeypatch, entries):
     monkeypatch.setattr(eng, "_position_readers", readers)
     assert check_preorder_rectangle(entries["Pi"], 3).ok
     assert seen == [(), (1,), (1, 2), (2,), (1, 2, 3), (3,), (1, 3), (2, 3)]
-    # one row, one set of position readers, built before the kernel's calls
-    assert len(hopfs) == 1 and builds == [True] + [False] * len(seen)
+    # one row, one set of position readers, built at the kernel's first call
+    assert len(hopfs) == 1 and builds == [True] + [False] * (len(seen) - 1)
     # over m = 0..6 each of the 64 subsets of {1..6} is decided once
     seen.clear()
     monkeypatch.setenv("SPECIES_FORGE_CEILING", "6")
     monkeypatch.setattr(eng, "_hopf_terms", lambda h, J, decs: seen.append(J) and None)
     assert check_preorder_rectangle(entries["Pi"], 6).ok
     assert len(seen) == len(set(seen)) == 64
+
+
+def test_position_readers_are_built_once_per_triple_and_free_it(monkeypatch, entries):
+    # every check of one triple reads the readers kept on it at first use,
+    # and they do not refer back to it: dropping the triple frees it at once
+    builds = []
+
+    def readers(h, build=eng._position_readers):
+        builds.append(h._readers is None)
+        return build(h)
+
+    monkeypatch.setattr(eng, "_position_readers", readers)
+    h = hopf_from(entries["Pi"], "mu", "pi")
+    assert check_axiom(h, "hopf_compatible", 4).ok
+    assert check_delta_nabla_identity(h, 4).ok
+    assert builds[0] and not any(builds[1:]) and len(builds) > 2
+    kept = weakref.ref(h)
+    gc.disable()
+    try:
+        del h
+        assert kept() is None
+    finally:
+        gc.enable()
 
 
 def _rectangle_sides(entry, R, S, xs):

@@ -458,15 +458,18 @@ def _order_oracles(entry, max_n):
 @pytest.mark.parametrize("key", sorted(_PQ_SPECIES))
 def test_order_oracles_ignore_the_masks(monkeypatch, key):
     # the element routes share only strict with the mask routes: with every
-    # slice's above, below, ups and downs complemented, they answer the same
+    # mask view a slice stores complemented, they answer the same; the views
+    # are pinned, so one stored later is scrambled here or fails this test
     want = _order_oracles(_PQ_SPECIES[key](), TABLE_ORACLE_MAX_N)
     real = order_mod.compute_order
 
     def scrambled(*args):
         sl = real(*args)
         full = (1 << len(sl.elements)) - 1
-        masks = [[full ^ m for m in view] for view in (sl.above, sl.below, sl.ups, sl.downs)]
-        sl.above, sl.below, sl.ups, sl.downs = masks
+        views = {name for name, view in vars(sl).items() if isinstance(view, list)}
+        assert views == {"ups", "downs"}
+        for name in views:
+            setattr(sl, name, [full ^ m for m in getattr(sl, name)])
         return sl
 
     monkeypatch.setattr(order_mod, "compute_order", scrambled)
