@@ -164,6 +164,13 @@ def _mapto_transport(sigma: Bijection, f: MapTo) -> MapTo:
 
 def _mapto_merge(S: GroundSet, T: GroundSet, x: MapTo, y: MapTo) -> MapTo:
     ground = S.union(T)
+    if x.ground is S and y.ground is T:
+        # parts that do not interleave concatenate their colors
+        s, t = S.labels, T.labels
+        if not s or not t or s[-1] < t[0]:
+            return MapTo.canonical(ground, x.colors + y.colors)
+        if t[-1] < s[0]:
+            return MapTo.canonical(ground, y.colors + x.colors)
     colors = tuple(x.color_of(l) if l in S else y.color_of(l) for l in ground.labels)
     return MapTo.canonical(ground, colors)
 

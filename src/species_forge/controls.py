@@ -68,8 +68,13 @@ _MONOIDS = {
 
 
 def blob_system(kind: str, m: int) -> PerturbedSystem:
-    """Constant maps to {0..m-1} multiplied through a commutative monoid table."""
+    """Constant maps to {0..m-1} multiplied through a commutative monoid table.
+
+    The ``m x m`` table is built once; the product of colors ``a`` and ``b``
+    over ``S u T`` is the enumerated constant map of color ``table[a][b]``,
+    the instance ``MapTo.canonical`` registers for it."""
     op, _ident = _MONOIDS[kind](m)
+    table = [[op(a, b) for b in range(m)] for a in range(m)]
 
     def elements(I: GroundSet):
         if len(I) == 0:
@@ -86,8 +91,7 @@ def blob_system(kind: str, m: int) -> PerturbedSystem:
             return y
         if not T.labels:
             return x
-        v = op(x.colors[0], y.colors[0])
-        return MapTo.canonical(S.union(T), (v,) * (len(S.labels) + len(T.labels)))
+        return sp.elements(S.union(T))[table[x.colors[0]][y.colors[0]]]
 
     return PerturbedSystem(sp.name, MultSystem(sp, rule), "injective")
 

@@ -258,8 +258,9 @@ class Element(_Value):
         A value seen before costs one dict lookup, and every later lookup of
         the instance in a dict matches by identity.  A new value runs the
         constructor with all its checks, so an invalid one raises the same
-        error and registers nothing.  Instances built by the constructor
-        itself stay outside the table and still compare equal by value."""
+        error and registers nothing; a valid one is registered after
+        ``_register_parts``.  Instances built by the constructor itself stay
+        outside the table and still compare equal by value."""
         order = cls._payload_key
         if order is not None:
             payload = tuple(sorted(payload, key=order))
@@ -268,9 +269,15 @@ class Element(_Value):
         key = (cls, ground, payload)
         got = _ELEMENTS.get(key)
         if got is None:
+            got = cls(ground, payload)
+            got._register_parts()
             # setdefault: concurrent first calls still agree on one instance
-            got = _ELEMENTS.setdefault(key, cls(ground, payload))
+            got = _ELEMENTS.setdefault(key, got)
         return got
+
+    def _register_parts(self) -> None:
+        """Make a newly built value, before it is registered, hold the
+        registered instances of the elements inside it (none here)."""
 
     def _seal(self, *values) -> None:
         """Set the fields to ``values``, in ``_fields`` order, and keep their
@@ -493,6 +500,11 @@ class LabeledPartitionElt(Element):
     def of(blocks: Iterable[tuple[GroundSet, Element]]) -> "LabeledPartitionElt":
         bs = tuple(blocks)
         return LabeledPartitionElt(union_all(b for b, _ in bs), bs)
+
+    def _register_parts(self) -> None:
+        # reseal over the registered labels (equal, so key and hash stay):
+        # a registered element holds registered labels, whoever built it
+        self._seal(self.ground, tuple((b, lab.canonical(*lab._key)) for b, lab in self.blocks))
 
     def shape(self) -> SetPartitionElt:
         return SetPartitionElt.canonical(self.ground, tuple(b for b, _ in self.blocks))
@@ -832,23 +844,34 @@ class SetSpecies:
 # ---------------------------------------------------------------------------
 # decomposition enumeration
 
+_DECOMPOSITIONS: dict[tuple, tuple[tuple[GroundSet, ...], ...]] = {}
+
+
 def decompositions(I: GroundSet, k: int, nonempty: bool = False) -> list[tuple[GroundSet, ...]]:
     """Ordered k-tuples of pairwise disjoint ground sets with union I.
 
     Enumerated lexicographically by the membership word (the part index of
-    each label in increasing label order).
+    each label in increasing label order).  Each ``(I, k, nonempty)`` is
+    enumerated once per process and kept as a tuple in a module-level table,
+    like ground sets and elements; every call returns a new list of it, so a
+    caller may change its list without changing a later call's.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    out = []
-    for word in itertools.product(range(k), repeat=len(I)):
-        parts: list[list[int]] = [[] for _ in range(k)]
-        for lab, w in zip(I.labels, word):
-            parts[w].append(lab)
-        if nonempty and any(not p for p in parts):
-            continue
-        out.append(tuple(GroundSet(tuple(p)) for p in parts))
-    return out
+    key = (I, k, nonempty)
+    got = _DECOMPOSITIONS.get(key)
+    if got is None:
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        out = []
+        for word in itertools.product(range(k), repeat=len(I)):
+            parts: list[list[int]] = [[] for _ in range(k)]
+            for lab, w in zip(I.labels, word):
+                parts[w].append(lab)
+            if nonempty and any(not p for p in parts):
+                continue
+            out.append(tuple(GroundSet(tuple(p)) for p in parts))
+        # setdefault: concurrent first calls still agree on one tuple
+        got = _DECOMPOSITIONS.setdefault(key, tuple(out))
+    return list(got)
 
 
 def nonempty_compositions(I: GroundSet) -> Iterator[tuple[GroundSet, ...]]:

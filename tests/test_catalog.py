@@ -1,5 +1,7 @@
 """Catalog species: component counts, system evaluations, naturality."""
 
+import itertools
+import re
 from math import factorial
 
 import pytest
@@ -7,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from species_forge.catalog import (
-    MAX_COLORS, MAX_NESTING, CatalogEntry, make_E, make_E_C, make_L, make_Perm, make_Pi, make_S, make_X_C,
-    parse_species, with_derived_pi,
+    MAX_COLORS, MAX_NESTING, CatalogEntry, _mapto_merge, make_E, make_E_C, make_L, make_Perm,
+    make_Pi, make_S, make_X_C, parse_species, with_derived_pi,
 )
 from species_forge.controls import (
-    _MAKERS, _grid, blob_system, collapse_system, concat_system, label_dropping_species,
+    _MAKERS, _MONOIDS, _grid, blob_system, collapse_system, concat_system,
+    label_dropping_species,
 )
 from species_forge.core import (
     Bijection, GroundSet, LabeledPartitionElt, LinearOrderElt, MapTo, PermutationElt,
@@ -108,6 +111,69 @@ def test_S_union_product():
     assert got == LabeledPartitionElt.of([
         (GroundSet.of([1]), MapTo.from_pairs([(1, 0)])),
         (GroundSet.of([2]), MapTo.from_pairs([(2, 1)]))])
+
+
+def test_S_product_of_unregistered_labels_holds_registered_labels():
+    # over ground sets no other test uses, so this product registers its
+    # value: the registered element must hold the registered labels, not the
+    # ones MapTo.from_pairs built, or the enumeration hands those out
+    sq = make_S(make_X_C(2))
+    S, T = GroundSet((91,)), GroundSet((92,))
+    X = LabeledPartitionElt.of([(S, MapTo.from_pairs([(91, 0)]))])
+    Y = LabeledPartitionElt.of([(T, MapTo.from_pairs([(92, 1)]))])
+    got = sq.mu(S, T, X, Y)
+    assert got is sq.mu(S, T, X, Y)
+    for z in sq.species.elements(S.union(T)):
+        assert all(lab is MapTo.canonical(lab.ground, lab.colors) for _, lab in z.blocks)
+    assert got in sq.species.elements(S.union(T))
+
+
+def _label_walk(S, T, x, y):
+    ground = S.union(T)
+    return MapTo.canonical(ground, tuple(
+        x.color_of(l) if l in S else y.color_of(l) for l in ground.labels))
+
+
+def test_mapto_merge_is_the_label_walk():
+    # every disjoint (S, T) with S u T in {1..4}: the third part is the rest
+    for S, T, _ in decompositions(GroundSet.first(4), 3):
+        for cx in itertools.product(range(2), repeat=len(S)):
+            for cy in itertools.product(range(2), repeat=len(T)):
+                x, y = MapTo.canonical(S, cx), MapTo.canonical(T, cy)
+                got = _mapto_merge(S, T, x, y)
+                want = MapTo.from_pairs([*zip(S.labels, cx), *zip(T.labels, cy)])
+                assert got is _label_walk(S, T, x, y) is MapTo.canonical(want.ground, want.colors)
+
+
+def test_mapto_merge_of_a_map_off_its_part_is_the_label_walk():
+    S, T = GroundSet((1,)), GroundSet((2,))
+    x, y = MapTo.canonical(S, (0,)), MapTo.canonical(T, (1,))
+    for bad in (MapTo.canonical(GroundSet((3,)), (1,)), MapTo(S, (1,))):
+        for args in ((S, T, bad, y), (S, T, x, bad), (T, S, bad, x), (T, S, y, bad)):
+            try:
+                want = _label_walk(*args)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                    _mapto_merge(*args)
+            else:
+                assert _mapto_merge(*args) is want
+    wide = MapTo.canonical(GroundSet((1, 2)), (1, 0))
+    assert _mapto_merge(S, T, wide, y) is _label_walk(S, T, wide, y)
+    with pytest.raises(ValueError, match="ground sets overlap"):
+        _mapto_merge(S, S, x, x)
+
+
+@pytest.mark.parametrize("kind, m", [args for family, args in _grid() if family == "blob"])
+def test_blob_products_are_the_monoid_products(kind, m):
+    op, ident = _MONOIDS[kind](m)
+    mu = blob_system(kind, m).mu
+    for n in range(4):
+        for S, T in decompositions(GroundSet.first(n), 2):
+            for x in mu.species.elements(S):
+                for y in mu.species.elements(T):
+                    a, b = (x.colors or (ident,))[0], (y.colors or (ident,))[0]
+                    U = S.union(T)
+                    assert mu(S, T, x, y) is MapTo.canonical(U, (op(a, b),) * len(U))
 
 
 def test_S_X2_derived_pi_is_bijective_inverse():

@@ -435,6 +435,43 @@ def test_decomposition_order_is_stable():
     assert first == decompositions(GroundSet.first(3), 2)
 
 
+@pytest.mark.parametrize("nonempty", [False, True])
+def test_decompositions_are_every_membership_word(nonempty):
+    # the brute force reads each part off the word by comparison, with no
+    # table and no per-part lists
+    for r in range(5):
+        for labels in itertools.combinations(range(1, 5), r):
+            I = GroundSet(labels)
+            for k in range(1, 5):
+                want = []
+                for word in itertools.product(range(k), repeat=r):
+                    parts = tuple(GroundSet.of(x for x, w in zip(labels, word) if w == j)
+                                  for j in range(k))
+                    if not nonempty or all(parts):
+                        want.append(parts)
+                for _ in range(2):
+                    got = decompositions(I, k, nonempty)
+                    assert type(got) is list and got == want
+
+
+def test_decompositions_survive_a_caller_changing_its_list():
+    I = GroundSet.first(3)
+    first = decompositions(I, 3, nonempty=True)
+    want = list(first)
+    first.reverse()
+    first.append((EMPTY,))
+    again = decompositions(I, 3, nonempty=True)
+    assert again is not first and again == want
+    assert all(a is b for a, b in zip(again, want))
+
+
+def test_decompositions_refuse_k_below_one_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            decompositions(GroundSet.first(2), 0)
+    assert not any(k < 1 for _, k, _ in core._DECOMPOSITIONS)
+
+
 # ---------------------------------------------------------------------------
 # elements: canonical forms
 
