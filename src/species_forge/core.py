@@ -905,6 +905,7 @@ def set_partitions(I: GroundSet) -> list[tuple[GroundSet, ...]]:
             rgs.pop()
 
     rec(1, [0], 0)
+    del rec     # it refers to itself through its cell: no cycle for the collector
     return out
 
 

@@ -98,42 +98,20 @@ class LinearizedHopf:
     def nabla(self, S: GroundSet, T: GroundSet, t: TensorVec) -> Vec:
         if t.parts != (S, T):
             raise ValueError("tensor parts do not match (S, T)")
-        return derived_vec(S.union(T), self._nabla_terms(S, T, t.terms.items()))
+        acc: dict = {}
+        for (x, y), c in t.terms.items():
+            for z in self.products(S, T, x, y):
+                acc[z] = acc.get(z, 0) + c
+        return derived_vec(S.union(T), acc)
 
     def delta(self, S: GroundSet, T: GroundSet, v: Vec) -> TensorVec:
         if v.ground is not S.union(T):
             raise ValueError("vector ground does not match S u T")
-        return derived_tensor((S, T), self._delta_terms(S, T, v.terms.items()), (0, 1))
-
-    # The maps' accumulators, shared with _assoc and _hopf_compat; unchecked
-    # (derived_vec/derived_tensor or the oracles check what they return).
-
-    def _nabla_terms(self, S: GroundSet, T: GroundSet, terms) -> dict:
-        """The terms of nabla_{S,T} on the pairs ``((x, y), c)`` of ``terms``."""
         acc: dict = {}
-        for (x, y), c in terms:
-            for z in self.products(S, T, x, y):
-                acc[z] = acc.get(z, 0) + c
-        return acc
-
-    def _delta_terms(self, S: GroundSet, T: GroundSet, terms) -> dict:
-        """The terms of Delta_{S,T} on the pairs ``(z, c)`` of ``terms``."""
-        acc: dict = {}
-        for z, c in terms:
+        for z, c in v.terms.items():
             for pair in self.splits(S, T, z):
                 acc[pair] = acc.get(pair, 0) + c
-        return acc
-
-    def _nabla_at_terms(self, S: GroundSet, T: GroundSet, terms, pos: int) -> dict:
-        """As ``_nabla_terms``, on slots pos and pos+1 of the keys of the
-        pairs ``(key, c)`` of ``terms``."""
-        acc: dict = {}
-        for key, c in terms:
-            head, tail = key[:pos], key[pos + 2:]
-            for e in self.products(S, T, key[pos], key[pos + 1]):
-                k = head + (e,) + tail
-                acc[k] = acc.get(k, 0) + c
-        return acc
+        return derived_tensor((S, T), acc, (0, 1))
 
 
 _SYSTEM_NAMES = {"mu": "multiplicative", "pi": "comultiplicative"}
@@ -153,7 +131,10 @@ def hopf_from(entry: CatalogEntry, product: str = "mu", coproduct: str = "pi") -
 
 def _nabla_basis(h: LinearizedHopf, S: GroundSet, T: GroundSet, x: Element, y: Element) -> Vec:
     """nabla_{S,T}(x (x) y) as a vector."""
-    return Vec(S.union(T), _product_terms(h, S, T, x, y), _trusted=True)
+    acc: dict = {}
+    for z in h.products(S, T, x, y):
+        acc[z] = acc.get(z, 0) + 1
+    return derived_vec(S.union(T), acc)
 
 
 def _delta_basis(h: LinearizedHopf, S: GroundSet, T: GroundSet, z: Element) -> TensorVec:
@@ -161,16 +142,8 @@ def _delta_basis(h: LinearizedHopf, S: GroundSet, T: GroundSet, z: Element) -> T
     return TensorVec((S, T), _split_terms(h, S, T, z), _trusted=True)
 
 
-# The terms of one basis (co)product, checked as derived_vec/derived_tensor
-# check them; each coefficient counts a rule result, so none is zero.
-
-def _product_terms(h: LinearizedHopf, S: GroundSet, T: GroundSet, x: Element, y: Element) -> dict:
-    acc: dict = {}
-    for z in h.products(S, T, x, y):
-        acc[z] = acc.get(z, 0) + 1
-    _check_grounds(S.union(T), acc)
-    return acc
-
+# The terms of Delta_{S,T}(z), checked as derived_tensor checks them; each
+# coefficient counts a rule result, so none is zero.
 
 def _split_terms(h: LinearizedHopf, S: GroundSet, T: GroundSet, z: Element) -> dict:
     acc: dict = {}
@@ -189,7 +162,13 @@ def apply_nabla_at(h: LinearizedHopf, t: TensorVec, pos: int) -> TensorVec:
     """id (x) ... (x) nabla (x) ... (x) id, merging slots pos and pos+1."""
     S, T = t.parts[pos], t.parts[pos + 1]
     parts = t.parts[:pos] + (S.union(T),) + t.parts[pos + 2:]
-    return derived_tensor(parts, h._nabla_at_terms(S, T, t.terms.items(), pos), (pos,))
+    acc: dict = {}
+    for key, c in t.terms.items():
+        head, tail = key[:pos], key[pos + 2:]
+        for e in h.products(S, T, key[pos], key[pos + 1]):
+            k = head + (e,) + tail
+            acc[k] = acc.get(k, 0) + c
+    return derived_tensor(parts, acc, (pos,))
 
 
 def apply_delta_at(h: LinearizedHopf, t: TensorVec, pos: int,
@@ -423,16 +402,19 @@ def _delta_nabla_terms(h, I, decs):
 
 
 # The linear checkers, the kernels' reference, run only for n <= ORACLE_MAX_N.
-# _assoc and _hopf_compat, which run on every control system, accumulate each
-# side's terms in dicts and check the first's; the second equals it or goes
-# into the witness, their only Vec or TensorVec, which checks it.  The others,
-# run only on catalog entries (about 1 ms a row), use the public linear maps.
+# _assoc, _unital and _hopf_compat, which run on every control system, list
+# each side of an instance as the rule results it sums (every constant is 0 or
+# 1, so nothing cancels), compare the lists and count them only when they
+# differ, as _hopf_terms does.  Rule results are ground-checked where they
+# come in; a Vec or TensorVec is built only for a witness, from the counts.
+# The others, run only on catalog entries (about 1 ms a row), use the public
+# linear maps.
 
 def _assoc(h, I, decs):
     # Each memo is filled on first use, so the rules are called in the same
     # order as without it, and a rule that raises raises at the same instance.
-    # nabla(xy (x) z) and nabla(x (x) yz) run nabla's accumulator over the
-    # terms of those tensors, in TensorVec.tensor's order, without building them.
+    # The sides are nabla(xy (x) z) and nabla(x (x) yz), in TensorVec.tensor's
+    # order, without building them.
     for R, S, T in decs:
         RS, ST, yzs = R.union(S), S.union(T), {}
         RST = RS.union(T)
@@ -441,17 +423,19 @@ def _assoc(h, I, decs):
                 xy = None
                 for c, z in enumerate(h.basis.elements(T)):
                     if xy is None:
-                        xy = _product_terms(h, R, S, x, y)
-                    lhs = h._nabla_terms(RS, T, [((w, z), k) for w, k in xy.items()])
+                        xy = h.products(R, S, x, y)
+                        _check_grounds(RS, xy)
+                    lhs = [e for w in xy for e in h.products(RS, T, w, z)]
                     _check_grounds(RST, lhs)
                     if (b, c) not in yzs:
-                        yzs[b, c] = _product_terms(h, S, T, y, z)
-                    rhs = h._nabla_terms(R, ST, [((x, w), k) for w, k in yzs[b, c].items()])
-                    if lhs != rhs:
+                        yzs[b, c] = h.products(S, T, y, z)
+                        _check_grounds(ST, yzs[b, c])
+                    rhs = [e for w in yzs[b, c] for e in h.products(R, ST, x, w)]
+                    if lhs != rhs and Counter(lhs) != Counter(rhs):
                         return {"decomposition": [list(R), list(S), list(T)],
                                 "inputs": [str(x), str(y), str(z)],
-                                "lhs": str(derived_vec(RST, lhs)),
-                                "rhs": str(derived_vec(RST, rhs))}
+                                "lhs": str(derived_vec(RST, Counter(lhs))),
+                                "rhs": str(derived_vec(RST, Counter(rhs)))}
     return None
 
 
@@ -474,10 +458,13 @@ def _unital(h, I, decs):
     except ValueError as exc:
         return {"error": str(exc)}
     for x in h.basis.elements(I):
-        left = _nabla_basis(h, EMPTY, I, u, x)
-        right = _nabla_basis(h, I, EMPTY, x, u)
-        if left != Vec.basis(x) or right != Vec.basis(x):
-            return {"inputs": [str(x)], "left": str(left), "right": str(right)}
+        left = h.products(EMPTY, I, u, x)
+        _check_grounds(I, left)
+        right = h.products(I, EMPTY, x, u)
+        _check_grounds(I, right)
+        if left != (x,) or right != (x,):
+            return {"inputs": [str(x)], "left": str(derived_vec(I, Counter(left))),
+                    "right": str(derived_vec(I, Counter(right)))}
     return None
 
 
@@ -520,10 +507,11 @@ def _counital(h, I, decs):
 
 def _hopf_compat(h, I, decs):
     # The bottom path twists (A, B, A', B') -> (A, A', B, B'); this is the
-    # displayed convention, and _hopf_terms follows it.  Each side runs the
-    # accumulators of delta and apply_nabla_at (the bottom over dx (x) dy in
-    # twisted order, then over the merged terms, positive so none cancel); the
-    # memos are filled on first use, and the terms checked, as in _assoc.
+    # displayed convention, and _hopf_terms follows it.  The bottom multiplies
+    # the A-parts of dx (x) dy, in twisted order, into merged terms keyed
+    # (e, v, v'), then the B-parts once per key, repeated by its count
+    # (positive, so none cancel); the memos are filled on first use, and the
+    # rule results checked, as in _assoc.
     for R, Rp in decs:
         xys = {}
         for S, Sp in decs:
@@ -534,20 +522,28 @@ def _hopf_compat(h, I, decs):
                 dx = _split_terms(h, A, B, x).items()
                 for b, y in enumerate(h.basis.elements(Rp)):
                     if (a, b) not in xys:
-                        xys[a, b] = _product_terms(h, R, Rp, x, y)
-                    top = h._delta_terms(S, Sp, xys[a, b].items())
+                        xys[a, b] = h.products(R, Rp, x, y)
+                        _check_grounds(R.union(Rp), xys[a, b])
+                    top = [p for z in xys[a, b] for p in h.splits(S, Sp, z)]
                     _check_keys((S, Sp), top, (0, 1))
                     if b not in dys:
                         dys[b] = _split_terms(h, Ap, Bp, y).items()
-                    merged = h._nabla_at_terms(A, Ap, [((u, up, v, vp), c * cp) for (u, v), c in dx
-                                                       for (up, vp), cp in dys[b]], 0)
+                    merged: dict = {}
+                    for (u, v), c in dx:
+                        for (up, vp), cp in dys[b]:
+                            for e in h.products(A, Ap, u, up):
+                                k = (e, v, vp)
+                                merged[k] = merged.get(k, 0) + c * cp
                     _check_keys((S, B, Bp), merged, (0,))     # (A u A', B, B')
-                    bottom = h._nabla_at_terms(B, Bp, merged.items(), 1)
-                    if top != bottom:
+                    bottom = []
+                    for (e, v, vp), c in merged.items():
+                        for f in h.products(B, Bp, v, vp):
+                            bottom += [(e, f)] * c
+                    if top != bottom and Counter(top) != Counter(bottom):
                         return {"R": list(R), "Rp": list(Rp), "S": list(S), "Sp": list(Sp),
                                 "inputs": [str(x), str(y)],
-                                "top": str(derived_tensor((S, Sp), top, (0, 1))),
-                                "bottom": str(derived_tensor((S, Sp), bottom, (1,)))}
+                                "top": str(derived_tensor((S, Sp), Counter(top), (0, 1))),
+                                "bottom": str(derived_tensor((S, Sp), Counter(bottom), (1,)))}
     return None
 
 

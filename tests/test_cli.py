@@ -1,5 +1,6 @@
 """CLI behavior: spec parsing, suites, exit codes, deterministic output."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from species_forge.cli import main
+from species_forge.core import GroundSet, set_partitions
 from species_forge.engine import AXIOMS
 
 
@@ -577,3 +579,30 @@ def test_reader_closing_stdout_early_is_exit_1_without_traceback(read, argv):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+
+
+def _cyclic_garbage(run):
+    """How many objects the collector finds after ``run()``, run with the
+    collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_runs_leave_no_cyclic_garbage(capsys):
+    # an object in a reference cycle (say, a closure that refers to itself)
+    # outlives its run until the collector finds it: no run may leave more
+    # than the argument parsing of an n = 0 run; the CI step "No cyclic
+    # garbage" sweeps every suite and command
+    for n in range(6):
+        assert _cyclic_garbage(lambda: set_partitions(GroundSet.first(n))) == 0, n
+    base = _cyclic_garbage(lambda: main(["check", "--species", "Pi", "--suite", "order",
+                                         "--max-n", "0"]))
+    for argv in (["check", "--species", "Pi", "--suite", "order", "--max-n", "5"],
+                 ["check", "--species", "Pi", "--suite", "full", "--max-n", "3"]):
+        assert _cyclic_garbage(lambda: main(argv)) <= base, argv
+    capsys.readouterr()

@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -651,7 +652,7 @@ def _logged_run(h, checker, I, parts, catch=False):
     as its message, else it propagates."""
     logged = _LoggedHopf(h)
     try:
-        got = checker(logged, I, decompositions(I, parts))
+        got = checker(logged, I, decompositions(I, parts) if parts else ())
     except Exception as exc:
         if not catch:
             raise
@@ -712,6 +713,137 @@ def test_assoc_matches_the_vector_route_on_a_non_associative_system():
     assert eng._assoc(h, GroundSet.first(3), decompositions(GroundSet.first(3), 3))
 
 
+def _unital_by_vectors(h, I, decs):
+    # _unital with both sides built as vectors and compared with Vec.basis(x)
+    try:
+        u = h.unit()
+    except ValueError as exc:
+        return {"error": str(exc)}
+    for x in h.basis.elements(I):
+        left = eng._nabla_basis(h, EMPTY, I, u, x)
+        right = eng._nabla_basis(h, I, EMPTY, x, u)
+        if left != Vec.basis(x) or right != Vec.basis(x):
+            return {"inputs": [str(x)], "left": str(left), "right": str(right)}
+    return None
+
+
+def _coarsest_system():
+    """Pi's species with x y the one-block partition of S u T: associative,
+    but x 1 = x fails at the first x with two blocks."""
+    sp = make_Pi().species
+    mu = MultSystem(sp, lambda S, T, x, y: sp.elements(S.union(T))[0])
+    return hopf_from(CatalogEntry("coarsest", sp, mu, None), "mu", "mu")
+
+
+@pytest.mark.parametrize("family,args", _grid(), ids=str)
+def test_unital_matches_the_vector_route_on_control_systems(family, args):
+    h = eng._mu_mu(_MAKERS[family](*args).mu)
+    _assert_logged_routes_agree(h, eng._unital, _unital_by_vectors, 0)
+
+
+@pytest.mark.parametrize("spec,variant", [
+    (spec, "-".join(variant))
+    for spec in ("E", "E_C:2", "Pi", "L", "Perm", "S(X_C:2)")
+    for variant in _ALL_VARIANTS
+] + [("S(E_C:2)", "mu-mu")])
+def test_unital_matches_the_vector_route_on_catalog(spec, variant):
+    entry = parse_species(spec)
+    if spec == "S(X_C:2)":
+        entry = with_derived_pi(entry, 3)
+    h = hopf_from(entry, *variant.split("-"))
+    _assert_logged_routes_agree(h, eng._unital, _unital_by_vectors, 0)
+
+
+def test_unital_matches_the_vector_route_on_a_non_unital_system():
+    h = _coarsest_system()
+    _assert_logged_routes_agree(h, eng._unital, _unital_by_vectors, 0)
+    witness = eng._unital(h, GroundSet.first(2), ())
+    assert witness == {"inputs": ["{1|2}"], "left": "{1,2}", "right": "{1,2}"}
+
+
+class _Rotating(eng.LinearizedHopf):
+    """h whose rules list their terms rotated one more place each time they
+    are called with the same arguments: the same linear maps, with the two
+    sides of an instance listed in different orders."""
+
+    def __init__(self, h):
+        super().__init__(h.name, h.basis, h.product, h.coproduct)
+        self.calls = Counter()
+
+    def _turned(self, call, terms):
+        self.calls[call] += 1
+        k = self.calls[call] % len(terms) if terms else 0
+        return terms[k:] + terms[:k]
+
+    def products(self, S, T, x, y):
+        return self._turned((S, T, x, y), super().products(S, T, x, y))
+
+    def splits(self, S, T, z):
+        return self._turned((S, T, z), super().splits(S, T, z))
+
+
+class _Doubling(eng.LinearizedHopf):
+    """h whose products onto ``points`` points from an empty and a full part
+    list each term twice."""
+
+    def __init__(self, h, points):
+        super().__init__(h.name, h.basis, h.product, h.coproduct)
+        self.points = points
+
+    def products(self, S, T, x, y):
+        terms = super().products(S, T, x, y)
+        return terms * 2 if len(S) + len(T) == self.points and not (S and T) else terms
+
+
+def _counters_built(monkeypatch):
+    """A list that gains one entry per Counter the engine builds from now on."""
+    built = []
+
+    class Counted(Counter):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(eng, "Counter", Counted)
+    return built
+
+
+@pytest.mark.parametrize("route,reference,parts", [
+    (eng._assoc, _assoc_by_vectors, 3), (eng._hopf_compat, _hopf_compat_by_tensors, 2)],
+    ids=["assoc", "hopf_compat"])
+def test_oracles_count_sides_listed_in_another_order(monkeypatch, route, reference, parts):
+    # Pi's (nabla^pi, Delta^mu) holds both diagrams, and its products and
+    # splits have several terms at n = 2; rotated, some instance lists its
+    # sides in two orders, which only the counts find equal
+    I = GroundSet.first(2)
+    h = hopf_from(make_Pi(), "pi", "mu")
+    assert reference(_Rotating(h), I, decompositions(I, parts)) is None
+    built = _counters_built(monkeypatch)
+    assert route(_Rotating(h), I, decompositions(I, parts)) is None
+    assert built
+
+
+@pytest.mark.parametrize("points", [1, 2])
+@pytest.mark.parametrize("route,reference,parts", [
+    (eng._assoc, _assoc_by_vectors, 3), (eng._unital, _unital_by_vectors, 0),
+    (eng._hopf_compat, _hopf_compat_by_tensors, 2)],
+    ids=["assoc", "unital", "hopf_compat"])
+def test_oracles_print_a_doubled_term_as_their_vector_routes(route, reference, parts, points):
+    # _assoc fails at n = points with both sides counted, _unital with both
+    # counted 2, the Hopf diagram at n = 2 with its bottom counted 4 (one
+    # point) or its top counted 2 (two)
+    h = _Doubling(hopf_from(make_Pi(), "mu", "pi"), points)
+    for n in range(eng.ORACLE_MAX_N + 1):
+        I = GroundSet.first(n)
+        decs = decompositions(I, parts) if parts else ()
+        witness = route(h, I, decs)
+        assert witness == reference(h, I, decs), n
+        if witness is not None:
+            break
+    assert n == 2 if route is eng._hopf_compat else n == points
+    assert any(side[:2] in ("2*", "4*") for side in witness.values() if isinstance(side, str))
+
+
 def _wrong_at_call(entry, k):
     """entry's (nabla^mu, Delta^pi) whose k-th rule call, counted from 1 over
     both systems, gives a result over other ground sets (unless all its parts
@@ -747,6 +879,21 @@ def test_oracles_check_a_bad_rule_result_as_their_vector_routes(route, reference
     assert errors > calls // 2   # most of the bad results lie over another ground set
 
 
+def test_unital_checks_a_bad_rule_result_as_its_vector_route():
+    # as test_oracles_check_a_bad_rule_result_as_their_vector_routes; each
+    # bad result is the unit, over EMPTY, on either side
+    entry = make_Pi()
+    I = GroundSet.first(2)
+    calls = len(_logged_run(hopf_from(entry, "mu", "pi"), eng._unital, I, 0)[1])
+    errors = 0
+    for k in range(1, calls + 1):
+        got, want = (_logged_run(_wrong_at_call(entry, k), r, I, 0, catch=True)
+                     for r in (eng._unital, _unital_by_vectors))
+        assert got == want, k
+        errors += isinstance(got[0], str)
+    assert errors == calls == 4
+
+
 def _vectors_built(monkeypatch):
     """A list that gains one entry per Vec or TensorVec built from now on."""
     built = []
@@ -759,27 +906,27 @@ def _vectors_built(monkeypatch):
 
 
 def test_assoc_and_hopf_oracles_build_vectors_only_for_a_witness(monkeypatch):
-    # each instance is accumulated in dicts: a passing instance builds no
-    # vector, a failing one the witness's two (Hopf compatibility fails at
-    # n = 2 for Pi's (nabla^pi, Delta^pi), concat, blob and L's (nabla^mu,
-    # Delta^mu))
+    # each instance is listed as rule results: a passing instance builds no
+    # vector, a failing one the witness's two (Hopf compatibility fails for
+    # Pi's (nabla^pi, Delta^pi), concat, blob, L's (nabla^mu, Delta^mu) and
+    # the coarsest product, unitality for the coarsest product)
     systems = ([hopf_from(make_Pi(), *variant) for variant in _ALL_VARIANTS]
                + [eng._mu_mu(ps.mu) for ps in (concat_system(False), blob_system("zadd", 3),
                                                collapse_system(2, 2))]
-               + [hopf_from(make_L(), "mu", "mu")])
+               + [hopf_from(make_L(), "mu", "mu"), _coarsest_system()])
     built = _vectors_built(monkeypatch)
-    witnesses = 0
+    witnesses = Counter()
     for h in systems:
-        for oracle, parts in ((eng._assoc, 3), (eng._hopf_compat, 2)):
+        for oracle, parts, kind in ((eng._assoc, 3, "Vec"), (eng._unital, 0, "Vec"),
+                                    (eng._hopf_compat, 2, "TensorVec")):
             for n in range(eng.ORACLE_MAX_N + 1):
                 I = GroundSet.first(n)
                 del built[:]
-                witness = oracle(h, I, decompositions(I, parts))
-                want = [] if witness is None else (
-                    ["Vec", "Vec"] if oracle is eng._assoc else ["TensorVec", "TensorVec"])
-                assert built == want, (h.name, oracle.__name__, n)
-                witnesses += witness is not None
-    assert witnesses == 4
+                witness = oracle(h, I, decompositions(I, parts) if parts else ())
+                assert built == ([] if witness is None else [kind, kind]), \
+                    (h.name, oracle.__name__, n)
+                witnesses[oracle.__name__] += witness is not None
+    assert witnesses == {"_assoc": 0, "_unital": 1, "_hopf_compat": 5}
 
 
 @pytest.mark.parametrize("label,message", [
