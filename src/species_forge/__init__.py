@@ -4,7 +4,7 @@ Hopf monoids in vector species."""
 from .core import (
     EMPTY, Bijection, CheckReport, Element, GroundSet, LabeledPartitionElt,
     LinearOrderElt, MapTo, PermutationElt, SetPartitionElt, SetSpecies,
-    TensorVec, UnitElement, Vec, decompositions, nonempty_compositions,
+    TensorVec, UnitElement, Vec, decompositions, grounds, nonempty_compositions,
     set_partitions, transport_check,
 )
 from .catalog import (

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 
 from .core import (
     Bijection, Element, GroundSet, LabeledPartitionElt, LinearOrderElt,
-    MapTo, PermutationElt, SetPartitionElt, SetSpecies, decompositions,
+    MapTo, PermutationElt, SetPartitionElt, SetSpecies, decompositions, grounds,
     set_partitions,
 )
 
@@ -393,8 +393,7 @@ def with_derived_pi(entry: CatalogEntry, max_n: int = 4) -> CatalogEntry:
     """Attach the inverse-of-product coproduct when every component up to
     max_n is bijective; used for labeled partitions over singleton species."""
     pi = inverse_pi(entry)
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
+    for I in grounds(max_n):
         for S, T in decompositions(I, 2):
             for z in entry.species.elements(I):
                 pi(S, T, z)

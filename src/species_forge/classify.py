@@ -19,12 +19,11 @@ from .catalog import (CatalogEntry, ComultSystem, MultSystem, labeled_partition_
                       make_E_C)
 from .core import (
     Bijection, CheckReport, Element, GroundSet, LabeledPartitionElt,
-    SetSpecies, TensorVec, Vec, decompositions, set_partitions,
+    SetSpecies, TensorVec, Vec, decompositions, grounds, set_partitions,
 )
 from .engine import (
     DEFAULT_MAX_N, FatalInconsistency, LinearizedHopf, check_axiom,
-    check_self_compatible, guard_max_n, hopf_from, iterate_nabla,
-    takeuchi_antipode,
+    check_self_compatible, hopf_from, iterate_nabla, takeuchi_antipode,
 )
 
 
@@ -69,8 +68,7 @@ def primitives(h: LinearizedHopf, I: GroundSet) -> list[Vec]:
 
 
 def primitive_dims(h: LinearizedHopf, max_n: int) -> list[int]:
-    guard_max_n(max_n)
-    return [len(primitives(h, GroundSet.first(n))) for n in range(1, max_n + 1)]
+    return [len(primitives(h, I)) for I in grounds(max_n)[1:]]
 
 
 def primitive_basis_elements(mu: MultSystem, I: GroundSet) -> tuple[Element, ...]:
@@ -94,19 +92,18 @@ def primitive_basis_species(mu: MultSystem) -> SetSpecies:
 
 def check_primitives_match(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     """span(primitive basis) equals the kernel-intersection primitives."""
-    guard_max_n(max_n)
+    Is = grounds(max_n)[1:]
     if entry.mu is None:
         return CheckReport("primitives_match", entry.key, max_n, "skip",
                            {"reason": "no multiplicative system"})
     h = hopf_from(entry, "mu", "mu")
-    for n in range(1, max_n + 1):
-        I = GroundSet.first(n)
+    for I in Is:
         index = entry.species.index(I)
         kernel = [_coords(v, index) for v in primitives(h, I)]
         setp = [_coords(Vec.basis(e), index) for e in primitive_basis_elements(entry.mu, I)]
         if len(kernel) != len(setp) or not linalg.spans_equal(kernel, setp, len(index)):
             return CheckReport(
-                "primitives_match", entry.key, n, "fail",
+                "primitives_match", entry.key, len(I), "fail",
                 {"kernel_dim": len(kernel), "set_basis_dim": len(setp)})
     return CheckReport("primitives_match", entry.key, max_n, "pass")
 
@@ -189,7 +186,7 @@ def f_mu(mu: MultSystem, max_n: int = DEFAULT_MAX_N, *, check_preconditions: boo
     Non-bijectivity on any checked component is fatal: for an associative,
     unital, Hopf self-compatible product this cannot happen.
     """
-    guard_max_n(max_n)
+    Is = grounds(max_n)
     key = species_key or mu.species.name
     if check_preconditions:
         rep = check_self_compatible(mu, "both", min(max_n, 3), species_key=key)
@@ -197,31 +194,29 @@ def f_mu(mu: MultSystem, max_n: int = DEFAULT_MAX_N, *, check_preconditions: boo
             raise ValueError(f"f_mu preconditions fail for {key}: {rep.status} {rep.witness}")
     q = primitive_basis_species(mu)
     fm = FMu(mu, labeled_partition_species(q, f"S({q.name})"), key)
-    for n in range(max_n + 1):
-        fm.table(GroundSet.first(n))
+    for I in Is:
+        fm.table(I)
     return fm
 
 
 def check_fmu_intertwines(fm: FMu, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     """f(X u Y) = mu(f X, f Y) and transport-equivariance, exhaustively."""
-    guard_max_n(max_n)
     key, sq, mu = fm.key, fm.sq, fm.mu
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
+    for I in grounds(max_n):
         for S, T in decompositions(I, 2):
             for X in sq.elements(S):
                 for Y in sq.elements(T):
                     union = LabeledPartitionElt.canonical(I, X.blocks + Y.blocks)
                     if fm.table(I)[union] != mu(S, T, fm.apply(X), fm.apply(Y)):
                         return CheckReport(
-                            "fmu_intertwines", key, n, "fail",
+                            "fmu_intertwines", key, len(I), "fail",
                             {"law": "product", "X": str(X), "Y": str(Y)})
         for sigma in Bijection.all_endo(I):
             for X in sq.elements(I):
                 if fm.table(I)[sq.transport(sigma, X)] != \
                         mu.species.transport(sigma, fm.apply(X)):
                     return CheckReport(
-                        "fmu_intertwines", key, n, "fail",
+                        "fmu_intertwines", key, len(I), "fail",
                         {"law": "transport", "sigma": list(sigma.images), "X": str(X)})
     return CheckReport("fmu_intertwines", key, max_n, "pass")
 
@@ -253,8 +248,8 @@ def _inverted_mu(pi: ComultSystem) -> MultSystem:
 def first_non_bijective(pi: ComultSystem, max_n: int) -> tuple[GroundSet, GroundSet] | None:
     """The first (S, T), by size of S u T, on which pi is not a bijection,
     or None when it is one on every 2-decomposition up to max_n."""
-    for n in range(max_n + 1):
-        for S, T in decompositions(GroundSet.first(n), 2):
+    for I in grounds(max_n):
+        for S, T in decompositions(I, 2):
             if not pi.is_bijective_on(S, T):
                 return S, T
     return None
@@ -268,7 +263,7 @@ def f_pi(pi: ComultSystem, max_n: int = 3, *, species_key: str | None = None) ->
     {i}, each carrying the color phi(i) transported from {1} onto {i}: the
     block product f^mu would give on the partition into singletons.
     """
-    guard_max_n(max_n)
+    Is = grounds(max_n)
     key = species_key or pi.species.name
     sp = pi.species
     h = hopf_from(CatalogEntry(key, sp, None, pi), "pi", "pi")
@@ -301,28 +296,27 @@ def f_pi(pi: ComultSystem, max_n: int = 3, *, species_key: str | None = None) ->
         return fwd
 
     fp = FPi(pi, colors, e_c, build, key)
-    for n in range(max_n + 1):
-        fp.table(GroundSet.first(n))
+    for I in Is:
+        fp.table(I)
     return fp
 
 
 def check_fpi_intertwines(fp: FPi, max_n: int = 3) -> CheckReport:
     """(f x f) o rho = pi o f on every component, plus the normalization."""
-    guard_max_n(max_n)
+    Is = grounds(max_n)
     key, rho = fp.key, fp.e_c.pi
     one = GroundSet.of([1])
     for idx, f in enumerate(fp.e_c.species.elements(one)):
         if fp.apply(f) != fp.colors[idx]:
             return CheckReport("fpi_intertwines", key, 1, "fail",
                                {"law": "normalization", "input": str(f)})
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
+    for I in Is:
         for S, T in decompositions(I, 2):
             for f in fp.e_c.species.elements(I):
                 fa, fb = rho(S, T, f)
                 if (fp.table(S)[fa], fp.table(T)[fb]) != fp.pi(S, T, fp.apply(f)):
                     return CheckReport(
-                        "fpi_intertwines", key, n, "fail",
+                        "fpi_intertwines", key, len(I), "fail",
                         {"law": "coproduct", "S": list(S), "T": list(T), "input": str(f)})
     return CheckReport("fpi_intertwines", key, max_n, "pass")
 
@@ -466,20 +460,19 @@ def spans_on(h: LinearizedHopf, X: tuple, prim) -> list[Vec]:
 def check_takeuchi_closed_form(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     """On the self-dual triple, Takeuchi's sum acts on a basis element as the
     sign (-1)^k, k the number of blocks of its labeled-partition preimage."""
-    guard_max_n(max_n)
+    Is = grounds(max_n)
     if entry.mu is None:
         return CheckReport("takeuchi_closed_form", entry.key, max_n, "skip",
                            {"reason": "no multiplicative system"})
     h = hopf_from(entry, "mu", "mu")
     fm = f_mu(entry.mu, max_n, check_preconditions=False, species_key=entry.key)
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
+    for I in Is:
         for lam in entry.species.elements(I):
             k = len(fm.invert(lam).blocks)
             got = takeuchi_antipode(h, I, Vec.basis(lam))
             want = Vec.basis(lam).scale((-1) ** k)
             if got != want:
                 return CheckReport(
-                    "takeuchi_closed_form", entry.key, n, "fail",
+                    "takeuchi_closed_form", entry.key, len(I), "fail",
                     {"input": str(lam), "blocks": k, "got": str(got), "want": str(want)})
     return CheckReport("takeuchi_closed_form", entry.key, max_n, "pass")

@@ -23,7 +23,8 @@ import time
 
 from . import classify, controls, engine, order as order_mod
 from .catalog import CatalogEntry, parse_species, with_derived_pi
-from .core import CheckReport, GroundSet, Bijection, _swap, decompositions, transport_check
+from .core import (CheckReport, GroundSet, Bijection, _swap, decompositions, grounds,
+                   transport_check)
 from .engine import FatalInconsistency
 
 SUITES = ("axioms", "ssd", "lsd", "order", "bases", "full")
@@ -131,11 +132,11 @@ def _expect(entry: CatalogEntry, flag: str, side: str = "mu") -> bool:
 
 def _run_axioms(r: Runner) -> None:
     entry, n = r.entry, r.max_n
-    for m in range(n + 1):
-        rep = r.run(False, transport_check, entry.species, GroundSet.first(m))
+    for I in grounds(n):
+        rep = r.run(False, transport_check, entry.species, I)
         if rep.status != "pass":
-            for later in range(m + 1, n + 1):
-                r.skip("transport", f"transport did not pass at n={m}", later)
+            for later in range(len(I) + 1, n + 1):
+                r.skip("transport", f"transport did not pass at n={len(I)}", later)
             break
     r.run(False, engine.check_naturality, entry, n)
     p, c = _canonical_variant(entry)
@@ -277,8 +278,8 @@ def _run_order(r: Runner) -> None:
 
 def _order_valid(so: order_mod.SpeciesOrder, max_n: int) -> CheckReport:
     sizes = []
-    for m in range(max_n + 1):
-        sl = so.slice(GroundSet.first(m))
+    for I in grounds(max_n):
+        sl = so.slice(I)
         sizes.append(len(sl.strict))
     return CheckReport("order_valid", so.key, max_n, "pass", {"strict_pairs": sizes})
 
@@ -313,8 +314,8 @@ def _run_full_extras(r: Runner) -> None:
 def _nabla_x_decomposition(entry: CatalogEntry, max_n: int) -> CheckReport:
     h = engine.hopf_from(entry, "mu", "mu")
     dims = []
-    for m in range(max_n + 1):
-        dec = classify.nabla_X_decompose(h, GroundSet.first(m))
+    for I in grounds(max_n):
+        dec = classify.nabla_X_decompose(h, I)
         dims.append(dec.total_dim)
     return CheckReport("nabla_x_decomposition", entry.key, max_n, "pass",
                        {"total_dims": dims})
@@ -378,10 +379,9 @@ def _print_check_md(payload: dict) -> None:
 def cmd_table(args) -> int:
     entry = parse_species(args.species)
     rows = []
-    for m in range(args.max_n + 1):
-        I = GroundSet.first(m)
+    for I in grounds(args.max_n):
         dim = entry.species.dim(I)
-        rows.append({"n": m, "dim": dim, "orbits": _orbit_count(entry, I)})
+        rows.append({"n": len(I), "dim": dim, "orbits": _orbit_count(entry, I)})
     payload = {"command": "table", "species": entry.key, "max_n": args.max_n,
                "dims": rows}
     if args.constants:
@@ -434,8 +434,7 @@ def _orbit_count(entry: CatalogEntry, I: GroundSet) -> int:
 
 def _constants_dump(entry: CatalogEntry, h, max_n: int) -> list[dict]:
     out = []
-    for m in range(max_n + 1):
-        I = GroundSet.first(m)
+    for I in grounds(max_n):
         for S, T in decompositions(I, 2):
             entries = []
             for tag, table in (("a", engine.product_table(h, S, T)),
@@ -476,11 +475,10 @@ def cmd_antipode(args) -> int:
     h = engine.hopf_from(entry, p, c)
     payload = {"command": "antipode", "species": entry.key,
                "variant": f"nabla^{p},Delta^{c}", "tables": []}
-    for m in range(args.max_n + 1):
-        I = GroundSet.first(m)
+    for I in grounds(args.max_n):
         table = engine.antipode_table(h, I)
         payload["tables"].append({
-            "n": m,
+            "n": len(I),
             "entries": [f"S({z}) = {v}" for z, v in sorted(
                 table.items(), key=lambda kv: kv[0].sort_key())],
         })
@@ -498,10 +496,10 @@ def cmd_primitives(args) -> int:
     h = engine.hopf_from(entry, p, c)
     payload = {"command": "primitives", "species": entry.key,
                "variant": f"nabla^{p},Delta^{c}", "components": []}
-    for m in range(1, args.max_n + 1):
-        basis = classify.primitives(h, GroundSet.first(m))
+    for I in grounds(args.max_n)[1:]:
+        basis = classify.primitives(h, I)
         payload["components"].append(
-            {"n": m, "dim": len(basis), "basis": [str(v) for v in basis]})
+            {"n": len(I), "dim": len(basis), "basis": [str(v) for v in basis]})
     if args.output == "md":
         print(f"# primitives of {entry.key}")
         for block in payload["components"]:
@@ -542,9 +540,9 @@ def cmd_fpi(args) -> int:
 def _maps(iso, max_n: int) -> list[dict]:
     """The tables of an isomorphism onto P for n <= max_n, in the order of
     its source elements."""
-    return [{"n": m, "entries": [f"{x} -> {el}" for x, el in sorted(
-                iso.table(GroundSet.first(m)).items(), key=lambda kv: kv[0].sort_key())]}
-            for m in range(max_n + 1)]
+    return [{"n": len(I), "entries": [f"{x} -> {el}" for x, el in sorted(
+                iso.table(I).items(), key=lambda kv: kv[0].sort_key())]}
+            for I in grounds(max_n)]
 
 
 def cmd_reconstruct_pi(args) -> int:
@@ -614,15 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.max_n < 0:
-        print("max-n must be nonnegative", file=sys.stderr)
-        return 1
     try:
-        ceiling = engine.hard_ceiling()
-        if args.max_n > ceiling:
-            print(f"max-n {args.max_n} exceeds the ceiling {ceiling} "
-                  f"(set SPECIES_FORGE_CEILING for CI soak runs)", file=sys.stderr)
-            return 1
+        grounds(args.max_n)  # a negative or over-ceiling --max-n is one error line
         if args.max_n >= 5:
             print(f"warning: n = {args.max_n} components are large; expect a long run",
                   file=sys.stderr)

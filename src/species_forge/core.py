@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import os
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -127,6 +128,36 @@ class GroundSet(_Value):
 
 
 EMPTY = GroundSet()
+SOFT_CEILING = 5
+
+
+def hard_ceiling() -> int:
+    env = os.environ.get("SPECIES_FORGE_CEILING")
+    if not env:
+        return SOFT_CEILING
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(
+            f"SPECIES_FORGE_CEILING must be an integer, got {env!r}") from None
+
+
+def guard_max_n(max_n: int) -> None:
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    if max_n > hard_ceiling():
+        raise ValueError(
+            f"max_n={max_n} exceeds the ceiling {hard_ceiling()}; "
+            f"set SPECIES_FORGE_CEILING to override")
+
+
+def grounds(max_n: int) -> list[GroundSet]:
+    """{1..m} for m = 0..max_n: the ground sets of every exhaustive check.
+
+    A negative max_n, or one above the ceiling, raises ``ValueError``, so no
+    check runs past the ceiling or passes over an empty range."""
+    guard_max_n(max_n)
+    return [GroundSet.first(m) for m in range(max_n + 1)]
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -967,9 +998,9 @@ class FatalInconsistency(Exception):
 TABLE_ORACLE_MAX_N = 3
 
 
-def cross_check(check: str, key: str, grounds: Iterable[GroundSet], table, element,
+def cross_check(check: str, key: str, ground_sets: Iterable[GroundSet], table, element,
                 oracle_max_n: int) -> CheckReport:
-    """Run ``check`` over each ground set I of ``grounds`` in turn, by two routes.
+    """Run ``check`` over each ground set I of ``ground_sets`` in turn, by two routes.
 
     ``table(I)``, the fast route, returns None when the check holds over I,
     False when it fails without naming a witness, and otherwise the witness.
@@ -980,7 +1011,7 @@ def cross_check(check: str, key: str, grounds: Iterable[GroundSet], table, eleme
     report; a pass carries the size of the last ground set.
     """
     n = 0
-    for I in grounds:
+    for I in ground_sets:
         n = len(I)
         witness = table(I)
         if witness is not False and n > oracle_max_n:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from collections import Counter
 from typing import Optional
 
@@ -34,29 +33,11 @@ from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
     EMPTY, TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, FatalInconsistency,
     GroundSet, SetSpecies, TensorVec, Vec, _check_disjoint, _check_grounds, _check_keys,
-    cross_check, decompositions, derived_tensor, derived_vec, nonempty_compositions, union_all,
+    cross_check, decompositions, derived_tensor, derived_vec, grounds, nonempty_compositions,
+    union_all,
 )
 
 DEFAULT_MAX_N = 4
-SOFT_CEILING = 5
-
-
-def hard_ceiling() -> int:
-    env = os.environ.get("SPECIES_FORGE_CEILING")
-    if not env:
-        return SOFT_CEILING
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(
-            f"SPECIES_FORGE_CEILING must be an integer, got {env!r}") from None
-
-
-def guard_max_n(max_n: int) -> None:
-    if max_n > hard_ceiling():
-        raise ValueError(
-            f"max_n={max_n} exceeds the ceiling {hard_ceiling()}; "
-            f"set SPECIES_FORGE_CEILING to override")
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +227,19 @@ def check_axiom(h: LinearizedHopf, axiom: str, max_n: int = DEFAULT_MAX_N) -> Ch
     finder where the kernel names none.  A mu or pi result outside its
     component raises ``ValueError``, at every n.
     """
-    guard_max_n(max_n)
+    Is = grounds(max_n)
     route = _AXIOM_ROUTES.get(axiom)
     if route is None:
         raise ValueError(f"unknown axiom {axiom!r}; one of {AXIOMS}")
-    return _check_diagram(h, axiom, max_n, *route)
+    return _check_diagram(h, axiom, Is, *route)
 
 
-def _check_diagram(h: LinearizedHopf, name: str, max_n: int, parts: int,
+def _check_diagram(h: LinearizedHopf, name: str, Is: list[GroundSet], parts: int,
                    kernel, oracle) -> CheckReport:
-    # one decompositions(I, parts) call per n, shared by both routes
+    # one decompositions(I, parts) call per n, shared by both routes: a traced
+    # check_axiom must see sum_{m<=n} 3^m triples from decompositions(I, 3)
     decs = functools.cache(lambda I: decompositions(I, parts) if parts else ())
-    return cross_check(name, h.name, map(GroundSet.first, range(max_n + 1)),
+    return cross_check(name, h.name, Is,
                        lambda I: kernel(h, I, decs(I)), lambda I: oracle(h, I, decs(I)),
                        ORACLE_MAX_N)
 
@@ -582,8 +564,7 @@ AXIOMS = tuple(_AXIOM_ROUTES)
 
 def check_delta_nabla_identity(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     """Delta_{S,T} o nabla_{S,T} = id on all basis tensors, checked like an axiom."""
-    guard_max_n(max_n)
-    return _check_diagram(h, "delta_nabla_identity", max_n, 2,
+    return _check_diagram(h, "delta_nabla_identity", grounds(max_n), 2,
                           _delta_nabla_terms, _delta_nabla_linear)
 
 
@@ -608,8 +589,7 @@ def check_naturality(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> CheckRe
     or transport result outside its component raises ``ValueError``, at
     every n.
     """
-    guard_max_n(max_n)
-    return cross_check("naturality", entry.key, map(GroundSet.first, range(max_n + 1)),
+    return cross_check("naturality", entry.key, grounds(max_n),
                        lambda I: _natural_by_tables(entry, I),
                        lambda I: _naturality_exhaustive(entry, I), TABLE_ORACLE_MAX_N)
 
@@ -677,7 +657,7 @@ def check_self_compatible(mu: MultSystem, mode: str = "both",
     ``FatalInconsistency`` if they ever disagree, because their equivalence
     is a theorem that desk-scale computation cannot contradict.
     """
-    guard_max_n(max_n)
+    Is = grounds(max_n)
     if mode not in ("direct", "local", "both"):
         raise ValueError("mode must be direct, local, or both")
     key = species_key or mu.species.name
@@ -688,9 +668,9 @@ def check_self_compatible(mu: MultSystem, mode: str = "both",
     if mode == "direct":
         ok, witness = _selfcompat_direct(mu, max_n)
     elif mode == "local":
-        ok, witness = _selfcompat_local(mu, max_n)
+        ok, witness = _selfcompat_local(mu, Is)
     else:
-        direct, local = _selfcompat_direct(mu, max_n), _selfcompat_local(mu, max_n)
+        direct, local = _selfcompat_direct(mu, max_n), _selfcompat_local(mu, Is)
         ok, both = direct[0], {"direct": direct[1], "local": local[1]}
         if ok != local[0]:
             raise FatalInconsistency(f"self-compatibility modes disagree for {key}: "
@@ -719,10 +699,10 @@ def _selfcompat_direct(mu: MultSystem, max_n: int):
     return rep.ok, None if rep.ok else {"mode": "direct", "n": rep.n, **rep.witness}
 
 
-def _selfcompat_local(mu: MultSystem, max_n: int):
+def _selfcompat_local(mu: MultSystem, Is: list[GroundSet]):
     """The three local conditions on positions of the compiled mu tables, with
     the element route as the oracle for n <= ORACLE_MAX_N."""
-    rep = _check_diagram(_mu_mu(mu), "self_compatible[local]", max_n, 2,
+    rep = _check_diagram(_mu_mu(mu), "self_compatible[local]", Is, 2,
                          _local_terms, _local_elements)
     return rep.ok, rep.witness
 
@@ -826,7 +806,6 @@ def check_fsd(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     element tables (``product_table``, ``coproduct_table``) as the oracle for
     n <= ORACLE_MAX_N and as the witness finder.
     """
-    guard_max_n(max_n)
     rep = check_axiom(h, "hopf_compatible", max_n)
     if not rep.ok:
         return CheckReport("fsd", h.name, rep.n, "fail",
@@ -835,7 +814,7 @@ def check_fsd(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> CheckReport:
 
 
 def _fsd_tables(h: LinearizedHopf, max_n: int) -> CheckReport:
-    return _check_diagram(h, "fsd", max_n, 2, _fsd_terms, _fsd_elements)
+    return _check_diagram(h, "fsd", grounds(max_n), 2, _fsd_terms, _fsd_elements)
 
 
 def _fsd_terms(h, I, decs):
@@ -879,10 +858,8 @@ def check_ssd_conditions(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> Check
     to free self-duality, so it is cross-checked against ``check_fsd``'s
     comparison on positions (``_fsd_tables``); a split verdict is fatal.
     """
-    guard_max_n(max_n)
     witness_a = witness_b = None
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
+    for I in grounds(max_n):
         for S, T in decompositions(I, 2):
             reached = set()
             for x in h.basis.elements(S):
@@ -937,10 +914,8 @@ def antipode_table(h: LinearizedHopf, I: GroundSet) -> dict:
 
 def check_antipode_convolution(h: LinearizedHopf, max_n: int = 3) -> CheckReport:
     """nabla o (S (x) id) o Delta summed over decompositions is unit o counit."""
-    guard_max_n(max_n)
     cache = {}  # S -> Takeuchi's table over S, shared by every n
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
+    for I in grounds(max_n):
         for lam in h.basis.elements(I):
             total = Vec.zero(I)
             for S, T in decompositions(I, 2):
@@ -950,9 +925,9 @@ def check_antipode_convolution(h: LinearizedHopf, max_n: int = 3) -> CheckReport
                 for (a, b), c in split.terms.items():
                     sa = cache[S][a]
                     total = total + h.nabla(S, T, TensorVec.tensor(sa, Vec.basis(b))).scale(c)
-            want = Vec.basis(lam) if n == 0 else Vec.zero(I)
+            want = Vec.basis(lam) if len(I) == 0 else Vec.zero(I)
             if total != want:
-                return CheckReport("antipode_convolution", h.name, n, "fail",
+                return CheckReport("antipode_convolution", h.name, len(I), "fail",
                                    {"input": str(lam), "got": str(total)})
     return CheckReport("antipode_convolution", h.name, max_n, "pass")
 
@@ -968,14 +943,12 @@ def dual_transpose(h: LinearizedHopf) -> LinearizedHopf:
 
 def check_dual_tables(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     """The dual's tables equal the original's with the roles exchanged."""
-    guard_max_n(max_n)
     hd = dual_transpose(h)
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
+    for I in grounds(max_n):
         for S, T in decompositions(I, 2):
             if (product_table(hd, S, T) != coproduct_table(h, S, T)
                     or coproduct_table(hd, S, T) != product_table(h, S, T)):
-                return CheckReport("dual_tables", h.name, n, "fail",
+                return CheckReport("dual_tables", h.name, len(I), "fail",
                                    {"S": list(S), "T": list(T)})
     return CheckReport("dual_tables", h.name, max_n, "pass")
 
@@ -1011,7 +984,7 @@ def check_preorder_rectangle(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) ->
     (``FatalInconsistency`` on a split) and the witness finder.  A mu or
     pi result outside its component raises ``ValueError``.
     """
-    guard_max_n(max_n)
+    Is = grounds(max_n)
     if entry.mu is None or entry.pi is None:
         return CheckReport("preorder_rectangle", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
@@ -1021,7 +994,7 @@ def check_preorder_rectangle(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) ->
         failed = any(_hopf_terms(h, J, decompositions(J, 2)) for J in _subgrounds(I))
         return False if failed else None
 
-    return _check_diagram(h, "preorder_rectangle", max_n, 0, kernel, _rectangle_elements)
+    return _check_diagram(h, "preorder_rectangle", Is, 0, kernel, _rectangle_elements)
 
 
 def _subgrounds(I: GroundSet):

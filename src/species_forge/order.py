@@ -38,9 +38,9 @@ import operator
 from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
     TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, GroundSet, SetPartitionElt,
-    TensorVec, Vec, cross_check, decompositions, set_partitions, union_all,
+    TensorVec, Vec, cross_check, decompositions, grounds, set_partitions, union_all,
 )
-from .engine import DEFAULT_MAX_N, FatalInconsistency, LinearizedHopf, guard_max_n, hopf_from
+from .engine import DEFAULT_MAX_N, FatalInconsistency, LinearizedHopf, hopf_from
 from .classify import FMu, f_mu
 
 
@@ -302,9 +302,8 @@ def check_order_transport(order: SpeciesOrder, max_n: int = DEFAULT_MAX_N) -> Ch
     """(a, b) in the order iff (sigma a, sigma b) is, for every endo-bijection.
 
     Decided on the masks, with the species' transport table of each sigma."""
-    guard_max_n(max_n)
     sp = order.mu.species
-    return cross_check("order_transport", order.key, map(GroundSet.first, range(max_n + 1)),
+    return cross_check("order_transport", order.key, grounds(max_n),
                        lambda I: _transport_masks(sp, order.slice(I)),
                        lambda I: _transport_elements(sp, order.slice(I)), TABLE_ORACLE_MAX_N)
 
@@ -453,15 +452,14 @@ def _refines(x: SetPartitionElt, y: SetPartitionElt) -> bool:
 
 
 def check_all_lower_lattices(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> CheckReport:
-    guard_max_n(max_n)
+    Is = grounds(max_n)
     if entry.mu is None or entry.pi is None:
         return CheckReport("lower_lattice", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
     order = order_of(entry)
     fmu = f_mu(entry.mu, max_n, check_preconditions=False, species_key=entry.key)
     surjective_everywhere = True
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
+    for I in Is:
         for lam in entry.species.elements(I):
             rep = check_lower_lattice(order, I, lam, fmu)
             if rep.status != "pass":
@@ -480,11 +478,9 @@ def check_AB(order: SpeciesOrder, mu: MultSystem, max_n: int = DEFAULT_MAX_N) ->
     (B): below any element, the product image has a unique maximal point.
 
     Decided on the masks and the compiled mu tables."""
-    guard_max_n(max_n)
-    decs = functools.cache(lambda I: decompositions(I, 2))
-    return cross_check("property_AB", order.key, map(GroundSet.first, range(max_n + 1)),
-                       lambda I: _AB_masks(order, mu, I, decs(I)),
-                       lambda I: _AB_elements(order, mu, I, decs(I)), TABLE_ORACLE_MAX_N)
+    return cross_check("property_AB", order.key, grounds(max_n),
+                       lambda I: _AB_masks(order, mu, I), lambda I: _AB_elements(order, mu, I),
+                       TABLE_ORACLE_MAX_N)
 
 
 def _greatest_in_image(sl: OrderSlice, image: int) -> list[int | None]:
@@ -494,7 +490,7 @@ def _greatest_in_image(sl: OrderSlice, image: int) -> list[int | None]:
     return [top.get(down & image) for down in sl.downs]
 
 
-def _AB_masks(order: SpeciesOrder, mu: MultSystem, I: GroundSet, decs) -> bool | None:
+def _AB_masks(order: SpeciesOrder, mu: MultSystem, I: GroundSet) -> bool | None:
     """None when (A) and (B) hold over I, else False: mu maps each rectangle
     of lower intervals one to one onto the lower interval of its product,
     and every element has a greatest product image below it.
@@ -505,7 +501,7 @@ def _AB_masks(order: SpeciesOrder, mu: MultSystem, I: GroundSet, decs) -> bool |
     some z in rect(x'), which lies in the rectangle, and injectivity there
     gives x = z <= x'."""
     sl = order.slice(I)
-    for S, T in decs:
+    for S, T in decompositions(I, 2):
         sls, slt = order.slice(S), order.slice(T)
         table, width = mu.table(S, T), len(slt.elements)
         for lam, down_s in enumerate(sls.downs):
@@ -522,10 +518,10 @@ def _AB_masks(order: SpeciesOrder, mu: MultSystem, I: GroundSet, decs) -> bool |
     return None
 
 
-def _AB_elements(order: SpeciesOrder, mu: MultSystem, I: GroundSet, decs) -> dict | None:
+def _AB_elements(order: SpeciesOrder, mu: MultSystem, I: GroundSet) -> dict | None:
     """The first failure of (A) or (B) over I, on elements."""
     sl = order.slice(I)
-    for S, T in decs:
+    for S, T in decompositions(I, 2):
         sls, slt = order.slice(S), order.slice(T)
         for lam in mu.species.elements(S):
             for lam2 in mu.species.elements(T):
@@ -588,23 +584,22 @@ def check_reconstruct_roundtrip(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N)
     Decided against the compiled pi tables, with the greatest image below
     each element read off the masks; the element route raises where the
     reconstruction is undefined."""
-    guard_max_n(max_n)
+    Is = grounds(max_n)
     if entry.mu is None or entry.pi is None:
         return CheckReport("reconstruct_roundtrip", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
     order = order_of(entry)
-    decs = functools.cache(lambda I: decompositions(I, 2))
-    return cross_check("reconstruct_roundtrip", entry.key, map(GroundSet.first, range(max_n + 1)),
-                       lambda I: _roundtrip_masks(order, entry.mu, entry.pi, I, decs(I)),
-                       lambda I: _roundtrip_elements(order, entry, decs(I)), TABLE_ORACLE_MAX_N)
+    return cross_check("reconstruct_roundtrip", entry.key, Is,
+                       lambda I: _roundtrip_masks(order, entry.mu, entry.pi, I),
+                       lambda I: _roundtrip_elements(order, entry, I), TABLE_ORACLE_MAX_N)
 
 
 def _roundtrip_masks(order: SpeciesOrder, mu: MultSystem, pi: ComultSystem,
-                     I: GroundSet, decs) -> bool | None:
+                     I: GroundSet) -> bool | None:
     """None when, for every (S, T) and lam, the greatest product image below
     lam has one preimage under mu, and it is pi(lam); else False."""
     sl = order.slice(I)
-    for S, T in decs:
+    for S, T in decompositions(I, 2):
         table, width = mu.table(S, T), order.mu.species.dim(T)
         preimage: dict = {}
         for k, c in enumerate(table):
@@ -615,11 +610,11 @@ def _roundtrip_masks(order: SpeciesOrder, mu: MultSystem, pi: ComultSystem,
     return None
 
 
-def _roundtrip_elements(order: SpeciesOrder, entry: CatalogEntry, decs) -> dict | None:
+def _roundtrip_elements(order: SpeciesOrder, entry: CatalogEntry, I: GroundSet) -> dict | None:
     """The first lam whose reconstructed coproduct is not pi(lam), on
     elements; raises where the reconstruction is undefined."""
     rebuilt = reconstruct_pi(order, entry.mu)
-    for S, T in decs:
+    for S, T in decompositions(I, 2):
         for lam in entry.species.elements(S.union(T)):
             if rebuilt(S, T, lam) != entry.pi(S, T, lam):
                 return {"S": list(S), "T": list(T), "lambda": str(lam),
@@ -669,8 +664,7 @@ def check_pq_unitriangular(order: SpeciesOrder, max_n: int = DEFAULT_MAX_N) -> C
     Decided as the partial-order axioms on the masks; the Vec route runs up
     to n = TABLE_ORACLE_MAX_N and wherever the masks see a failure, and names
     the witness."""
-    guard_max_n(max_n)
-    return cross_check("pq_unitriangular", order.key, map(GroundSet.first, range(max_n + 1)),
+    return cross_check("pq_unitriangular", order.key, grounds(max_n),
                        lambda I: _pq_positions(order, I), lambda I: _pq_vecs(order, I),
                        TABLE_ORACLE_MAX_N)
 
@@ -720,19 +714,18 @@ def check_basis_theorem(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> Chec
     TABLE_ORACLE_MAX_N and wherever the positions see a failure, and raises
     the failure it finds (a split raises too).
     """
-    guard_max_n(max_n)
+    Is = grounds(max_n)
     if entry.mu is None or entry.pi is None:
         return CheckReport("basis_identities", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
     order = order_of(entry)
     h_pi_mu = hopf_from(entry, "pi", "mu")   # product nabla^pi, coproduct Delta^mu
-    decs = functools.cache(lambda I: decompositions(I, 2))
-    return cross_check("basis_identities", entry.key, map(GroundSet.first, range(max_n + 1)),
-                       lambda I: _basis_positions(order, I, decs(I)),
-                       lambda I: _basis_vecs(order, h_pi_mu, I, decs(I)), TABLE_ORACLE_MAX_N)
+    return cross_check("basis_identities", entry.key, Is,
+                       lambda I: _basis_positions(order, I),
+                       lambda I: _basis_vecs(order, h_pi_mu, I), TABLE_ORACLE_MAX_N)
 
 
-def _basis_positions(order: SpeciesOrder, I: GroundSet, decs) -> bool | None:
+def _basis_positions(order: SpeciesOrder, I: GroundSet) -> bool | None:
     """None when the four identities hold over I, else False.
 
     p_k is the mask ``ups[k]`` and q_k the row ``q_rows[k]``.  nabla^pi(x (x)
@@ -750,7 +743,7 @@ def _basis_positions(order: SpeciesOrder, I: GroundSet, decs) -> bool | None:
     first fiber pair."""
     mu, pi = order.mu, order.pi
     sl = order.slice(I)
-    for S, T in decs:
+    for S, T in decompositions(I, 2):
         sls, slt = order.slice(S), order.slice(T)
         table, split, width = mu.table(S, T), pi.table(S, T), len(slt.elements)
         with_s, with_t = [0] * len(sls.elements), [0] * width
@@ -779,12 +772,12 @@ def _basis_positions(order: SpeciesOrder, I: GroundSet, decs) -> bool | None:
     return None
 
 
-def _basis_vecs(order: SpeciesOrder, h_pi_mu: LinearizedHopf, I: GroundSet, decs) -> None:
+def _basis_vecs(order: SpeciesOrder, h_pi_mu: LinearizedHopf, I: GroundSet) -> None:
     """The four identities over I on Vecs; the first failure raises."""
     mu, pi, sp = order.mu, order.pi, order.mu.species
     key = order.key
     ti = pq_tables(order, I)
-    for S, T in decs:
+    for S, T in decompositions(I, 2):
         ts, tt = pq_tables(order, S), pq_tables(order, T)
         mu_image = mu.image(S, T)
         for a in sp.elements(S):
@@ -828,14 +821,13 @@ def check_basis_change_matrices(entry: CatalogEntry, max_n: int = 3) -> CheckRep
     """The p-basis change of basis conjugates the mixed variant's product
     into the self-dual variant's: the p-product identity of
     ``check_basis_theorem``, reported as a fail row instead of raised."""
-    guard_max_n(max_n)
+    Is = grounds(max_n)
     if entry.mu is None or entry.pi is None:
         return CheckReport("basis_change", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
     order = order_of(entry)
     h = hopf_from(entry, "pi", "mu")
-    for n in range(max_n + 1):
-        I = GroundSet.first(n)
+    for I in Is:
         for S, T in decompositions(I, 2):
             tables = pq_tables(order, S), pq_tables(order, T), pq_tables(order, I)
             for a in entry.species.elements(S):
@@ -843,7 +835,7 @@ def check_basis_change_matrices(entry: CatalogEntry, max_n: int = 3) -> CheckRep
                     got, want = _p_product(h, entry.mu, tables, S, T, a, b)
                     if got != want:
                         return CheckReport(
-                            "basis_change", entry.key, n, "fail",
+                            "basis_change", entry.key, len(I), "fail",
                             {"S": list(S), "T": list(T), "inputs": [str(a), str(b)]})
     return CheckReport("basis_change", entry.key, max_n, "pass")
 

@@ -282,7 +282,7 @@ def test_declared_flags_are_verified(spec):
 
 
 def test_ceiling_env_override(monkeypatch):
-    from species_forge.engine import guard_max_n, hard_ceiling
+    from species_forge.core import guard_max_n, hard_ceiling
 
     assert hard_ceiling() == 5
     with pytest.raises(ValueError):

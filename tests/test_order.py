@@ -1,6 +1,5 @@
 """The order, its lattice/interval properties, reconstruction, and the bases."""
 
-import functools
 import itertools
 import random
 from collections import Counter
@@ -442,15 +441,14 @@ def _order_oracles(entry, max_n):
     out = []
     for n in range(max_n + 1):
         I = GroundSet.first(n)
-        decs = decompositions(I, 2)
         try:
-            basis = order_mod._basis_vecs(so, h, I, decs)
+            basis = order_mod._basis_vecs(so, h, I)
         except FatalInconsistency as exc:
             basis = str(exc)
         lattices = [order_mod._lower_lattice_elements(so, I, lam, fmu)
                     for lam in entry.species.elements(I)]
         out.append((order_mod._pq_vecs(so, I), basis,
-                    order_mod._AB_elements(so, entry.mu, I, decs),
+                    order_mod._AB_elements(so, entry.mu, I),
                     [(rep.status, rep.witness) for rep in lattices]))
     return out
 
@@ -498,10 +496,9 @@ def _basis_routes(entry, max_n):
     out = []
     for n in range(max_n + 1):
         I = GroundSet.first(n)
-        decs = decompositions(I, 2)
-        fast = order_mod._basis_positions(so, I, decs)
+        fast = order_mod._basis_positions(so, I)
         try:
-            slow = order_mod._basis_vecs(so, h, I, decs)
+            slow = order_mod._basis_vecs(so, h, I)
         except FatalInconsistency as exc:
             slow = str(exc)
         out.append((fast, slow))
@@ -558,7 +555,7 @@ def test_basis_position_route_lying_is_fatal(monkeypatch, n):
     # TABLE_ORACLE_MAX_N, it runs because they report a failure, and finds none
     real = order_mod._basis_positions
     monkeypatch.setattr(order_mod, "_basis_positions",
-                        lambda so, I, decs: False if len(I) == n else real(so, I, decs))
+                        lambda so, I: False if len(I) == n else real(so, I))
     with pytest.raises(FatalInconsistency,
                        match=f"table and element basis_identities checks disagree .* at n={n}"):
         check_basis_theorem(make_Pi(), 4)
@@ -578,7 +575,7 @@ def test_each_basis_comparison_reads_its_view(view):
         sl.q_rows[c][c] += 1
     else:
         getattr(sl, view)[c] ^= 1 << (c + 1) % len(sl.elements)
-    assert order_mod._basis_positions(so, I, decompositions(I, 2)) is False
+    assert order_mod._basis_positions(so, I) is False
 
 
 def test_swapped_pi_table_fails_the_position_route():
@@ -589,7 +586,7 @@ def test_swapped_pi_table_fails_the_position_route():
     table = entry.pi.table(S, T)
     j = next(j for j, pair in enumerate(table) if pair != table[0])
     table[0], table[j] = table[j], table[0]
-    assert order_mod._basis_positions(so, I, decompositions(I, 2)) is False
+    assert order_mod._basis_positions(so, I) is False
     # the Vec route reads the rules, not the tables, so the row splits
     with pytest.raises(FatalInconsistency,
                        match="table and element basis_identities checks disagree .* at n=4"):
@@ -827,14 +824,13 @@ _AGREEMENT_CASES = {
 def test_mask_and_element_routes_agree(monkeypatch, case):
     entry, max_n = _AGREEMENT_CASES[case]()
     so, sp = order_mod.order_of(entry), entry.species
-    decs = functools.cache(lambda I: decompositions(I, 2))
     by_elements = {
         "order_transport": _first_failure(
             max_n, lambda I: order_mod._transport_elements(sp, so.slice(I))),
         "property_AB": _first_failure(
-            max_n, lambda I: order_mod._AB_elements(so, entry.mu, I, decs(I))),
+            max_n, lambda I: order_mod._AB_elements(so, entry.mu, I)),
         "reconstruct_roundtrip": _outcome(lambda: _first_failure(
-            max_n, lambda I: order_mod._roundtrip_elements(so, entry, decs(I)))),
+            max_n, lambda I: order_mod._roundtrip_elements(so, entry, I))),
         "lower_lattice": _lower_lattices_by_elements(entry, so, max_n),
     }
     # the masks alone decide; the element routes then run only for a witness
