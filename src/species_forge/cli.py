@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import classify, controls, engine, order as order_mod
 from .catalog import CatalogEntry, parse_species, with_derived_pi
@@ -34,8 +35,34 @@ VARIANTS = ("mu-pi", "mu-mu", "pi-mu", "pi-pi")
 # ---------------------------------------------------------------------------
 # suite machinery
 
+class Row(NamedTuple):
+    """One row of a suite's report: ``call(runner, arg)`` returns it, where
+    ``arg`` is the (nabla^p, Delta^c) triple named by ``triple`` (a pair, or a
+    function of the entry), or None; a row ``per_n`` is called once per {1..m},
+    on that ground set. Where ``runs(entry)`` is false it is a skip row with
+    ``reason``; where ``declared(entry)`` is false its failure is expected. A
+    call that raises writes a row named ``name``, on its triple's species."""
+    name: str
+    call: Callable
+    triple: tuple[str, str] | Callable | None = None
+    runs: Callable[[CatalogEntry], bool] | None = None
+    reason: str = ""
+    declared: Callable[[CatalogEntry], bool] | None = None
+    per_n: bool = False
+
+
+class Suite(NamedTuple):
+    """Rows that run where ``runs(entry)`` holds; elsewhere one skip row,
+    ``skip_row`` with ``reason``."""
+    rows: tuple[Row, ...]
+    runs: Callable[[CatalogEntry], bool] | None = None
+    skip_row: str = ""
+    reason: str = ""
+
+
 class Runner:
     def __init__(self, entry: CatalogEntry, max_n: int, seed: int, fail_fast: bool):
+        grounds(max_n)  # refused here, not swallowed by the derivation of pi
         self.entry = _maybe_derive_pi(entry, max_n)
         self.max_n = max_n
         self.seed = seed
@@ -43,23 +70,51 @@ class Runner:
         self.reports: list[CheckReport] = []
         self.stopped = False
 
-    def run(self, expected_fail: bool, fn, *args, **kwargs) -> CheckReport | None:
+    def run_suite(self, name: str) -> None:
+        """The rows of suite ``name``; ``full`` runs every suite of the table."""
+        for key in SUITE_TABLE if name == "full" else (name,):
+            suite = SUITE_TABLE[key]
+            if suite.runs is not None and not suite.runs(self.entry):
+                self.skip(suite.skip_row, suite.reason)
+                continue
+            triples: dict = {}  # each built once, and freed with its readers after the suite
+            for row in suite.rows:
+                if self.stopped:
+                    return
+                if row.runs is not None and not row.runs(self.entry):
+                    self.skip(row.name, row.reason)
+                elif row.per_n:
+                    sets = grounds(self.max_n)
+                    for I in sets:
+                        if self.run(row, I).status != "pass":
+                            for J in sets[len(I) + 1:]:
+                                self.skip(row.name, f"{row.name} did not pass at n={len(I)}", len(J))
+                            break
+                else:
+                    pc = row.triple(self.entry) if callable(row.triple) else row.triple
+                    if pc is not None and pc not in triples:
+                        triples[pc] = engine.hopf_from(self.entry, *pc)
+                    self.run(row, triples.get(pc))
+
+    def run(self, row: Row, arg=None) -> CheckReport | None:
+        """Write the report of ``row.call(self, arg)``; None once the run has stopped."""
         if self.stopped:
             return None
         t0 = time.perf_counter()
         try:
-            rep = fn(*args, **kwargs)
+            rep = row.call(self, arg)
         except Exception as exc:  # a check that raises ends its own row, not the suite
             fatal = isinstance(exc, FatalInconsistency)
-            variant = args[0] if args and isinstance(args[0], engine.LinearizedHopf) else None
-            rep = CheckReport(_row_name(fn, args), variant.name if variant else self.entry.key,
-                              self.max_n, "fatal" if fatal else "fail",
+            rep = CheckReport(row.name, arg.name if isinstance(arg, engine.LinearizedHopf)
+                              else self.entry.key, self.max_n, "fatal" if fatal else "fail",
                               {"message": str(exc), "witness": exc.witness} if fatal
                               else {"error": type(exc).__name__, "message": str(exc)})
-            expected_fail = False
+            expected = False
+        else:
+            expected = row.declared is not None and not row.declared(self.entry)
         rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
         if rep.status == "fail":
-            rep.expected = expected_fail
+            rep.expected = expected
         self.reports.append(rep)
         if self.fail_fast and (rep.status == "fatal"
                                or (rep.status == "fail" and not rep.expected)):
@@ -85,35 +140,12 @@ class Runner:
 
     def exit_code(self) -> int:
         counts = self.summary()
-        if counts["fatal"]:
-            return 2
-        if counts["fail_unexpected"]:
-            return 1
-        return 0
-
-
-# the checks whose row is not named after their function without "check_"
-_ROW_NAMES = {"check_AB": "property_AB", "check_all_lower_lattices": "lower_lattice",
-              "check_basis_change_matrices": "basis_change",
-              "check_basis_theorem": "basis_identities", "transport_check": "transport"}
-
-
-def _row_name(fn, args) -> str:
-    """The name of the row fn(*args) writes, for the row of a check that raises."""
-    if fn is engine.check_axiom:
-        return args[1]
-    if fn is engine.check_self_compatible:
-        return f"self_compatible[{args[1]}]"
-    name = getattr(fn, "__name__", "check")
-    return _ROW_NAMES.get(name, name.lstrip("_").removeprefix("check_"))
+        return 2 if counts["fatal"] else 1 if counts["fail_unexpected"] else 0
 
 
 def _canonical_variant(entry: CatalogEntry) -> tuple[str, str]:
-    if entry.mu is not None and entry.pi is not None:
-        return "mu", "pi"
-    if entry.mu is not None:
-        return "mu", "mu"
-    return "pi", "pi"
+    p = "mu" if entry.mu is not None else "pi"
+    return p, "pi" if entry.pi is not None else p
 
 
 def _maybe_derive_pi(entry: CatalogEntry, max_n: int) -> CatalogEntry:
@@ -125,50 +157,16 @@ def _maybe_derive_pi(entry: CatalogEntry, max_n: int) -> CatalogEntry:
         return entry
 
 
-def _expect(entry: CatalogEntry, flag: str, side: str = "mu") -> bool:
-    flags = entry.mu_flags if side == "mu" else entry.pi_flags
-    return flag in flags
+def _commutative(entry: CatalogEntry) -> bool:
+    return "commutative" in entry.mu_flags
 
 
-def _run_axioms(r: Runner) -> None:
-    entry, n = r.entry, r.max_n
-    for I in grounds(n):
-        rep = r.run(False, transport_check, entry.species, I)
-        if rep.status != "pass":
-            for later in range(len(I) + 1, n + 1):
-                r.skip("transport", f"transport did not pass at n={len(I)}", later)
-            break
-    r.run(False, engine.check_naturality, entry, n)
-    p, c = _canonical_variant(entry)
-    h = engine.hopf_from(entry, p, c)
-    for axiom in engine.AXIOMS:
-        expected_fail = False
-        if axiom == "commutative":
-            expected_fail = not _expect(entry, "commutative")
-        r.run(expected_fail, engine.check_axiom, h, axiom, n)
-    r.run(False, engine.check_delta_nabla_identity, h, n)
+def _bijective(entry: CatalogEntry) -> bool:
+    return "bijective" in entry.pi_flags
 
 
-def _run_ssd(r: Runner) -> None:
-    entry, n = r.entry, r.max_n
-    if entry.mu is None:
-        r.skip("self_compatible", "no multiplicative system")
-        return
-    exp = not _expect(entry, "commutative")
-    r.run(exp, engine.check_self_compatible, entry.mu, "both", n, species_key=entry.key)
-    r.run(False, _selfcompat_controls, entry, r.seed)
-    h_ssd = engine.hopf_from(entry, "mu", "mu")
-    r.run(exp, engine.check_fsd, h_ssd, n)
-    r.run(False, _fsd_coco_consequence, entry, n)
-    if _expect(entry, "commutative"):
-        r.run(False, engine.check_ssd_conditions, h_ssd, n)
-        r.run(False, classify.check_takeuchi_closed_form, entry, n)
-        r.run(False, classify.check_primitives_match, entry, n)
-        r.run(False, _fmu_intertwines, entry, n)
-    else:
-        r.skip("ssd_conditions", "characterizes Hopf triples only")
-        for name in ("takeuchi_closed_form", "primitives_match", "fmu_intertwines"):
-            r.skip(name, "product not commutative")
+def _orderable(entry: CatalogEntry) -> bool:
+    return entry.mu is not None and entry.pi is not None and _commutative(entry)
 
 
 def _selfcompat_controls(entry: CatalogEntry, seed: int) -> CheckReport:
@@ -190,15 +188,11 @@ def _selfcompat_controls(entry: CatalogEntry, seed: int) -> CheckReport:
 def _fsd_coco_consequence(entry: CatalogEntry, max_n: int) -> CheckReport:
     """Every available triple that passes the self-duality check is also
     commutative and cocommutative."""
-    variants = []
-    if entry.mu is not None:
-        variants.append(("mu", "mu"))
-    if entry.pi is not None:
-        variants.append(("pi", "pi"))
-    if entry.mu is not None and entry.pi is not None:
-        variants += [("mu", "pi"), ("pi", "mu")]
+    systems = {"mu": entry.mu, "pi": entry.pi}
     checked = []
-    for p, c in variants:
+    for p, c in (("mu", "mu"), ("pi", "pi"), ("mu", "pi"), ("pi", "mu")):
+        if systems[p] is None or systems[c] is None:
+            continue
         h = engine.hopf_from(entry, p, c)
         if engine.check_fsd(h, max_n).ok:
             for axiom in ("commutative", "cocommutative"):
@@ -217,27 +211,6 @@ def _fmu_intertwines(entry: CatalogEntry, max_n: int) -> CheckReport:
     return classify.check_fmu_intertwines(fm, max_n)
 
 
-def _run_lsd(r: Runner) -> None:
-    entry, n = r.entry, r.max_n
-    if entry.pi is None:
-        r.skip("lsd", "no comultiplicative system")
-        return
-    exp_bij = not _expect(entry, "bijective", "pi")
-    r.run(exp_bij, _pi_bijective, entry, n)
-    h = engine.hopf_from(entry, "pi", "pi")
-    r.run(False, engine.check_axiom, h, "cocommutative", n)
-    if entry.mu is not None:
-        r.run(exp_bij, engine.check_fsd, engine.hopf_from(entry, "mu", "pi"), n)
-    else:
-        r.skip("fsd", "needs both systems")
-    if not exp_bij:
-        r.run(False, _fpi_intertwines, entry, min(n, 3))
-        r.run(False, _lsd_primitive_profile, entry, min(n, 3))
-    else:
-        for name in ("fpi_intertwines", "lsd_primitive_profile"):
-            r.skip(name, "coproduct not bijective")
-
-
 def _pi_bijective(entry: CatalogEntry, max_n: int) -> CheckReport:
     split = classify.first_non_bijective(entry.pi, max_n)
     if split is None:
@@ -254,80 +227,89 @@ def _fpi_intertwines(entry: CatalogEntry, max_n: int) -> CheckReport:
 
 def _lsd_primitive_profile(entry: CatalogEntry, max_n: int) -> CheckReport:
     """A linearly self-dual structure concentrates its primitives in degree one."""
-    h = engine.hopf_from(entry, "pi", "pi")
-    dims = classify.primitive_dims(h, max_n)
-    if any(d != 0 for d in dims[1:]):
-        return CheckReport("lsd_primitive_profile", entry.key, max_n, "fail",
-                           {"dims": dims})
-    return CheckReport("lsd_primitive_profile", entry.key, max_n, "pass",
-                       {"dims": dims})
-
-
-def _run_order(r: Runner) -> None:
-    entry, n = r.entry, r.max_n
-    if entry.mu is None or entry.pi is None or not _expect(entry, "commutative"):
-        r.skip("order", "order needs a commutative product and a coproduct")
-        return
-    so = order_mod.order_of(entry)
-    r.run(False, _order_valid, so, n)
-    r.run(False, order_mod.check_order_transport, so, n)
-    r.run(False, order_mod.check_all_lower_lattices, entry, n)
-    r.run(False, order_mod.check_AB, so, entry.mu, n)
-    r.run(False, order_mod.check_reconstruct_roundtrip, entry, n)
+    dims = classify.primitive_dims(engine.hopf_from(entry, "pi", "pi"), max_n)
+    return CheckReport("lsd_primitive_profile", entry.key, max_n,
+                       "fail" if any(dims[1:]) else "pass", {"dims": dims})
 
 
 def _order_valid(so: order_mod.SpeciesOrder, max_n: int) -> CheckReport:
-    sizes = []
-    for I in grounds(max_n):
-        sl = so.slice(I)
-        sizes.append(len(sl.strict))
-    return CheckReport("order_valid", so.key, max_n, "pass", {"strict_pairs": sizes})
-
-
-def _run_bases(r: Runner) -> None:
-    entry, n = r.entry, r.max_n
-    if entry.mu is None or entry.pi is None or not _expect(entry, "commutative"):
-        r.skip("bases", "bases need a commutative product and a coproduct")
-        return
-    so = order_mod.order_of(entry)
-    r.run(False, order_mod.check_pq_unitriangular, so, n)
-    r.run(False, order_mod.check_basis_theorem, entry, n)
-    r.run(False, order_mod.check_basis_change_matrices, entry, min(n, 3))
-
-
-def _run_full_extras(r: Runner) -> None:
-    entry, n = r.entry, r.max_n
-    p, c = _canonical_variant(entry)
-    h = engine.hopf_from(entry, p, c)
-    r.run(False, engine.check_antipode_convolution, h, min(n, 3))
-    if entry.mu is not None and entry.pi is not None:
-        r.run(False, engine.check_dual_tables, engine.hopf_from(entry, "mu", "pi"), n)
-    else:
-        r.skip("dual_tables", "needs both systems")
-    r.run(False, engine.check_preorder_rectangle, entry, n)  # skips itself without both
-    if entry.mu is not None and _expect(entry, "commutative"):
-        r.run(False, _nabla_x_decomposition, entry, min(n, 3))
-    else:
-        r.skip("nabla_x_decomposition", "needs a commutative product")
+    return CheckReport("order_valid", so.key, max_n, "pass",
+                       {"strict_pairs": [len(so.slice(I).strict) for I in grounds(max_n)]})
 
 
 def _nabla_x_decomposition(entry: CatalogEntry, max_n: int) -> CheckReport:
     h = engine.hopf_from(entry, "mu", "mu")
-    dims = []
-    for I in grounds(max_n):
-        dec = classify.nabla_X_decompose(h, I)
-        dims.append(dec.total_dim)
-    return CheckReport("nabla_x_decomposition", entry.key, max_n, "pass",
-                       {"total_dims": dims})
+    return CheckReport("nabla_x_decomposition", entry.key, max_n, "pass", {"total_dims": [
+        classify.nabla_X_decompose(h, I).total_dim for I in grounds(max_n)]})
 
 
-_SUITE_STEPS = {
-    "axioms": (_run_axioms,),
-    "ssd": (_run_ssd,),
-    "lsd": (_run_lsd,),
-    "order": (_run_order,),
-    "bases": (_run_bases,),
-    "full": (_run_axioms, _run_ssd, _run_lsd, _run_order, _run_bases, _run_full_extras),
+# Each suite's rows in report order; full runs every suite, the extras last.
+# A call names each check through its module at call time, so a check rebound
+# in its module (as perfbench/tracer.py does) is the one that runs.
+SUITE_TABLE = {
+    "axioms": Suite((
+        Row("transport", lambda r, I: transport_check(r.entry.species, I), per_n=True),
+        Row("naturality", lambda r, _: engine.check_naturality(r.entry, r.max_n)),
+        *(Row(axiom, lambda r, h, axiom=axiom: engine.check_axiom(h, axiom, r.max_n),
+              _canonical_variant, declared=_commutative if axiom == "commutative" else None)
+          for axiom in engine.AXIOMS),
+        Row("delta_nabla_identity", lambda r, h: engine.check_delta_nabla_identity(h, r.max_n),
+            _canonical_variant),
+    )),
+    "ssd": Suite((
+        Row("self_compatible[both]", lambda r, _: engine.check_self_compatible(
+            r.entry.mu, "both", r.max_n, species_key=r.entry.key), declared=_commutative),
+        Row("selfcompat_controls", lambda r, _: _selfcompat_controls(r.entry, r.seed)),
+        Row("fsd", lambda r, h: engine.check_fsd(h, r.max_n), ("mu", "mu"), declared=_commutative),
+        Row("fsd_coco_consequence", lambda r, _: _fsd_coco_consequence(r.entry, r.max_n)),
+        Row("ssd_conditions", lambda r, h: engine.check_ssd_conditions(h, r.max_n), ("mu", "mu"),
+            _commutative, "characterizes Hopf triples only"),
+        Row("takeuchi_closed_form", lambda r, _: classify.check_takeuchi_closed_form(
+            r.entry, r.max_n), runs=_commutative, reason="product not commutative"),
+        Row("primitives_match", lambda r, _: classify.check_primitives_match(r.entry, r.max_n),
+            runs=_commutative, reason="product not commutative"),
+        Row("fmu_intertwines", lambda r, _: _fmu_intertwines(r.entry, r.max_n),
+            runs=_commutative, reason="product not commutative"),
+    ), lambda e: e.mu is not None, "self_compatible", "no multiplicative system"),
+    "lsd": Suite((
+        Row("pi_bijective", lambda r, _: _pi_bijective(r.entry, r.max_n), declared=_bijective),
+        Row("cocommutative", lambda r, h: engine.check_axiom(h, "cocommutative", r.max_n),
+            ("pi", "pi")),
+        Row("fsd", lambda r, h: engine.check_fsd(h, r.max_n), ("mu", "pi"),
+            lambda e: e.mu is not None, "needs both systems", _bijective),
+        Row("fpi_intertwines", lambda r, _: _fpi_intertwines(r.entry, min(r.max_n, 3)),
+            runs=_bijective, reason="coproduct not bijective"),
+        Row("lsd_primitive_profile", lambda r, _: _lsd_primitive_profile(
+            r.entry, min(r.max_n, 3)), runs=_bijective, reason="coproduct not bijective"),
+    ), lambda e: e.pi is not None, "lsd", "no comultiplicative system"),
+    "order": Suite((
+        Row("order_valid", lambda r, _: _order_valid(order_mod.order_of(r.entry), r.max_n)),
+        Row("order_transport", lambda r, _: order_mod.check_order_transport(
+            order_mod.order_of(r.entry), r.max_n)),
+        Row("lower_lattice", lambda r, _: order_mod.check_all_lower_lattices(r.entry, r.max_n)),
+        Row("property_AB", lambda r, _: order_mod.check_AB(
+            order_mod.order_of(r.entry), r.entry.mu, r.max_n)),
+        Row("reconstruct_roundtrip", lambda r, _: order_mod.check_reconstruct_roundtrip(
+            r.entry, r.max_n)),
+    ), _orderable, "order", "order needs a commutative product and a coproduct"),
+    "bases": Suite((
+        Row("pq_unitriangular", lambda r, _: order_mod.check_pq_unitriangular(
+            order_mod.order_of(r.entry), r.max_n)),
+        Row("basis_identities", lambda r, _: order_mod.check_basis_theorem(r.entry, r.max_n)),
+        Row("basis_change", lambda r, _: order_mod.check_basis_change_matrices(
+            r.entry, min(r.max_n, 3))),
+    ), _orderable, "bases", "bases need a commutative product and a coproduct"),
+    "extras": Suite((
+        Row("antipode_convolution", lambda r, h: engine.check_antipode_convolution(
+            h, min(r.max_n, 3)), _canonical_variant),
+        Row("dual_tables", lambda r, h: engine.check_dual_tables(h, r.max_n), ("mu", "pi"),
+            lambda e: e.mu is not None and e.pi is not None, "needs both systems"),
+        # skips itself without both systems
+        Row("preorder_rectangle", lambda r, _: engine.check_preorder_rectangle(r.entry, r.max_n)),
+        Row("nabla_x_decomposition", lambda r, _: _nabla_x_decomposition(
+            r.entry, min(r.max_n, 3)), runs=lambda e: e.mu is not None and _commutative(e),
+            reason="needs a commutative product"),
+    )),
 }
 
 
@@ -340,10 +322,7 @@ def cmd_check(args) -> int:
         print(f"species {entry.key} carries no systems to check", file=sys.stderr)
         return 1
     runner = Runner(entry, args.max_n, args.seed, args.fail_fast)
-    for step in _SUITE_STEPS[args.suite]:
-        if runner.stopped:
-            break
-        step(runner)
+    runner.run_suite(args.suite)
     payload = {
         "command": "check",
         "species": entry.key,

@@ -38,7 +38,7 @@ import operator
 from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
     TABLE_ORACLE_MAX_N, Bijection, CheckReport, Element, GroundSet, SetPartitionElt,
-    TensorVec, Vec, cross_check, decompositions, grounds, set_partitions, union_all,
+    SetSpecies, TensorVec, Vec, cross_check, decompositions, grounds, set_partitions,
 )
 from .engine import DEFAULT_MAX_N, FatalInconsistency, LinearizedHopf, hopf_from
 from .classify import FMu, f_mu
@@ -64,8 +64,9 @@ def _pair_key(p):
 class OrderSlice:
     """The strict order on one component, as a set of (smaller, larger) pairs.
 
-    Derived from ``strict`` once: ``index`` maps each element to its position
-    in ``elements``; bit j of ``ups[k]`` is set when elements[k] <=
+    Derived from ``strict`` once: ``index``, the species' own
+    (``SetSpecies.index``), maps each element to its position in
+    ``elements``; bit j of ``ups[k]`` is set when elements[k] <=
     elements[j], and bit j of ``downs[k]`` when elements[j] <= elements[k], so
     ``ups[k]`` is the support of p at k.  The mask routes read these and the
     views built on them, clearing bit k where they need the strict relation;
@@ -73,13 +74,13 @@ class OrderSlice:
     ``_shape_table`` per f_mu map.
     """
 
-    def __init__(self, I: GroundSet, elements: tuple[Element, ...], strict: frozenset):
+    def __init__(self, I: GroundSet, species: SetSpecies, strict: frozenset):
         self.I = I
-        self.elements = elements
+        self.elements = species.elements(I)
         self.strict = strict
         self._shapes: dict = {}
-        self.index = {e: k for k, e in enumerate(elements)}
-        self.ups = [1 << k for k in range(len(elements))]
+        self.index = species.index(I)
+        self.ups = [1 << k for k in range(len(self.elements))]
         self.downs = self.ups[:]
         for a, b in strict:
             i, j = self.index[a], self.index[b]
@@ -154,7 +155,7 @@ def compute_order(mu: MultSystem, pi: ComultSystem, I: GroundSet,
                 f"table and element order routes disagree for {key} over {I}",
                 witness={"table_only": _printed_pairs(strict - expected),
                          "element_only": _printed_pairs(expected - strict)})
-    return OrderSlice(I, mu.species.elements(I), strict)
+    return OrderSlice(I, mu.species, strict)
 
 
 def _printed_pairs(pairs) -> list[str]:
@@ -176,42 +177,9 @@ def _certified(key: str, I: GroundSet, closure: set, kfold: set) -> frozenset:
     return frozenset(kfold)
 
 
-def _fold_readers(mu: MultSystem, pi: ComultSystem):
-    """``mu_steps(parts)`` and ``pi_folds(parts)``, each built once per
-    decomposition from the compiled tables: mu.fold over ``parts`` as
-    (table, width) lookups after the first part, for ``_fold_positions``, and
-    pi.fold over ``parts`` of every position of P[union] as a position tuple."""
-    dim = mu.species.dim
-
-    @functools.cache
-    def mu_steps(parts):
-        steps, ground = [], parts[0]
-        for part in parts[1:]:
-            steps.append((mu.table(ground, part), dim(part)))
-            ground = ground.union(part)
-        return steps
-
-    @functools.cache
-    def pi_folds(parts):
-        rest, tables = union_all(parts), []
-        size = dim(rest)
-        for part in parts[:-1]:
-            rest = rest.minus(part)
-            tables.append(pi.table(part, rest))
-        folds = []
-        for c in range(size):
-            xs, r = [], c
-            for table in tables:  # peel the next part off the rest
-                x, r = table[r]
-                xs.append(x)
-            folds.append((*xs, r))
-        return folds
-
-    return mu_steps, pi_folds
-
-
 def _fold_positions(steps, xs) -> int:
-    """mu.fold of the positions ``xs`` along ``mu_steps``."""
+    """mu.fold of the positions ``xs`` along ``steps``, the (table, width)
+    lookups after the first part."""
     acc = xs[0]
     for (table, width), x in zip(steps, xs[1:]):
         acc = table[acc * width + x]
@@ -219,18 +187,29 @@ def _fold_positions(steps, xs) -> int:
 
 
 def _order_tables(mu, pi, I, key, partitions, pairs) -> frozenset:
-    """The order on positions: mu.fold and pi.fold are chains of table
-    lookups, and the closure of the two-block relation is Warshall on
-    successor masks."""
+    """The order on positions: mu.fold and pi.fold over the blocks of each
+    partition are chains of table lookups, built once per partition, and the
+    closure of the two-block relation is Warshall on successor masks."""
     elements = mu.species.elements(I)
-    size = len(elements)
-    mu_steps, pi_folds = _fold_readers(mu, pi)
+    size, dim = len(elements), mu.species.dim
     kfold = [0] * size
     for blocks in partitions:
         if len(blocks) < 2:
             continue
-        steps = mu_steps(blocks)
-        for c, xs in enumerate(pi_folds(blocks)):
+        steps, ground = [], blocks[0]
+        for part in blocks[1:]:
+            steps.append((mu.table(ground, part), dim(part)))
+            ground = ground.union(part)
+        peels, rest = [], I
+        for part in blocks[:-1]:
+            rest = rest.minus(part)
+            peels.append(pi.table(part, rest))
+        for c in range(size):
+            xs, r = [], c
+            for table in peels:  # peel the next block off the rest
+                x, r = table[r]
+                xs.append(x)
+            xs.append(r)
             lam = _fold_positions(steps, xs)
             if lam != c:
                 kfold[lam] |= 1 << c

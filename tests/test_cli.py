@@ -349,18 +349,30 @@ def test_exit_codes_from_report_counts():
 
 def test_fail_fast_stops_after_unexpected():
     from species_forge.catalog import make_Pi
-    from species_forge.cli import Runner
+    from species_forge.cli import Row, Runner
     from species_forge.core import CheckReport
 
     r = Runner(make_Pi(), 2, 0, True)
-    r.run(False, lambda: CheckReport("x", "Pi", 2, "fail"))
+    r.run(Row("x", lambda r, _: CheckReport("x", "Pi", 2, "fail")))
     assert r.stopped
-    assert r.run(False, lambda: CheckReport("y", "Pi", 2, "pass")) is None
+    assert r.run(Row("y", lambda r, _: CheckReport("y", "Pi", 2, "pass"))) is None
+
+
+def test_runner_refuses_a_bad_max_n():
+    # the refusal comes before pi is derived, so it is not taken for an
+    # underivable coproduct and no suite writes rows on it
+    from species_forge.catalog import parse_species
+    from species_forge.cli import Runner
+    from species_forge.core import hard_ceiling
+
+    for max_n in (-1, hard_ceiling() + 1):
+        with pytest.raises(ValueError, match="max_n"):
+            Runner(parse_species("S(X_C:2)"), max_n, 0, False)
 
 
 def test_failing_transport_row_stops_fail_fast():
     from species_forge.catalog import CatalogEntry, MultSystem
-    from species_forge.cli import Runner, _run_axioms
+    from species_forge.cli import Runner
     from species_forge.controls import label_dropping_species
     from species_forge.core import LabeledPartitionElt
 
@@ -368,12 +380,12 @@ def test_failing_transport_row_stops_fail_fast():
     mu = MultSystem(sp, lambda S, T, x, y: LabeledPartitionElt(S.union(T), x.blocks + y.blocks))
     entry = CatalogEntry("broken", sp, mu, None)
     r = Runner(entry, 2, 0, True)
-    _run_axioms(r)
+    r.run_suite("axioms")
     assert [(rep.check, rep.species, rep.n, rep.status) for rep in r.reports] == [
         ("transport", "broken", 0, "pass"), ("transport", "broken", 1, "fail")]
     assert r.stopped and r.exit_code() == 1
     r = Runner(entry, 2, 0, False)
-    _run_axioms(r)
+    r.run_suite("axioms")
     assert len(r.reports) > 2          # without fail-fast the suite goes on
 
 
@@ -384,10 +396,10 @@ def _drops_second_factor():
 
 
 def test_raising_check_is_a_fail_row_and_the_suite_goes_on():
-    from species_forge.cli import Runner, _run_axioms
+    from species_forge.cli import Runner
 
     r = Runner(_drops_second_factor(), 2, 0, False)
-    _run_axioms(r)
+    r.run_suite("axioms")
     rows = [(rep.check, rep.n, rep.status) for rep in r.reports]
     assert rows[:4] == [("transport", 0, "pass"), ("transport", 1, "pass"),
                         ("transport", 2, "pass"), ("naturality", 2, "fail")]
@@ -399,17 +411,17 @@ def test_raising_check_is_a_fail_row_and_the_suite_goes_on():
     assert set(r.summary()) == {"pass", "fail_expected", "fail_unexpected", "fatal", "skip"}
     assert r.exit_code() == 1
     r = Runner(_drops_second_factor(), 2, 0, True)
-    _run_axioms(r)
+    r.run_suite("axioms")
     assert len(r.reports) == 4 and r.stopped       # --fail-fast still stops
 
 
 def test_lsd_without_a_product_leaves_an_fsd_skip_row():
     from species_forge.catalog import CatalogEntry, make_Pi
-    from species_forge.cli import Runner, _run_lsd
+    from species_forge.cli import Runner
 
     pi = make_Pi()
     r = Runner(CatalogEntry("Pi", pi.species, None, pi.pi), 2, 0, False)
-    _run_lsd(r)
+    r.run_suite("lsd")
     rows = {rep.check: rep for rep in r.reports}
     assert list(rows) == ["pi_bijective", "cocommutative", "fsd", "fpi_intertwines",
                           "lsd_primitive_profile"]
@@ -421,16 +433,16 @@ def test_fail_fast_writes_no_skip_row_after_the_stop():
     # Pi's coproduct is not bijective: declared bijective, pi_bijective fails
     # unexpectedly, and --fail-fast writes no row after it, skip rows included
     from species_forge.catalog import CatalogEntry, make_Pi
-    from species_forge.cli import Runner, _run_lsd
+    from species_forge.cli import Runner
 
     pi = make_Pi()
     entry = CatalogEntry("Pi", pi.species, None, pi.pi, pi_flags=frozenset({"bijective"}))
     r = Runner(entry, 2, 0, True)
-    _run_lsd(r)
+    r.run_suite("lsd")
     assert [(rep.check, rep.status) for rep in r.reports] == [("pi_bijective", "fail")]
     assert r.stopped and r.exit_code() == 1
     r = Runner(entry, 2, 0, False)     # without --fail-fast every row is written
-    _run_lsd(r)
+    r.run_suite("lsd")
     assert [(rep.check, rep.status) for rep in r.reports] == [
         ("pi_bijective", "fail"), ("cocommutative", "pass"), ("fsd", "skip"),
         ("fpi_intertwines", "fail"), ("lsd_primitive_profile", "fail")]
@@ -438,14 +450,14 @@ def test_fail_fast_writes_no_skip_row_after_the_stop():
 
 def test_transport_stop_leaves_skip_rows():
     from species_forge.catalog import CatalogEntry, MultSystem
-    from species_forge.cli import Runner, _run_axioms
+    from species_forge.cli import Runner
     from species_forge.controls import label_dropping_species
     from species_forge.core import LabeledPartitionElt
 
     sp = label_dropping_species()
     mu = MultSystem(sp, lambda S, T, x, y: LabeledPartitionElt(S.union(T), x.blocks + y.blocks))
     r = Runner(CatalogEntry("broken", sp, mu, None), 3, 0, False)
-    _run_axioms(r)
+    r.run_suite("axioms")
     rows = [(rep.check, rep.n, rep.status) for rep in r.reports]
     assert rows[:5] == [("transport", 0, "pass"), ("transport", 1, "fail"),
                         ("transport", 2, "skip"), ("transport", 3, "skip"),
@@ -455,10 +467,10 @@ def test_transport_stop_leaves_skip_rows():
 
 
 def test_error_rows_are_named_after_the_check():
-    from species_forge.cli import Runner, _run_axioms
+    from species_forge.cli import Runner
 
     r = Runner(_drops_second_factor(), 2, 0, False)
-    _run_axioms(r)
+    r.run_suite("axioms")
     errors = [(rep.check, rep.species) for rep in r.reports
               if rep.status == "fail" and "error" in rep.witness]
     variant = "Pi[nabla^mu,Delta^pi]"
@@ -467,24 +479,34 @@ def test_error_rows_are_named_after_the_check():
                       ("delta_nabla_identity", variant)]
 
 
-def test_row_names_match_the_rows_of_every_check():
+def _raises(r, arg):
+    raise RuntimeError("boom")
+
+
+def test_every_row_of_full_is_named_by_the_table():
+    # each call reports under its row's name; the row that a raising call
+    # writes instead carries that name and the species the check reports on
     from species_forge import cli
     from species_forge.catalog import parse_species
 
-    names = []
+    seen = []
 
     class Recording(cli.Runner):
-        def run(self, expected_fail, fn, *args, **kwargs):
-            rep = super().run(expected_fail, fn, *args, **kwargs)
-            names.append((cli._row_name(fn, args), rep.check))
+        def run(self, row, arg=None):
+            rep = super().run(row, arg)
+            raised = super().run(row._replace(call=_raises), arg)
+            seen.append((row.name, rep.check, rep.species, raised.check, raised.species))
+            assert raised.witness == {"error": "RuntimeError", "message": "boom"}
             return rep
 
-    for spec in ("Pi", "E_C:2"):
-        r = Recording(parse_species(spec), 2, 0, False)
-        for step in cli._SUITE_STEPS["full"]:
-            step(r)
-    assert len({got for got, _ in names}) >= 25
-    assert [got for got, _ in names] == [want for _, want in names]
+    for spec in ("Pi", "E_C:2", "L", "S(X_C:2)"):
+        Recording(parse_species(spec), 2, 0, False).run_suite("full")
+    names = {name for name, *_ in seen}
+    assert names == {row.name for suite in cli.SUITE_TABLE.values() for row in suite.rows}
+    assert len(names) >= 25
+    for name, check, species, raised_check, raised_species in seen:
+        assert check == raised_check == name
+        assert raised_species == species, name
 
 
 def test_E_C0_is_degenerate_but_valid(capsys):

@@ -1510,10 +1510,11 @@ def test_result_outside_its_component_raises_at_every_n(axiom, variant):
 
 
 def test_result_outside_its_component_is_an_error_row():
-    from species_forge.cli import Runner
+    from species_forge.cli import SUITE_TABLE, Runner
     entry = _stray_color(lambda I: len(I) == 3)
     r = Runner(entry, 3, 0, False)
-    rep = r.run(False, check_axiom, hopf_from(entry, "mu", "pi"), "associative", 3)
+    row = next(row for row in SUITE_TABLE["axioms"].rows if row.name == "associative")
+    rep = r.run(row, hopf_from(entry, "mu", "pi"))
     assert (rep.check, rep.status, rep.witness["error"]) == ("associative", "fail", "ValueError")
     assert rep.witness["message"] == (
         "rule result [1:2,2:2,3:2] is not an element of E_C:2[{1,2,3}]")
@@ -1540,11 +1541,12 @@ def test_delta_mu_fails_hopf_compatibility_past_the_oracle():
 
 
 def test_result_outside_its_component_is_a_naturality_error_row():
-    from species_forge.cli import Runner
+    from species_forge.cli import SUITE_TABLE, Runner
+    row = next(row for row in SUITE_TABLE["axioms"].rows if row.name == "naturality")
     for n in (2, 3):
         entry = _stray_color(lambda I, n=n: len(I) == n)
         r = Runner(entry, n, 0, False)
-        rep = r.run(False, eng.check_naturality, entry, n)
+        rep = r.run(row)
         assert (rep.check, rep.status, rep.witness["error"]) == ("naturality", "fail", "ValueError")
         assert rep.witness["message"].endswith(f"is not an element of E_C:2[{GroundSet.first(n)}]")
         assert r.exit_code() == 1

@@ -198,7 +198,7 @@ def test_transport_witness_matches_pairwise_route(entries):
     a = min(sl.elements, key=lambda x: x.sort_key())
     b = max(sl.elements, key=lambda x: x.sort_key())
     strict = frozenset(sl.strict - {(a, b)})
-    so._slices[I] = OrderSlice(I, sl.elements, strict)
+    so._slices[I] = OrderSlice(I, so.mu.species, strict)
     rep = check_order_transport(so, 3)
     assert rep.status == "fail" and rep.n == 3
     first = next(sigma for sigma in Bijection.all_endo(I)
@@ -643,7 +643,7 @@ def _doctor(so, I, add=(), drop=()):
     def pairs(names):
         return {(named[a], named[b]) for a, b in names}
 
-    so._slices[I] = OrderSlice(I, sl.elements, frozenset((sl.strict - pairs(drop)) | pairs(add)))
+    so._slices[I] = OrderSlice(I, so.mu.species, frozenset((sl.strict - pairs(drop)) | pairs(add)))
 
 
 def _pi_unbalanced():
