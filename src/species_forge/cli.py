@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -39,9 +40,11 @@ class Row(NamedTuple):
     """One row of a suite's report: ``call(runner, arg)`` returns it, where
     ``arg`` is the (nabla^p, Delta^c) triple named by ``triple`` (a pair, or a
     function of the entry), or None; a row ``per_n`` is called once per {1..m},
-    on that ground set. Where ``runs(entry)`` is false it is a skip row with
+    on that ground set, and a row that runs at another n than max_n gives it
+    as ``n(max_n)``. Where ``runs(entry)`` is false it is a skip row with
     ``reason``; where ``declared(entry)`` is false its failure is expected. A
-    call that raises writes a row named ``name``, on its triple's species."""
+    call that raises writes a row named ``name``, on its triple's species, at
+    the n the call ran at."""
     name: str
     call: Callable
     triple: tuple[str, str] | Callable | None = None
@@ -49,6 +52,7 @@ class Row(NamedTuple):
     reason: str = ""
     declared: Callable[[CatalogEntry], bool] | None = None
     per_n: bool = False
+    n: Callable[[int], int] | None = None
 
 
 class Suite(NamedTuple):
@@ -105,8 +109,9 @@ class Runner:
             rep = row.call(self, arg)
         except Exception as exc:  # a check that raises ends its own row, not the suite
             fatal = isinstance(exc, FatalInconsistency)
+            n = len(arg) if row.per_n else row.n(self.max_n) if row.n else self.max_n
             rep = CheckReport(row.name, arg.name if isinstance(arg, engine.LinearizedHopf)
-                              else self.entry.key, self.max_n, "fatal" if fatal else "fail",
+                              else self.entry.key, n, "fatal" if fatal else "fail",
                               {"message": str(exc), "witness": exc.witness} if fatal
                               else {"error": type(exc).__name__, "message": str(exc)})
             expected = False
@@ -115,7 +120,7 @@ class Runner:
         rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
         if rep.status == "fail":
             rep.expected = expected
-        self.reports.append(rep)
+        self._append(rep)
         if self.fail_fast and (rep.status == "fatal"
                                or (rep.status == "fail" and not rep.expected)):
             self.stopped = True
@@ -125,9 +130,13 @@ class Runner:
         """A skip row for check ``name`` at n (max_n by default); none once
         the run has stopped, as ``run`` writes no row then."""
         if not self.stopped:
-            self.reports.append(CheckReport(name, self.entry.key,
-                                            self.max_n if n is None else n, "skip",
-                                            {"reason": reason}))
+            self._append(CheckReport(name, self.entry.key, self.max_n if n is None else n,
+                                     "skip", {"reason": reason}))
+
+    def _append(self, rep: CheckReport) -> None:
+        """Write a row, with the peak resident set of the process after it."""
+        rep.peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        self.reports.append(rep)
 
     def summary(self) -> dict:
         counts = dict.fromkeys(("pass", "fail_expected", "fail_unexpected", "fatal", "skip"), 0)
@@ -141,6 +150,11 @@ class Runner:
     def exit_code(self) -> int:
         counts = self.summary()
         return 2 if counts["fatal"] else 1 if counts["fail_unexpected"] else 0
+
+
+def _up_to_3(max_n: int) -> int:
+    """The n of the rows that run on at most three points."""
+    return min(max_n, 3)
 
 
 def _canonical_variant(entry: CatalogEntry) -> tuple[str, str]:
@@ -259,7 +273,8 @@ SUITE_TABLE = {
     "ssd": Suite((
         Row("self_compatible[both]", lambda r, _: engine.check_self_compatible(
             r.entry.mu, "both", r.max_n, species_key=r.entry.key), declared=_commutative),
-        Row("selfcompat_controls", lambda r, _: _selfcompat_controls(r.entry, r.seed)),
+        Row("selfcompat_controls", lambda r, _: _selfcompat_controls(r.entry, r.seed),
+            n=lambda max_n: 3),
         Row("fsd", lambda r, h: engine.check_fsd(h, r.max_n), ("mu", "mu"), declared=_commutative),
         Row("fsd_coco_consequence", lambda r, _: _fsd_coco_consequence(r.entry, r.max_n)),
         Row("ssd_conditions", lambda r, h: engine.check_ssd_conditions(h, r.max_n), ("mu", "mu"),
@@ -277,10 +292,11 @@ SUITE_TABLE = {
             ("pi", "pi")),
         Row("fsd", lambda r, h: engine.check_fsd(h, r.max_n), ("mu", "pi"),
             lambda e: e.mu is not None, "needs both systems", _bijective),
-        Row("fpi_intertwines", lambda r, _: _fpi_intertwines(r.entry, min(r.max_n, 3)),
-            runs=_bijective, reason="coproduct not bijective"),
+        Row("fpi_intertwines", lambda r, _: _fpi_intertwines(r.entry, _up_to_3(r.max_n)),
+            runs=_bijective, reason="coproduct not bijective", n=_up_to_3),
         Row("lsd_primitive_profile", lambda r, _: _lsd_primitive_profile(
-            r.entry, min(r.max_n, 3)), runs=_bijective, reason="coproduct not bijective"),
+            r.entry, _up_to_3(r.max_n)), runs=_bijective, reason="coproduct not bijective",
+            n=_up_to_3),
     ), lambda e: e.pi is not None, "lsd", "no comultiplicative system"),
     "order": Suite((
         Row("order_valid", lambda r, _: _order_valid(order_mod.order_of(r.entry), r.max_n)),
@@ -297,18 +313,18 @@ SUITE_TABLE = {
             order_mod.order_of(r.entry), r.max_n)),
         Row("basis_identities", lambda r, _: order_mod.check_basis_theorem(r.entry, r.max_n)),
         Row("basis_change", lambda r, _: order_mod.check_basis_change_matrices(
-            r.entry, min(r.max_n, 3))),
+            r.entry, _up_to_3(r.max_n)), n=_up_to_3),
     ), _orderable, "bases", "bases need a commutative product and a coproduct"),
     "extras": Suite((
         Row("antipode_convolution", lambda r, h: engine.check_antipode_convolution(
-            h, min(r.max_n, 3)), _canonical_variant),
+            h, _up_to_3(r.max_n)), _canonical_variant, n=_up_to_3),
         Row("dual_tables", lambda r, h: engine.check_dual_tables(h, r.max_n), ("mu", "pi"),
             lambda e: e.mu is not None and e.pi is not None, "needs both systems"),
         # skips itself without both systems
         Row("preorder_rectangle", lambda r, _: engine.check_preorder_rectangle(r.entry, r.max_n)),
         Row("nabla_x_decomposition", lambda r, _: _nabla_x_decomposition(
-            r.entry, min(r.max_n, 3)), runs=lambda e: e.mu is not None and _commutative(e),
-            reason="needs a commutative product"),
+            r.entry, _up_to_3(r.max_n)), runs=lambda e: e.mu is not None and _commutative(e),
+            reason="needs a commutative product", n=_up_to_3),
     )),
 }
 

@@ -946,7 +946,8 @@ def set_partitions(I: GroundSet) -> list[tuple[GroundSet, ...]]:
 class CheckReport:
     """Outcome of one verification, in the stable shape used by every module.
 
-    ``elapsed_ms`` and ``expected`` are set after the fact by the runner."""
+    ``elapsed_ms``, ``expected`` and ``peak_rss_kb`` are set after the fact
+    by the runner."""
 
     def __init__(self, check: str, species: str, n: int, status: str, witness: object = None,
                  elapsed_ms: int = 0, expected: bool | None = None):
@@ -957,6 +958,7 @@ class CheckReport:
         self.witness = witness
         self.elapsed_ms = elapsed_ms
         self.expected = expected
+        self.peak_rss_kb = None     # the process's ru_maxrss after the row
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -982,6 +984,8 @@ class CheckReport:
         if self.expected is not None:
             out["expected"] = self.expected
         out["elapsed_ms"] = self.elapsed_ms if include_timing else 0
+        if include_timing and self.peak_rss_kb is not None:
+            out["peak_rss_kb"] = self.peak_rss_kb
         return out
 
 

@@ -210,6 +210,16 @@ def iterate_delta(h: LinearizedHopf, parts: tuple[GroundSet, ...], v: Vec) -> Te
 # which builds the vectors from mu, pi and their fibers, to
 # ``core.cross_check``: the checker runs up to ORACLE_MAX_N and wherever the
 # kernel returns False, so it names every one-sided witness.
+#
+# The (co)associativity and Hopf kernels, and the local self-compatibility
+# conditions, first decide the unit and counit they rely on over every subset
+# of I, by the "unital" and "counital" kernels (``_nonempty_blocks``).  Where
+# these hold, an instance with an empty block holds too (each kernel's
+# docstring has the proof), so the kernel compares only the decompositions
+# into nonempty blocks; elsewhere it walks them all.  The first failing
+# instance is the same either way, and every table the walk over all of decs
+# reads is still compiled, so a result outside its component raises at every
+# n.  The oracles walk every decomposition.
 
 # Up to this n the linear checker (or, for the local self-compatibility
 # conditions and the rectangle, the element route) also runs beside the
@@ -244,9 +254,36 @@ def _check_diagram(h: LinearizedHopf, name: str, Is: list[GroundSet], parts: int
                        ORACLE_MAX_N)
 
 
+def _nonempty_blocks(decs, structure, *units):
+    """``decs`` narrowed to its decompositions into nonempty blocks once each
+    of ``units``, the kernel of a unit or counit axiom, holds for
+    ``structure`` over every subset X of I; otherwise ``decs`` itself.
+
+    Every X is the first block of a decomposition in decs (I - X is the
+    second), so the subsets come from decs and no enumeration is added.  A
+    unit kernel compiles the tables it reads, over every X, before the walk."""
+    subsets = dict.fromkeys(d[0] for d in decs)
+    if all(unit(structure, X, ()) is None for unit in units for X in subsets):
+        return [d for d in decs if EMPTY not in d]
+    return decs
+
+
 def _mu_associative(mu, I, decs):
-    dim = mu.species.dim
+    """mu is associative over every triple (R, S, T) of decs.
+
+    A triple with an empty block holds once mu is unital over every subset
+    of I (``_mu_unital``), with e the unit: for R empty both sides are
+    mu_{S,T}(y, z), since mu(e, y) = y and mu(e, mu(y, z)) = mu(y, z); for S
+    empty both are mu_{R,T}(x, z), and for T empty both are mu_{R,S}(x, y).
+    So only the triples of nonempty blocks are compared.  The tables of I's
+    splits (R, T), which no such triple reads at n = 2, are compiled first,
+    so every table of the walk over all of decs is compiled and a result
+    outside its component raises ``ValueError`` at every n."""
     for R, S, T in decs:
+        if S is EMPTY:
+            mu.table(R, T)
+    dim = mu.species.dim
+    for R, S, T in _nonempty_blocks(decs, mu, _mu_unital):
         rs, st = mu.table(R, S), mu.table(S, T)
         left, right = mu.table(R.union(S), T), mu.table(R, S.union(T))
         dT, dST = dim(T), dim(S.union(T))
@@ -274,7 +311,19 @@ def _mu_unital(mu, I, decs):
 
 
 def _pi_coassociative(pi, I, decs):
+    """pi is coassociative over every triple (R, S, T) of decs.
+
+    A triple with an empty block holds once pi is counital over every subset
+    of I (``_pi_counital``), with e the counit's element: for R empty both
+    sides are (e,) + pi_{S,T}(z), since pi(u) = (e, u) over (empty, S) and
+    pi(z) = (e, z) over (empty, S u T); for S empty both are pi_{R,T}(z)
+    with e between its parts, and for T empty both are pi_{R,S}(z) + (e,).
+    So only the triples of nonempty blocks are compared, after the tables of
+    I's splits are compiled, as in ``_mu_associative``."""
     for R, S, T in decs:
+        if S is EMPTY:
+            pi.table(R, T)
+    for R, S, T in _nonempty_blocks(decs, pi, _pi_counital):
         left, rs = pi.table(R.union(S), T), pi.table(R, S)
         right, st = pi.table(R, S.union(T)), pi.table(S, T)
         if [rs[u] + (t,) for u, t in left] != [(r,) + st[v] for r, v in right]:
@@ -344,10 +393,23 @@ def _printed(sp: SetSpecies, over, terms) -> str:
 
 
 def _hopf_terms(h, I, decs):
-    # The twist of _hopf_compat: the bottom path multiplies the A-parts of x
-    # and y together, then the B-parts.
+    """The exchange diagram of h over every pair of decompositions (R, R'),
+    (S, S') of decs, compared on positions, with the twist of
+    ``_hopf_compat``: the bottom path multiplies the A-parts of x and y
+    together, then the B-parts.
+
+    An instance with an empty block holds once nabla is unital and Delta
+    counital over every subset of I (the ``unital`` and ``counital``
+    kernels), with e the unit: for R empty, x = e and both sides are
+    Delta_{S,S'}(y), by nabla(e (x) y) = y and Delta_{empty,empty}(e) = e (x)
+    e; for S empty both are e (x) nabla_{R,R'}(x (x) y), by Delta_{empty,X}(z)
+    = e (x) z and nabla(e (x) e) = e; R' or S' empty is the mirror image.
+    So only the instances of nonempty blocks are compared.  Every table the
+    walk over all of decs reads is still compiled: the pairs with an empty
+    block by the (co)unit kernels, the others by the nonempty instances."""
     products, splits = _position_readers(h)
     el, dim = h.basis.elements, h.basis.dim
+    decs = _nonempty_blocks(decs, h, _AXIOM_ROUTES["unital"][1], _AXIOM_ROUTES["counital"][1])
     for R, Rp in decs:
         dRp, xy = dim(Rp), products(R, Rp)
         for S, Sp in decs:
@@ -708,7 +770,20 @@ def _selfcompat_local(mu: MultSystem, Is: list[GroundSet]):
 
 
 def _local_terms(h, I, decs):
+    """The three local conditions over the decompositions of decs.
+
+    A decomposition with an empty block satisfies each of them once mu is
+    unital over every subset of I (the ``unital`` kernel), with e the unit:
+    mu_{empty,T} and mu_{T,empty} are both the identity of P[T], so they
+    commute and are injective.  In the image condition, for S empty, a = e
+    is the image e of mu_{empty,empty} and b = mu(e, b) is in the image of
+    mu_{A,B} by hypothesis; for A empty, the images of mu_{empty,S} and
+    mu_{empty,S'} are all of P[S] and P[S']; S' or B empty is the mirror
+    image.  So only decompositions of nonempty blocks are walked.
+    The tables of the pairs with an empty block are compiled by the unit
+    kernel, the others by the nonempty ones."""
     mu, el, dim, n = h.product, h.basis.elements, h.basis.dim, len(I)
+    decs = _nonempty_blocks(decs, h, _AXIOM_ROUTES["unital"][1])
     for S, T in decs:
         dS, dT, st, ts = dim(S), dim(T), mu.table(S, T), mu.table(T, S)
         seen = {}

@@ -497,6 +497,8 @@ def test_every_row_of_full_is_named_by_the_table():
             raised = super().run(row._replace(call=_raises), arg)
             seen.append((row.name, rep.check, rep.species, raised.check, raised.species))
             assert raised.witness == {"error": "RuntimeError", "message": "boom"}
+            if rep.status == "pass":    # a pass carries the n its check ran at
+                assert raised.n == rep.n, row.name
             return rep
 
     for spec in ("Pi", "E_C:2", "L", "S(X_C:2)"):
@@ -507,6 +509,41 @@ def test_every_row_of_full_is_named_by_the_table():
     for name, check, species, raised_check, raised_species in seen:
         assert check == raised_check == name
         assert raised_species == species, name
+
+
+def test_a_raising_row_records_the_n_it_ran_at():
+    # a per_n row at the size of its ground set, a row that stops at three
+    # points at min(max_n, 3), the controls at 3 always, any other at max_n
+    from species_forge import cli
+    from species_forge.catalog import parse_species
+    from species_forge.core import grounds
+
+    rows = {row.name: row for suite in cli.SUITE_TABLE.values() for row in suite.rows}
+    capped = ("fpi_intertwines", "lsd_primitive_profile", "basis_change",
+              "antipode_convolution", "nabla_x_decomposition")
+    for max_n in (2, 4):
+        r = cli.Runner(parse_species("Pi"), max_n, 0, False)
+
+        def raised(name, arg=None):
+            return r.run(rows[name]._replace(call=_raises), arg)
+
+        for I in grounds(max_n):
+            rep = raised("transport", I)
+            assert (rep.check, rep.n, rep.status) == ("transport", len(I), "fail")
+        for name in capped:
+            assert raised(name).n == min(max_n, 3), name
+        assert raised("selfcompat_controls").n == 3
+        assert raised("naturality").n == raised("preorder_rectangle").n == max_n
+
+
+def test_timings_rows_carry_a_peak_that_never_decreases(capsys):
+    argv = ("check", "--species", "Pi", "--suite", "full", "--max-n", "2")
+    _, out, _ = run_cli(capsys, *argv)
+    assert not any("peak_rss_kb" in c for c in json.loads(out)["checks"])
+    _, out, _ = run_cli(capsys, *argv, "--timings")
+    peaks = [c["peak_rss_kb"] for c in json.loads(out)["checks"]]
+    assert len(peaks) >= 25 and peaks[0] > 0
+    assert peaks == sorted(peaks)
 
 
 def test_E_C0_is_degenerate_but_valid(capsys):

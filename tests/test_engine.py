@@ -1,5 +1,6 @@
 """Axioms, self-compatibility, structure constants, antipode, duality."""
 
+import functools
 import gc
 import itertools
 import random
@@ -1371,13 +1372,12 @@ def test_non_associative_blob_fails_past_the_oracle():
         "associative", h.name, 3, "fail", witness)
 
 
-def _one_sided_unit_mutant(system, side):
+def _one_sided_unit_mutant(system, side, I=GroundSet.first(3)):
     """Pi whose mu (unit on the ``side`` of the product) or pi (over
-    ({}, {1,2,3}) or ({1,2,3}, {}), by ``side``) sends the last element of
-    P[{1,2,3}] to the first: the (co)unit axioms that read it fail on three
-    points only, on that one side."""
+    ({}, I) or (I, {}), by ``side``) sends the last element of P[I] to the
+    first, I = {1,2,3} by default: the (co)unit axioms that read it fail over
+    I only, on that one side."""
     entry = make_Pi()
-    I = GroundSet.first(3)
     first, last = entry.species.elements(I)[0], entry.species.elements(I)[-1]
 
     def hit(S, T):
@@ -1498,6 +1498,7 @@ def _stray_color(stray):
     ("associative", ("mu", "pi")), ("associative", ("mu", "mu")),
     ("hopf_compatible", ("mu", "pi")), ("hopf_compatible", ("mu", "mu")),
     ("hopf_compatible", ("pi", "mu")), ("commutative", ("mu", "pi")),
+    ("coassociative", ("mu", "mu")), ("coassociative", ("pi", "mu")),
 ], ids=str)
 def test_result_outside_its_component_raises_at_every_n(axiom, variant):
     everywhere = hopf_from(_stray_color(lambda I: True), *variant)
@@ -1935,3 +1936,194 @@ def test_oracles_ignore_the_compiled_tables_on_control_systems(monkeypatch, make
     want = results()
     _refuse_the_compiled_tables(monkeypatch)
     assert results() == want
+
+
+# ---------------------------------------------------------------------------
+# the nonempty-block walk against the full walk
+#
+# The kernels skip the decompositions with an empty block once the unit and
+# counit hold over every subset of I.  These references walk every
+# decomposition, as the kernels did before the skip.
+
+def _full_mu_associative(mu, I, decs):
+    dim = mu.species.dim
+    for R, S, T in decs:
+        rs, st = mu.table(R, S), mu.table(S, T)
+        left, right = mu.table(R.union(S), T), mu.table(R, S.union(T))
+        dT, dST = dim(T), dim(S.union(T))
+        if ([left[u * dT + c] for u in rs for c in range(dT)]
+                != [right[a * dST + v] for a in range(dim(R)) for v in st]):
+            return False
+    return None
+
+
+def _full_pi_coassociative(pi, I, decs):
+    for R, S, T in decs:
+        left, rs = pi.table(R.union(S), T), pi.table(R, S)
+        right, st = pi.table(R, S.union(T)), pi.table(S, T)
+        if [rs[u] + (t,) for u, t in left] != [(r,) + st[v] for r, v in right]:
+            return False
+    return None
+
+
+def _full_hopf_terms(h, I, decs):
+    products, splits = eng._position_readers(h)
+    el, dim = h.basis.elements, h.basis.dim
+    for R, Rp in decs:
+        dRp, xy = dim(Rp), products(R, Rp)
+        for S, Sp in decs:
+            A, B = R.intersect(S), R.intersect(Sp)
+            Ap, Bp = Rp.intersect(S), Rp.intersect(Sp)
+            dz, dx, dy = splits(S, Sp), splits(A, B), splits(Ap, Bp)
+            mA, mB, wA, wB = products(A, Ap), products(B, Bp), dim(Ap), dim(Bp)
+            for a in range(dim(R)):
+                for b in range(dRp):
+                    top = [p for z in xy[a * dRp + b] for p in dz[z]]
+                    bottom = [(c, d) for s, t in dx[a] for sp, tp in dy[b]
+                              for c in mA[s * wA + sp] for d in mB[t * wB + tp]]
+                    if top != bottom and Counter(top) != Counter(bottom):
+                        return {"R": list(R), "Rp": list(Rp), "S": list(S), "Sp": list(Sp),
+                                "inputs": [str(el(R)[a]), str(el(Rp)[b])],
+                                "top": eng._printed(h.basis, (S, Sp), top),
+                                "bottom": eng._printed(h.basis, (S, Sp), bottom)}
+    return None
+
+
+def _full_local_terms(h, I, decs):
+    mu, el, dim, n = h.product, h.basis.elements, h.basis.dim, len(I)
+    for S, T in decs:
+        dS, dT, st, ts = dim(S), dim(T), mu.table(S, T), mu.table(T, S)
+        seen = {}
+        for a in range(dS):
+            for b in range(dT):
+                z, zz = st[a * dT + b], ts[b * dS + a]
+                if z != zz:
+                    return {"mode": "local", "condition": "commutative", "n": n,
+                            "inputs": [str(el(S)[a]), str(el(T)[b])],
+                            "lhs": str(el(I)[z]), "rhs": str(el(I)[zz])}
+                if z in seen:
+                    p, q = seen[z]
+                    return {"mode": "local", "condition": "injective", "n": n,
+                            "collision": [[str(el(S)[p]), str(el(T)[q])],
+                                          [str(el(S)[a]), str(el(T)[b])]],
+                            "value": str(el(I)[z])}
+                seen[z] = (a, b)
+    image = functools.cache(lambda S, T: frozenset(mu.table(S, T)))
+    for S, Sp in decs:
+        width, products = dim(Sp), mu.table(S, Sp)
+        for A, B in decs:
+            img, img_s = image(A, B), image(A.intersect(S), B.intersect(S))
+            img_sp = image(A.intersect(Sp), B.intersect(Sp))
+            for k, z in enumerate(products):
+                a, b = divmod(k, width)
+                if z in img and (a not in img_s or b not in img_sp):
+                    return {"mode": "local", "condition": "image", "n": n,
+                            "S": list(S), "Sp": list(Sp), "A": list(A), "B": list(B),
+                            "inputs": [str(el(S)[a]), str(el(Sp)[b])]}
+    return None
+
+
+# (route name, parts per decomposition, the kernel, its full-walk reference)
+_WALKS = [
+    ("associative", 3, eng._AXIOM_ROUTES["associative"][1],
+     eng._reading("product", _full_mu_associative, _full_pi_coassociative)),
+    ("coassociative", 3, eng._AXIOM_ROUTES["coassociative"][1],
+     eng._reading("coproduct", _full_mu_associative, _full_pi_coassociative)),
+    ("hopf_compatible", 2, eng._hopf_terms, _full_hopf_terms),
+]
+
+
+def _walks_agree(h, max_n, local=False):
+    """Each kernel's (status, n, witness) equals its full walk's; returns them
+    by route name."""
+    walks = _WALKS + ([("local", 2, eng._local_terms, _full_local_terms)] if local else [])
+    got = {}
+    for name, parts, kernel, full in walks:
+        got[name] = _route_report(kernel, h, parts, max_n)
+        assert got[name] == _route_report(full, h, parts, max_n), (h.name, name)
+    return got
+
+
+@pytest.mark.parametrize("family,args", _grid(), ids=str)
+def test_nonempty_walk_agrees_with_the_full_walk_on_the_control_grid(family, args):
+    ps = _MAKERS[family](*args)
+    got = _walks_agree(eng._mu_mu(ps.mu), 3, local=True)
+    assert got["associative"] == got["coassociative"] == ("pass", 3, None)
+    assert got["local"][0] == "fail" and got["local"][2]["condition"] == ps.breaks
+
+
+@pytest.mark.parametrize("spec", ["E", "E_C:2", "Pi", "L", "Perm", "S(X_C:2)", "S(E_C:2)"])
+def test_nonempty_walk_agrees_with_the_full_walk_on_every_catalog_variant(spec):
+    entry = parse_species(spec)
+    if entry.pi is None:
+        try:
+            entry = with_derived_pi(entry, 4)
+        except ValueError:   # S(E_C:2): its product is not bijective
+            pass
+    for variant in _ALL_VARIANTS:
+        if all(getattr(entry, kind) is not None for kind in variant):
+            _walks_agree(hopf_from(entry, *variant), 4, local=variant == ("mu", "mu"))
+
+
+def test_nonempty_walk_skips_the_empty_blocks_of_a_unital_counital_triple():
+    # 6 of the 27 triples and 6 of the 8 pairs at n = 3
+    h = hopf_from(make_Pi(), "mu", "pi")
+    units = [eng._AXIOM_ROUTES[axiom][1] for axiom in ("unital", "counital")]
+    for parts, kept in ((2, 6), (3, 6)):
+        decs = decompositions(GroundSet.first(3), parts)
+        narrowed = eng._nonempty_blocks(decs, h, *units)
+        assert narrowed == [d for d in decs if all(len(p) for p in d)]
+        assert len(narrowed) == kept
+
+
+@pytest.mark.parametrize("system", ["mu", "pi"])
+def test_a_unit_that_fails_off_the_initial_segment_takes_the_full_walk(system):
+    # check_axiom's (co)unit rows read {1..m} only and pass; at n = 3 no
+    # oracle runs beside the kernels, so a kernel that decided the (co)unit
+    # there only would skip instances it has not proved
+    entry = _one_sided_unit_mutant(system, "left", GroundSet.of([2, 3]))
+    broken, I = getattr(entry, system), GroundSet.first(3)
+    units = [eng._AXIOM_ROUTES[axiom][1] for axiom in ("unital", "counital")]
+    for variant in _ALL_VARIANTS:
+        h = hopf_from(entry, *variant)
+        assert check_axiom(h, "unital", 3).ok and check_axiom(h, "counital", 3).ok
+        got = _walks_agree(h, 3, local=variant == ("mu", "mu"))
+        before = _walks_agree(hopf_from(make_Pi(), *variant), 3)
+        for name, read in (("associative", (h.product,)), ("coassociative", (h.coproduct,)),
+                           ("hopf_compatible", (h.product, h.coproduct))):
+            if broken not in read:
+                assert got[name] == before[name], (variant, name)
+            elif before[name][0] == "pass":
+                assert got[name][:2] == ("fail", 3), (variant, name)
+        decs = decompositions(I, 2)
+        assert (eng._nonempty_blocks(decs, h, *units) is decs) == (
+            broken in (h.product, h.coproduct))
+        rep = check_axiom(h, "hopf_compatible", 3)
+        assert (rep.status, rep.n, rep.witness) == got["hopf_compatible"], variant
+
+
+def test_an_exchange_failure_past_the_oracle_keeps_the_kernel_witness():
+    # the flip mutant of test_delta_mu_fails_hopf_compatibility_past_the_oracle
+    # first fails on three points, at an instance of nonempty blocks that the
+    # full walk reaches after instances with an empty block
+    entry = make_E_C(2)
+
+    def rule(S, T, x, y):
+        if len(S) == 1 and len(T) == 2:
+            x = MapTo(S, (1 - x.colors[0],))
+        return entry.mu(S, T, x, y)
+
+    flip = CatalogEntry("flip", entry.species, MultSystem(entry.species, rule), entry.pi)
+    failed = 0
+    for variant in _ALL_VARIANTS:
+        h = hopf_from(flip, *variant)
+        got = _walks_agree(h, 3)["hopf_compatible"]
+        rep = check_axiom(h, "hopf_compatible", 3)
+        assert (rep.status, rep.n, rep.witness) == got, variant
+        failed += got[:2] == ("fail", 3)
+    assert failed
+    h = hopf_from(flip, "pi", "mu")
+    I = GroundSet.first(3)
+    assert eng._hopf_terms(h, I, decompositions(I, 2)) == {
+        "R": [1, 2], "Rp": [3], "S": [1], "Sp": [2, 3], "inputs": ["[1:0,2:0]", "[3:0]"],
+        "top": "[1:1] (x) [2:0,3:0]", "bottom": "[1:0] (x) [2:0,3:0]"}
