@@ -36,6 +36,7 @@ class MultSystem:
         self.rule = rule
         self._fibers: dict = {}
         self._tables: dict = {}
+        self._memo: dict = {}   # engine.memo's reports on this system alone
 
     def __call__(self, S: GroundSet, T: GroundSet, x: Element, y: Element) -> Element:
         return self.rule(S, T, x, y)
@@ -89,6 +90,7 @@ class ComultSystem:
         self.rule = rule
         self._fibers: dict = {}
         self._tables: dict = {}
+        self._memo: dict = {}   # engine.memo's reports on this system alone
 
     def __call__(self, S: GroundSet, T: GroundSet, z: Element) -> tuple[Element, Element]:
         return self.rule(S, T, z)
@@ -150,7 +152,7 @@ class CatalogEntry:
         self.pi = pi
         self.mu_flags = mu_flags
         self.pi_flags = pi_flags
-        self._order = None   # set by order.order_of
+        self._memo: dict = {}   # its mixed triples' reports (engine.memo), order_of, fmu_of
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .core import (
     SetSpecies, TensorVec, Vec, decompositions, grounds, set_partitions,
 )
 from .engine import (
-    DEFAULT_MAX_N, FatalInconsistency, LinearizedHopf, check_axiom,
-    check_self_compatible, hopf_from, iterate_nabla, takeuchi_antipode,
+    DEFAULT_MAX_N, FatalInconsistency, LinearizedHopf, hopf_from, iterate_nabla, memo,
+    takeuchi_antipode,
 )
 
 
@@ -178,25 +178,31 @@ def _fmu_component(mu: MultSystem, sq: SetSpecies, I: GroundSet, key: str) -> di
     return fwd
 
 
-def f_mu(mu: MultSystem, max_n: int = DEFAULT_MAX_N, *, check_preconditions: bool = True,
-         species_key: str | None = None) -> FMu:
+def f_mu(mu: MultSystem, max_n: int = DEFAULT_MAX_N, *, species_key: str | None = None) -> FMu:
     """Build the block-product map from Q-labeled partitions onto P and verify
     it is a bijection intertwining disjoint union with the product.
 
+    Raises ``ValueError`` where mu is not self-compatible up to min(max_n, 3).
     Non-bijectivity on any checked component is fatal: for an associative,
     unital, Hopf self-compatible product this cannot happen.
     """
     Is = grounds(max_n)
     key = species_key or mu.species.name
-    if check_preconditions:
-        rep = check_self_compatible(mu, "both", min(max_n, 3), species_key=key)
-        if rep.status != "pass":
-            raise ValueError(f"f_mu preconditions fail for {key}: {rep.status} {rep.witness}")
+    rep = memo("check_self_compatible", mu, "both", min(max_n, 3), key)
+    if rep.status != "pass":
+        raise ValueError(f"f_mu preconditions fail for {key}: {rep.status} {rep.witness}")
     q = primitive_basis_species(mu)
     fm = FMu(mu, labeled_partition_species(q, f"S({q.name})"), key)
     for I in Is:
         fm.table(I)
     return fm
+
+
+def fmu_of(entry: CatalogEntry, max_n: int) -> FMu:
+    """The entry's ``f_mu`` up to max_n, built on first use and kept on the entry."""
+    if ("f_mu", max_n) not in entry._memo:
+        entry._memo["f_mu", max_n] = f_mu(entry.mu, max_n, species_key=entry.key)
+    return entry._memo["f_mu", max_n]
 
 
 def check_fmu_intertwines(fm: FMu, max_n: int = DEFAULT_MAX_N) -> CheckReport:
@@ -268,7 +274,7 @@ def f_pi(pi: ComultSystem, max_n: int = 3, *, species_key: str | None = None) ->
     sp = pi.species
     h = hopf_from(CatalogEntry(key, sp, None, pi), "pi", "pi")
     for axiom in ("coassociative", "counital", "cocommutative"):
-        rep = check_axiom(h, axiom, min(max_n, 3))
+        rep = memo("check_axiom", h, axiom, min(max_n, 3))
         if not rep.ok:
             raise ValueError(f"f_pi precondition {axiom} fails for {key}: {rep.witness}")
     split = first_non_bijective(pi, max_n)
@@ -353,7 +359,7 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet) -> NablaXDecomposition:
     theorem at this scale.
     """
     key = h.basis.name
-    rep = check_axiom(h, "commutative", len(I))
+    rep = memo("check_axiom", h, "commutative", len(I))
     if not rep.ok:
         raise ValueError(f"nabla_X_decompose needs a commutative product: {rep.witness}")
 
@@ -465,7 +471,7 @@ def check_takeuchi_closed_form(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) 
         return CheckReport("takeuchi_closed_form", entry.key, max_n, "skip",
                            {"reason": "no multiplicative system"})
     h = hopf_from(entry, "mu", "mu")
-    fm = f_mu(entry.mu, max_n, check_preconditions=False, species_key=entry.key)
+    fm = fmu_of(entry, max_n)
     for I in Is:
         for lam in entry.species.elements(I):
             k = len(fm.invert(lam).blocks)

@@ -117,9 +117,10 @@ class Runner:
             expected = False
         else:
             expected = row.declared is not None and not row.declared(self.entry)
-        rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-        if rep.status == "fail":
-            rep.expected = expected
+        # the row's own report, since engine.memo may hand the same one to other rows
+        rep = CheckReport(rep.check, rep.species, rep.n, rep.status, rep.witness,
+                          int((time.perf_counter() - t0) * 1000),
+                          expected if rep.status == "fail" else None)
         self._append(rep)
         if self.fail_fast and (rep.status == "fatal"
                                or (rep.status == "fail" and not rep.expected)):
@@ -189,7 +190,7 @@ def _selfcompat_controls(entry: CatalogEntry, seed: int) -> CheckReport:
     detected: dict[str, int] = {}
     for i, ps in enumerate(systems):
         systems[i] = None  # a checked system's cached tables and fibers can go
-        rep = engine.check_self_compatible(ps.mu, "both", 3, species_key=ps.key)
+        rep = engine.memo("check_self_compatible", ps.mu, "both", 3, ps.key)
         if rep.status != "fail":
             return CheckReport("selfcompat_controls", entry.key, 3, "fail",
                                {"system": ps.key, "status": rep.status,
@@ -202,15 +203,14 @@ def _selfcompat_controls(entry: CatalogEntry, seed: int) -> CheckReport:
 def _fsd_coco_consequence(entry: CatalogEntry, max_n: int) -> CheckReport:
     """Every available triple that passes the self-duality check is also
     commutative and cocommutative."""
-    systems = {"mu": entry.mu, "pi": entry.pi}
     checked = []
     for p, c in (("mu", "mu"), ("pi", "pi"), ("mu", "pi"), ("pi", "mu")):
-        if systems[p] is None or systems[c] is None:
+        if getattr(entry, p) is None or getattr(entry, c) is None:
             continue
         h = engine.hopf_from(entry, p, c)
-        if engine.check_fsd(h, max_n).ok:
+        if engine.memo("check_fsd", h, max_n).ok:
             for axiom in ("commutative", "cocommutative"):
-                rep = engine.check_axiom(h, axiom, max_n)
+                rep = engine.memo("check_axiom", h, axiom, max_n)
                 if not rep.ok:
                     return CheckReport("fsd_coco_consequence", entry.key, max_n, "fail",
                                        {"variant": f"{p},{c}", "axiom": axiom,
@@ -218,11 +218,6 @@ def _fsd_coco_consequence(entry: CatalogEntry, max_n: int) -> CheckReport:
             checked.append(f"{p},{c}")
     return CheckReport("fsd_coco_consequence", entry.key, max_n, "pass",
                        {"fsd_variants": checked})
-
-
-def _fmu_intertwines(entry: CatalogEntry, max_n: int) -> CheckReport:
-    fm = classify.f_mu(entry.mu, max_n, species_key=entry.key)
-    return classify.check_fmu_intertwines(fm, max_n)
 
 
 def _pi_bijective(entry: CatalogEntry, max_n: int) -> CheckReport:
@@ -264,18 +259,19 @@ SUITE_TABLE = {
     "axioms": Suite((
         Row("transport", lambda r, I: transport_check(r.entry.species, I), per_n=True),
         Row("naturality", lambda r, _: engine.check_naturality(r.entry, r.max_n)),
-        *(Row(axiom, lambda r, h, axiom=axiom: engine.check_axiom(h, axiom, r.max_n),
+        *(Row(axiom, lambda r, h, axiom=axiom: engine.memo("check_axiom", h, axiom, r.max_n),
               _canonical_variant, declared=_commutative if axiom == "commutative" else None)
           for axiom in engine.AXIOMS),
         Row("delta_nabla_identity", lambda r, h: engine.check_delta_nabla_identity(h, r.max_n),
             _canonical_variant),
     )),
     "ssd": Suite((
-        Row("self_compatible[both]", lambda r, _: engine.check_self_compatible(
-            r.entry.mu, "both", r.max_n, species_key=r.entry.key), declared=_commutative),
+        Row("self_compatible[both]", lambda r, _: engine.memo("check_self_compatible",
+            r.entry.mu, "both", r.max_n, r.entry.key), declared=_commutative),
         Row("selfcompat_controls", lambda r, _: _selfcompat_controls(r.entry, r.seed),
             n=lambda max_n: 3),
-        Row("fsd", lambda r, h: engine.check_fsd(h, r.max_n), ("mu", "mu"), declared=_commutative),
+        Row("fsd", lambda r, h: engine.memo("check_fsd", h, r.max_n), ("mu", "mu"),
+            declared=_commutative),
         Row("fsd_coco_consequence", lambda r, _: _fsd_coco_consequence(r.entry, r.max_n)),
         Row("ssd_conditions", lambda r, h: engine.check_ssd_conditions(h, r.max_n), ("mu", "mu"),
             _commutative, "characterizes Hopf triples only"),
@@ -283,14 +279,14 @@ SUITE_TABLE = {
             r.entry, r.max_n), runs=_commutative, reason="product not commutative"),
         Row("primitives_match", lambda r, _: classify.check_primitives_match(r.entry, r.max_n),
             runs=_commutative, reason="product not commutative"),
-        Row("fmu_intertwines", lambda r, _: _fmu_intertwines(r.entry, r.max_n),
-            runs=_commutative, reason="product not commutative"),
+        Row("fmu_intertwines", lambda r, _: classify.check_fmu_intertwines(classify.fmu_of(
+            r.entry, r.max_n), r.max_n), runs=_commutative, reason="product not commutative"),
     ), lambda e: e.mu is not None, "self_compatible", "no multiplicative system"),
     "lsd": Suite((
         Row("pi_bijective", lambda r, _: _pi_bijective(r.entry, r.max_n), declared=_bijective),
-        Row("cocommutative", lambda r, h: engine.check_axiom(h, "cocommutative", r.max_n),
+        Row("cocommutative", lambda r, h: engine.memo("check_axiom", h, "cocommutative", r.max_n),
             ("pi", "pi")),
-        Row("fsd", lambda r, h: engine.check_fsd(h, r.max_n), ("mu", "pi"),
+        Row("fsd", lambda r, h: engine.memo("check_fsd", h, r.max_n), ("mu", "pi"),
             lambda e: e.mu is not None, "needs both systems", _bijective),
         Row("fpi_intertwines", lambda r, _: _fpi_intertwines(r.entry, _up_to_3(r.max_n)),
             runs=_bijective, reason="coproduct not bijective", n=_up_to_3),
@@ -445,8 +441,8 @@ def _order_undefined(entry: CatalogEntry, max_n: int) -> bool:
     needs both systems and a commutative product."""
     if entry.mu is None or entry.pi is None:
         reason = "needs both systems"
-    elif not engine.check_axiom(engine.hopf_from(entry, "mu", "mu"),
-                                "commutative", min(max_n, 2)).ok:
+    elif not engine.memo("check_axiom", engine.hopf_from(entry, "mu", "mu"),
+                         "commutative", min(max_n, 2)).ok:
         reason = "product is not commutative"
     else:
         return False

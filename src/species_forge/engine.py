@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from typing import Optional
 
 from .catalog import CatalogEntry, ComultSystem, MultSystem
 from .core import (
@@ -54,12 +53,13 @@ class LinearizedHopf:
     """A species basis with the systems its product and coproduct linearize."""
 
     def __init__(self, name: str, basis: SetSpecies, product: MultSystem | ComultSystem,
-                 coproduct: ComultSystem | MultSystem):
+                 coproduct: ComultSystem | MultSystem, memo: dict | None = None):
         self.name = name
         self.basis = basis
         self.product = product
         self.coproduct = coproduct
         self._readers = None  # _position_readers, built at first use and kept
+        self._memo = product._memo if product is coproduct else {} if memo is None else memo
 
     def unit(self) -> Element:
         return self.basis.unit_element()
@@ -107,7 +107,7 @@ def hopf_from(entry: CatalogEntry, product: str = "mu", coproduct: str = "pi") -
         if systems[kind] is None:
             raise ValueError(f"{entry.key} has no {_SYSTEM_NAMES[kind]} system")
     name = f"{entry.key}[nabla^{product},Delta^{coproduct}]"
-    return LinearizedHopf(name, entry.species, systems[product], systems[coproduct])
+    return LinearizedHopf(name, entry.species, systems[product], systems[coproduct], entry._memo)
 
 
 def _nabla_basis(h: LinearizedHopf, S: GroundSet, T: GroundSet, x: Element, y: Element) -> Vec:
@@ -225,6 +225,21 @@ def iterate_delta(h: LinearizedHopf, parts: tuple[GroundSet, ...], v: Vec) -> Te
 # conditions and the rectangle, the element route) also runs beside the
 # kernel, and a split in verdict or witness is fatal.
 ORACLE_MAX_N = 2
+
+
+def memo(check: str, subject, *args) -> CheckReport:
+    """``check(subject, *args)`` once per run, for every caller in the package:
+    ``check_axiom`` or ``check_fsd`` on a triple, ``check_self_compatible`` on
+    a mu, looked up here at each call.  The report is kept in ``_memo`` on
+    what the verdict depends on: the one system of a (mu, mu) or (pi, pi)
+    triple, and mu, or else the triple's entry (``hopf_from``), never a system
+    that another entry pairs differently; keyed by the check, the triple's
+    name and basis (mu's species) and the arguments."""
+    basis = subject.basis if isinstance(subject, LinearizedHopf) else subject.species
+    key = (check, getattr(subject, "name", None), basis, *args)
+    if key not in subject._memo:
+        subject._memo[key] = globals()[check](subject, *args)
+    return subject._memo[key]
 
 
 def check_axiom(h: LinearizedHopf, axiom: str, max_n: int = DEFAULT_MAX_N) -> CheckReport:
@@ -409,7 +424,9 @@ def _hopf_terms(h, I, decs):
     block by the (co)unit kernels, the others by the nonempty instances."""
     products, splits = _position_readers(h)
     el, dim = h.basis.elements, h.basis.dim
-    decs = _nonempty_blocks(decs, h, _AXIOM_ROUTES["unital"][1], _AXIOM_ROUTES["counital"][1])
+    # on one system both kernels are the same check of it, decided once
+    units = ("unital",) if h.product is h.coproduct else ("unital", "counital")
+    decs = _nonempty_blocks(decs, h, *(_AXIOM_ROUTES[u][1] for u in units))
     for R, Rp in decs:
         dRp, xy = dim(Rp), products(R, Rp)
         for S, Sp in decs:
@@ -677,7 +694,7 @@ def _natural_by_tables(entry: CatalogEntry, I: GroundSet) -> bool | None:
     return None
 
 
-def _naturality_exhaustive(entry: CatalogEntry, I: GroundSet) -> Optional[dict]:
+def _naturality_exhaustive(entry: CatalogEntry, I: GroundSet) -> dict | None:
     """The first failing square over I, every map evaluated on elements."""
     sp = entry.species
     for sigma in Bijection.all_endo(I):
@@ -723,17 +740,21 @@ def check_self_compatible(mu: MultSystem, mode: str = "both",
     if mode not in ("direct", "local", "both"):
         raise ValueError("mode must be direct, local, or both")
     key = species_key or mu.species.name
-    pre = _selfcompat_precondition(mu, max_n)
-    if pre is not None:
-        return CheckReport("self_compatible", key, max_n, "skip",
-                           {"precondition": pre})
-    if mode == "direct":
-        ok, witness = _selfcompat_direct(mu, max_n)
-    elif mode == "local":
-        ok, witness = _selfcompat_local(mu, Is)
-    else:
-        direct, local = _selfcompat_direct(mu, max_n), _selfcompat_local(mu, Is)
-        ok, both = direct[0], {"direct": direct[1], "local": local[1]}
+    h = _mu_mu(mu)
+    for axiom in ("associative", "unital"):
+        rep = memo("check_axiom", h, axiom, max_n)
+        if not rep.ok:
+            return CheckReport("self_compatible", key, max_n, "skip",
+                               {"precondition": {"axiom": axiom, "witness": rep.witness}})
+    if mode != "local":
+        rep = memo("check_axiom", h, "hopf_compatible", max_n)
+        direct = rep.ok, None if rep.ok else {"mode": "direct", "n": rep.n, **rep.witness}
+    if mode != "direct":
+        rep = _check_diagram(h, "self_compatible[local]", Is, 2, _local_terms, _local_elements)
+        local = rep.ok, rep.witness
+    ok, witness = local if mode == "local" else direct
+    if mode == "both":
+        both = {"direct": witness, "local": local[1]}
         if ok != local[0]:
             raise FatalInconsistency(f"self-compatibility modes disagree for {key}: "
                                      f"direct={ok} local={local[0]}", witness=both)
@@ -745,28 +766,6 @@ def check_self_compatible(mu: MultSystem, mode: str = "both",
 def _mu_mu(mu: MultSystem) -> LinearizedHopf:
     """(nabla^mu, Delta^mu) on mu's own species."""
     return hopf_from(CatalogEntry(mu.species.name, mu.species, mu, None), "mu", "mu")
-
-
-def _selfcompat_precondition(mu: MultSystem, max_n: int) -> Optional[dict]:
-    h = _mu_mu(mu)
-    for axiom in ("associative", "unital"):
-        rep = check_axiom(h, axiom, max_n)
-        if not rep.ok:
-            return {"axiom": axiom, "witness": rep.witness}
-    return None
-
-
-def _selfcompat_direct(mu: MultSystem, max_n: int):
-    rep = check_axiom(_mu_mu(mu), "hopf_compatible", max_n)
-    return rep.ok, None if rep.ok else {"mode": "direct", "n": rep.n, **rep.witness}
-
-
-def _selfcompat_local(mu: MultSystem, Is: list[GroundSet]):
-    """The three local conditions on positions of the compiled mu tables, with
-    the element route as the oracle for n <= ORACLE_MAX_N."""
-    rep = _check_diagram(_mu_mu(mu), "self_compatible[local]", Is, 2,
-                         _local_terms, _local_elements)
-    return rep.ok, rep.witness
 
 
 def _local_terms(h, I, decs):
@@ -881,14 +880,10 @@ def check_fsd(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> CheckReport:
     element tables (``product_table``, ``coproduct_table``) as the oracle for
     n <= ORACLE_MAX_N and as the witness finder.
     """
-    rep = check_axiom(h, "hopf_compatible", max_n)
+    rep = memo("check_axiom", h, "hopf_compatible", max_n)
     if not rep.ok:
         return CheckReport("fsd", h.name, rep.n, "fail",
                            {"reason": "not hopf compatible", **rep.witness})
-    return _fsd_tables(h, max_n)
-
-
-def _fsd_tables(h: LinearizedHopf, max_n: int) -> CheckReport:
     return _check_diagram(h, "fsd", grounds(max_n), 2, _fsd_terms, _fsd_elements)
 
 
@@ -930,8 +925,8 @@ def check_ssd_conditions(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> Check
     coproduct.
 
     For a Hopf-compatible triple with a linearized product, (b) is equivalent
-    to free self-duality, so it is cross-checked against ``check_fsd``'s
-    comparison on positions (``_fsd_tables``); a split verdict is fatal.
+    to free self-duality, so it is cross-checked against ``check_fsd``, read
+    through ``memo``; a split verdict is fatal.
     """
     witness_a = witness_b = None
     for I in grounds(max_n):
@@ -953,9 +948,9 @@ def check_ssd_conditions(h: LinearizedHopf, max_n: int = DEFAULT_MAX_N) -> Check
                         "condition": "b", "S": list(S), "T": list(T),
                         "element": str(z)}
     ok = witness_a is None and witness_b is None
-    if witness_a is None and check_axiom(h, "hopf_compatible", max_n).ok:
+    if witness_a is None and memo("check_axiom", h, "hopf_compatible", max_n).ok:
         # with a linearized product on a Hopf triple, (b) must match FSD
-        fsd_ok = _fsd_tables(h, max_n).ok
+        fsd_ok = memo("check_fsd", h, max_n).ok
         if (witness_b is None) != fsd_ok:
             raise FatalInconsistency(
                 f"SSD characterizations disagree for {h.name}",

@@ -41,7 +41,7 @@ from .core import (
     SetSpecies, TensorVec, Vec, cross_check, decompositions, grounds, set_partitions,
 )
 from .engine import DEFAULT_MAX_N, FatalInconsistency, LinearizedHopf, hopf_from
-from .classify import FMu, f_mu
+from .classify import FMu, fmu_of
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +272,9 @@ class SpeciesOrder:
 
 def order_of(entry: CatalogEntry) -> SpeciesOrder:
     """The entry's order, built on first use and kept on the entry."""
-    if entry._order is None:
-        entry._order = SpeciesOrder(entry.mu, entry.pi, entry.key)
-    return entry._order
+    if "order" not in entry._memo:
+        entry._memo["order"] = SpeciesOrder(entry.mu, entry.pi, entry.key)
+    return entry._memo["order"]
 
 
 def check_order_transport(order: SpeciesOrder, max_n: int = DEFAULT_MAX_N) -> CheckReport:
@@ -436,7 +436,7 @@ def check_all_lower_lattices(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) ->
         return CheckReport("lower_lattice", entry.key, max_n, "skip",
                            {"reason": "needs both systems"})
     order = order_of(entry)
-    fmu = f_mu(entry.mu, max_n, check_preconditions=False, species_key=entry.key)
+    fmu = fmu_of(entry, max_n)
     surjective_everywhere = True
     for I in Is:
         for lam in entry.species.elements(I):

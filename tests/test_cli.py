@@ -665,3 +665,49 @@ def test_runs_leave_no_cyclic_garbage(capsys):
                  ["check", "--species", "Pi", "--suite", "full", "--max-n", "3"]):
         assert _cyclic_garbage(lambda: main(argv)) <= base, argv
     capsys.readouterr()
+
+
+def test_full_run_decides_each_check_once(monkeypatch, capsys):
+    # every caller reads check_axiom, check_fsd and check_self_compatible
+    # through engine.memo: no (check, triple or species, arguments) runs twice
+    from species_forge import classify, cli, engine, order
+
+    n0 = engine.DEFAULT_MAX_N
+    keys = {
+        "check_axiom": lambda h, axiom, max_n=n0: (h.name, axiom, max_n),
+        "check_fsd": lambda h, max_n=n0: (h.name, max_n),
+        "check_self_compatible": lambda mu, mode="both", max_n=n0, species_key=None:
+            (species_key or mu.species.name, mode, max_n),
+    }
+    calls = []
+    for name, key in keys.items():
+        real = getattr(engine, name)
+
+        def spy(*a, name=name, key=key, real=real, **k):
+            calls.append((name, *key(*a, **k)))
+            return real(*a, **k)
+
+        for module in (engine, classify, order, cli):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, spy)
+    assert main(["check", "--species", "Pi", "--suite", "full", "--max-n", "3"]) == 0
+    capsys.readouterr()
+    assert {call[0] for call in calls} == set(keys)  # every spy was reached
+    assert len(set(calls)) == len(calls), sorted(c for c in set(calls) if calls.count(c) > 1)
+
+
+def test_a_report_handed_to_two_rows_is_not_rewritten():
+    # engine.memo hands the report it keeps to every caller; the runner sets
+    # expected, elapsed_ms and peak_rss_kb on a copy of its own
+    from species_forge.catalog import make_Pi
+    from species_forge.cli import Row, Runner
+    from species_forge.core import CheckReport
+
+    kept = CheckReport("fsd", "Pi", 3, "fail", {"reason": "kept"})
+    r = Runner(make_Pi(), 3, 0, False)
+    first = r.run(Row("fsd", lambda r, _: kept, declared=lambda e: False))
+    second = r.run(Row("fsd", lambda r, _: kept))
+    assert (first.expected, second.expected) == (True, False)
+    assert first is not kept and second is not kept
+    assert kept == CheckReport("fsd", "Pi", 3, "fail", {"reason": "kept"})

@@ -259,10 +259,15 @@ def test_invalid_mode_raises_before_the_precondition(monkeypatch, entries, syste
 
 
 def test_mode_disagreement_is_fatal(monkeypatch, entries):
+    # both local routes agree on a forced failure, which the direct route does not see
     from species_forge import engine as eng
 
-    monkeypatch.setattr(eng, "_selfcompat_local", lambda mu, max_n: (False, {"forced": True}))
-    with pytest.raises(FatalInconsistency):
+    def forced(h, I, decs):
+        return {"forced": True}
+
+    monkeypatch.setattr(eng, "_local_terms", forced)
+    monkeypatch.setattr(eng, "_local_elements", forced)
+    with pytest.raises(FatalInconsistency, match="modes disagree"):
         eng.check_self_compatible(entries["Pi"].mu, "both", 2, species_key="Pi")
 
 
@@ -329,7 +334,8 @@ def test_fsd_element_route_finds_the_witness_without_the_oracle(monkeypatch, key
         [(r.status, r.n, r.witness) for r in want]
 
 
-def test_ssd_conditions_run_hopf_compatibility_once(monkeypatch, entries):
+def test_ssd_conditions_run_hopf_compatibility_once(monkeypatch):
+    # on a fresh Pi, whose mu holds no report yet; check_fsd reads the same one
     from species_forge.engine import check_ssd_conditions
     axioms, real = [], eng.check_axiom
 
@@ -338,7 +344,7 @@ def test_ssd_conditions_run_hopf_compatibility_once(monkeypatch, entries):
         return real(h, axiom, max_n)
 
     monkeypatch.setattr(eng, "check_axiom", spy)
-    assert check_ssd_conditions(hopf_from(entries["Pi"], "mu", "mu"), 3).ok
+    assert check_ssd_conditions(hopf_from(make_Pi(), "mu", "mu"), 3).ok
     assert axioms == ["hopf_compatible"]
 
 
@@ -1193,8 +1199,9 @@ def test_fiber_kernel_split_from_oracle_is_fatal(monkeypatch, entries):
     monkeypatch.setitem(eng._AXIOM_ROUTES, "hopf_compatible", (parts, lies_at_2, linear))
     with pytest.raises(FatalInconsistency):
         check_axiom(hopf_from(entries["Pi"], "mu", "mu"), "hopf_compatible", 3)
+    # a fresh mu: the shared one may already hold its Hopf report (engine.memo)
     with pytest.raises(FatalInconsistency):
-        check_self_compatible(entries["Pi"].mu, "direct", 3)
+        check_self_compatible(make_Pi().mu, "direct", 3)
 
 
 def test_fiber_kernel_rejects_result_over_wrong_ground(entries):
@@ -1609,6 +1616,39 @@ def _faded():
         return entry.mu(S, T, x, y)
 
     return CatalogEntry("E_C:2-faded", entry.species, MultSystem(entry.species, rule), entry.pi)
+
+
+@pytest.mark.parametrize("mutant,flags", [(_glued, make_Pi), (_faded, lambda: make_E_C(2))],
+                         ids=["glued", "faded"])
+def test_fmu_rows_of_a_mutant_fail_on_the_fmu_precondition(mutant, flags):
+    # with its catalog species' flags the mutant runs every f_mu row; each
+    # builds f_mu, which checks that mu is self-compatible first, so the rows
+    # fail on that precondition instead of finding f_mu no bijection (fatal)
+    from species_forge.cli import Runner
+    m, declared = mutant(), flags()
+    r = Runner(CatalogEntry(m.key, m.species, m.mu, m.pi, declared.mu_flags,
+                            declared.pi_flags), 3, 0, False)
+    r.run_suite("ssd")
+    r.run_suite("order")
+    rows = {rep.check: rep for rep in r.reports}
+    for check in ("takeuchi_closed_form", "fmu_intertwines", "lower_lattice"):
+        rep = rows[check]
+        assert (rep.status, rep.witness["error"]) == ("fail", "ValueError"), check
+        assert rep.witness["message"].startswith(f"f_mu preconditions fail for {m.key}: fail")
+
+
+def test_memo_never_crosses_entries():
+    # a mixed triple's report is kept on its entry: another entry with the
+    # same key and the same mu, but a broken pi, is decided afresh, while the
+    # (mu, mu) triple's report, kept on mu, is shared
+    entry = make_Pi()
+    broken = CatalogEntry(entry.key, entry.species, entry.mu, _pi_mutant().pi)
+    assert eng.memo("check_axiom", hopf_from(entry, "mu", "pi"), "hopf_compatible", 3).ok
+    got = eng.memo("check_axiom", hopf_from(broken, "mu", "pi"), "hopf_compatible", 3)
+    fresh = check_axiom(hopf_from(broken, "mu", "pi"), "hopf_compatible", 3)
+    assert got.status == "fail" and got == fresh
+    assert (eng.memo("check_axiom", hopf_from(entry, "mu", "mu"), "unital", 3)
+            is eng.memo("check_axiom", hopf_from(broken, "mu", "mu"), "unital", 3))
 
 
 def _local_agree(mu, max_n=3):

@@ -79,6 +79,7 @@ _CALLS = {
     "classify.check_primitives_match[skip]":
         lambda s, n: classify.check_primitives_match(s.no_mu, n),
     "classify.f_mu": lambda s, n: classify.f_mu(s.entry.mu, n),
+    "classify.fmu_of": lambda s, n: classify.fmu_of(s.entry, n),
     "classify.check_fmu_intertwines": lambda s, n: classify.check_fmu_intertwines(s.fm, n),
     "classify.first_non_bijective": lambda s, n: classify.first_non_bijective(s.entry.pi, n),
     "classify.f_pi": lambda s, n: classify.f_pi(s.lsd.pi, n),

@@ -271,7 +271,7 @@ def test_Pi_lower_intervals_are_full_refinement_lattices(orders):
 
 def test_Perm_interval_shape_comparability(entries, orders):
     entry = entries["Perm"]
-    fm = f_mu(entry.mu, 4, check_preconditions=False, species_key="Perm")
+    fm = f_mu(entry.mu, 4, species_key="Perm")
     so = orders["Perm"]
     I = GroundSet.first(4)
     for lam in entry.species.elements(I):
@@ -437,7 +437,7 @@ def _order_oracles(entry, max_n):
     n <= max_n: the p/q and basis Vec routes (None, or the message raised),
     (A)/(B) on elements, and each lower-interval report."""
     so, h = order_mod.order_of(entry), hopf_from(entry, "pi", "mu")
-    fmu = f_mu(entry.mu, max_n, check_preconditions=False, species_key=entry.key)
+    fmu = f_mu(entry.mu, max_n, species_key=entry.key)
     out = []
     for n in range(max_n + 1):
         I = GroundSet.first(n)
@@ -793,7 +793,7 @@ def _first_failure(max_n, witness_at):
 
 
 def _lower_lattices_by_elements(entry, so, max_n):
-    fmu = f_mu(entry.mu, max_n, check_preconditions=False, species_key=entry.key)
+    fmu = f_mu(entry.mu, max_n, species_key=entry.key)
     surjective = True
     for n in range(max_n + 1):
         I = GroundSet.first(n)
