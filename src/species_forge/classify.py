@@ -67,8 +67,18 @@ def primitives(h: LinearizedHopf, I: GroundSet) -> list[Vec]:
     return [_vec_from_coords(h.basis, I, v) for v in linalg.kernel_basis(rows, len(index))]
 
 
+def primitives_of(h: LinearizedHopf, I: GroundSet) -> list[Vec]:
+    """``primitives(h, I)`` once per run, for every caller in the package:
+    kept in h's ``_memo`` and keyed by the triple's name and basis and I, as
+    ``engine.memo`` keeps reports; ``primitives`` is looked up at each call."""
+    key = ("primitives", h.name, h.basis, I)
+    if key not in h._memo:
+        h._memo[key] = primitives(h, I)
+    return h._memo[key]
+
+
 def primitive_dims(h: LinearizedHopf, max_n: int) -> list[int]:
-    return [len(primitives(h, I)) for I in grounds(max_n)[1:]]
+    return [len(primitives_of(h, I)) for I in grounds(max_n)[1:]]
 
 
 def primitive_basis_elements(mu: MultSystem, I: GroundSet) -> tuple[Element, ...]:
@@ -99,7 +109,7 @@ def check_primitives_match(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> C
     h = hopf_from(entry, "mu", "mu")
     for I in Is:
         index = entry.species.index(I)
-        kernel = [_coords(v, index) for v in primitives(h, I)]
+        kernel = [_coords(v, index) for v in primitives_of(h, I)]
         setp = [_coords(Vec.basis(e), index) for e in primitive_basis_elements(entry.mu, I)]
         if len(kernel) != len(setp) or not linalg.spans_equal(kernel, setp, len(index)):
             return CheckReport(
@@ -363,12 +373,8 @@ def nabla_X_decompose(h: LinearizedHopf, I: GroundSet) -> NablaXDecomposition:
     if not rep.ok:
         raise ValueError(f"nabla_X_decompose needs a commutative product: {rep.witness}")
 
-    prim_cache: dict[GroundSet, list[Vec]] = {}
-
     def prim(B: GroundSet) -> list[Vec]:
-        if B not in prim_cache:
-            prim_cache[B] = primitives(h, B)
-        return prim_cache[B]
+        return primitives_of(h, B)
 
     index = h.basis.index(I)
     dim = len(index)

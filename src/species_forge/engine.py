@@ -213,7 +213,8 @@ def iterate_delta(h: LinearizedHopf, parts: tuple[GroundSet, ...], v: Vec) -> Te
 #
 # The (co)associativity and Hopf kernels, and the local self-compatibility
 # conditions, first decide the unit and counit they rely on over every subset
-# of I, by the "unital" and "counital" kernels (``_nonempty_blocks``).  Where
+# of I, by the "unital" and "counital" kernels, each decided once per system
+# and subset (``_nonempty_blocks``, ``_unit_kernel``).  Where
 # these hold, an instance with an empty block holds too (each kernel's
 # docstring has the proof), so the kernel compares only the decompositions
 # into nonempty blocks; elsewhere it walks them all.  The first failing
@@ -269,18 +270,30 @@ def _check_diagram(h: LinearizedHopf, name: str, Is: list[GroundSet], parts: int
                        ORACLE_MAX_N)
 
 
-def _nonempty_blocks(decs, structure, *units):
-    """``decs`` narrowed to its decompositions into nonempty blocks once each
-    of ``units``, the kernel of a unit or counit axiom, holds for
-    ``structure`` over every subset X of I; otherwise ``decs`` itself.
+def _nonempty_blocks(decs, *systems):
+    """``decs`` narrowed to its decompositions into nonempty blocks once the
+    unit of each of ``systems`` holds over every subset X of I
+    (``_unit_kernel``); otherwise ``decs`` itself.
 
     Every X is the first block of a decomposition in decs (I - X is the
-    second), so the subsets come from decs and no enumeration is added.  A
-    unit kernel compiles the tables it reads, over every X, before the walk."""
+    second), so the subsets come from decs and no enumeration is added."""
     subsets = dict.fromkeys(d[0] for d in decs)
-    if all(unit(structure, X, ()) is None for unit in units for X in subsets):
+    if all(_unit_kernel(system, X) is None for system in systems for X in subsets):
         return [d for d in decs if EMPTY not in d]
     return decs
+
+
+def _unit_kernel(system, I, decs=()):
+    """The unit kernel of ``system`` over I: ``_mu_unital`` on a MultSystem,
+    ``_pi_counital`` on a ComultSystem.  It reads that system alone, so it
+    is decided once per system and I and kept in the system's ``_memo``, as
+    ``memo`` keeps reports.  The first decision compiles the unit tables, so
+    a result outside its component raises; a raise keeps nothing."""
+    key = ("unit", I)
+    if key not in system._memo:
+        kernel = _mu_unital if isinstance(system, MultSystem) else _pi_counital
+        system._memo[key] = kernel(system, I, decs)
+    return system._memo[key]
 
 
 def _mu_associative(mu, I, decs):
@@ -298,7 +311,7 @@ def _mu_associative(mu, I, decs):
         if S is EMPTY:
             mu.table(R, T)
     dim = mu.species.dim
-    for R, S, T in _nonempty_blocks(decs, mu, _mu_unital):
+    for R, S, T in _nonempty_blocks(decs, mu):
         rs, st = mu.table(R, S), mu.table(S, T)
         left, right = mu.table(R.union(S), T), mu.table(R, S.union(T))
         dT, dST = dim(T), dim(S.union(T))
@@ -338,7 +351,7 @@ def _pi_coassociative(pi, I, decs):
     for R, S, T in decs:
         if S is EMPTY:
             pi.table(R, T)
-    for R, S, T in _nonempty_blocks(decs, pi, _pi_counital):
+    for R, S, T in _nonempty_blocks(decs, pi):
         left, rs = pi.table(R.union(S), T), pi.table(R, S)
         right, st = pi.table(R, S.union(T)), pi.table(S, T)
         if [rs[u] + (t,) for u, t in left] != [(r,) + st[v] for r, v in right]:
@@ -424,9 +437,7 @@ def _hopf_terms(h, I, decs):
     block by the (co)unit kernels, the others by the nonempty instances."""
     products, splits = _position_readers(h)
     el, dim = h.basis.elements, h.basis.dim
-    # on one system both kernels are the same check of it, decided once
-    units = ("unital",) if h.product is h.coproduct else ("unital", "counital")
-    decs = _nonempty_blocks(decs, h, *(_AXIOM_ROUTES[u][1] for u in units))
+    decs = _nonempty_blocks(decs, h.product, h.coproduct)
     for R, Rp in decs:
         dRp, xy = dim(Rp), products(R, Rp)
         for S, Sp in decs:
@@ -632,10 +643,10 @@ def _reading(side: str, mu_kernel, pi_kernel):
 _AXIOM_ROUTES = {
     "associative": (3, _reading("product", _mu_associative, _pi_coassociative), _assoc),
     "commutative": (2, _reading("product", _mu_commutative, _pi_cocommutative), _comm),
-    "unital": (0, _reading("product", _mu_unital, _pi_counital), _unital),
+    "unital": (0, _reading("product", _unit_kernel, _unit_kernel), _unital),
     "coassociative": (3, _reading("coproduct", _mu_associative, _pi_coassociative), _coassoc),
     "cocommutative": (2, _reading("coproduct", _mu_commutative, _pi_cocommutative), _cocomm),
-    "counital": (0, _reading("coproduct", _mu_unital, _pi_counital), _counital),
+    "counital": (0, _reading("coproduct", _unit_kernel, _unit_kernel), _counital),
     "hopf_compatible": (2, _hopf_terms, _hopf_compat),
 }
 AXIOMS = tuple(_AXIOM_ROUTES)
@@ -674,15 +685,22 @@ def check_naturality(entry: CatalogEntry, max_n: int = DEFAULT_MAX_N) -> CheckRe
 
 
 def _natural_by_tables(entry: CatalogEntry, I: GroundSet) -> bool | None:
-    """None when every square over I holds on the index tables, else False."""
+    """None when every square over I holds on the index tables, else False.
+    The table of sigma|S is looked up by S and its images, so a restricted
+    ``Bijection`` is built once per call."""
     sp, mu, pi = entry.species, entry.mu, entry.pi
     table = sp.transport_table
     decs = decompositions(I, 2)
+
+    @functools.cache
+    def moved(S, images):
+        rs = Bijection(S, GroundSet(tuple(sorted(images))), images)
+        return table(rs), rs.target
+
     for sigma in Bijection.all_endo(I):
         p = table(sigma)
         for S, T in decs:
-            rs, rt = sigma.restrict(S), sigma.restrict(T)
-            ps, pt, Sp, Tp = table(rs), table(rt), rs.target, rt.target
+            (ps, Sp), (pt, Tp) = moved(S, sigma._images_of(S)), moved(T, sigma._images_of(T))
             if mu is not None:
                 mt, mp, width = mu.table(S, T), mu.table(Sp, Tp), sp.dim(Tp)
                 if [p[k] for k in mt] != [mp[a * width + b] for a in ps for b in pt]:
@@ -695,8 +713,14 @@ def _natural_by_tables(entry: CatalogEntry, I: GroundSet) -> bool | None:
 
 
 def _naturality_exhaustive(entry: CatalogEntry, I: GroundSet) -> dict | None:
-    """The first failing square over I, every map evaluated on elements."""
+    """The first failing square over I, every map evaluated on elements.
+
+    Each transport ``sp.transport(b, x)``, b being sigma or a restriction of
+    it, is evaluated once, at its first use, and kept for the call, so a
+    transport that raises raises at the same square; the rules are called
+    as often as the squares read them."""
     sp = entry.species
+    move = functools.cache(sp.transport)
     for sigma in Bijection.all_endo(I):
         for S, T in decompositions(I, 2):
             Sp, Tp = sigma.image_of(S), sigma.image_of(T)
@@ -704,8 +728,8 @@ def _naturality_exhaustive(entry: CatalogEntry, I: GroundSet) -> dict | None:
             if entry.mu is not None:
                 for x in sp.elements(S):
                     for y in sp.elements(T):
-                        lhs = sp.transport(sigma, entry.mu(S, T, x, y))
-                        rhs = entry.mu(Sp, Tp, sp.transport(rs, x), sp.transport(rt, y))
+                        lhs = move(sigma, entry.mu(S, T, x, y))
+                        rhs = entry.mu(Sp, Tp, move(rs, x), move(rt, y))
                         if lhs != rhs:
                             return {"system": "mu", "sigma": list(sigma.images),
                                     "S": list(S), "T": list(T),
@@ -714,8 +738,8 @@ def _naturality_exhaustive(entry: CatalogEntry, I: GroundSet) -> dict | None:
             if entry.pi is not None:
                 for z in sp.elements(I):
                     za, zb = entry.pi(S, T, z)
-                    lhs2 = (sp.transport(rs, za), sp.transport(rt, zb))
-                    rhs2 = entry.pi(Sp, Tp, sp.transport(sigma, z))
+                    lhs2 = (move(rs, za), move(rt, zb))
+                    rhs2 = entry.pi(Sp, Tp, move(sigma, z))
                     if lhs2 != rhs2:
                         return {"system": "pi", "sigma": list(sigma.images),
                                 "S": list(S), "T": list(T), "input": str(z)}
@@ -782,7 +806,7 @@ def _local_terms(h, I, decs):
     The tables of the pairs with an empty block are compiled by the unit
     kernel, the others by the nonempty ones."""
     mu, el, dim, n = h.product, h.basis.elements, h.basis.dim, len(I)
-    decs = _nonempty_blocks(decs, h, _AXIOM_ROUTES["unital"][1])
+    decs = _nonempty_blocks(decs, mu)
     for S, T in decs:
         dS, dT, st, ts = dim(S), dim(T), mu.table(S, T), mu.table(T, S)
         seen = {}
@@ -1079,19 +1103,22 @@ def _subgrounds(I: GroundSet):
 
 
 def _rectangle_elements(h, I, decs):
-    mu, pi, sp = h.product, h.coproduct, h.basis
+    # each fold is evaluated once per (parts, input), at its first use, and
+    # kept for the call, so a rule that raises raises at the same instance
+    sp = h.basis
+    mu_fold, pi_fold = functools.cache(h.product.fold), functools.cache(h.coproduct.fold)
     for J, k, l in itertools.product(_subgrounds(I), RECTANGLE_PARTS, RECTANGLE_PARTS):
         rdecs, sdecs = decompositions(J, k), decompositions(J, l)
         for rparts in rdecs:
             pools = [sp.elements(R) for R in rparts]
             for xs in itertools.product(*pools):
-                lam = mu.fold(rparts, xs)
+                lam = mu_fold(rparts, xs)
                 for sparts in sdecs:
-                    lhs = pi.fold(sparts, lam)
-                    cells = [pi.fold(tuple(R.intersect(Sj) for Sj in sparts), x)
+                    lhs = pi_fold(sparts, lam)
+                    cells = [pi_fold(tuple(R.intersect(Sj) for Sj in sparts), x)
                              for R, x in zip(rparts, xs)]
                     rhs = tuple(
-                        mu.fold(tuple(R.intersect(Sj) for R in rparts),
+                        mu_fold(tuple(R.intersect(Sj) for R in rparts),
                                 tuple(cells[i][j] for i in range(k)))
                         for j, Sj in enumerate(sparts))
                     if tuple(lhs) != rhs:

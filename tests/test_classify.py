@@ -1,5 +1,6 @@
 """Primitives, the classification isomorphisms, and the block decomposition."""
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -34,6 +35,27 @@ def test_primitive_dims_Pi(entries):
     one_block = primitives(h, GroundSet.first(3))
     assert len(one_block) == 1
     assert one_block[0].items() == [(SetPartitionElt.of([[1, 2, 3]]), Fraction(1))]
+
+
+def test_each_primitive_space_is_computed_once_per_run(monkeypatch):
+    # the primitives match and the block decomposition read one memo on the
+    # triple, so each (triple, ground set) is computed once
+    from species_forge import classify
+
+    computed, compute = Counter(), classify.primitives
+
+    def counted(h, I):
+        computed[h.name, I] += 1
+        return compute(h, I)
+
+    monkeypatch.setattr(classify, "primitives", counted)
+    entry = make_Pi()
+    h = hopf_from(entry, "mu", "mu")
+    assert check_primitives_match(entry, 3).ok
+    for n in range(4):
+        nabla_X_decompose(h, GroundSet.first(n))
+    assert primitive_dims(h, 3) == [1, 1, 1]
+    assert len(computed) == 7 and max(computed.values()) == 1   # the nonempty subsets
 
 
 def test_primitive_dims_Perm(entries):

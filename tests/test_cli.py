@@ -89,6 +89,13 @@ def test_bad_ceiling_variable_is_one_error_line(capsys, monkeypatch):
     assert "SPECIES_FORGE_CEILING" in err
 
 
+def test_negative_ceiling_variable_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("SPECIES_FORGE_CEILING", "-3")
+    code, out, err = run_cli(capsys, "check", "--species", "Pi", "--max-n", "2")
+    assert code == 1 and out == ""
+    assert err == "error: SPECIES_FORGE_CEILING must be a nonnegative integer, got '-3'\n"
+
+
 @pytest.mark.parametrize("max_n, warned", [(4, False), (5, True), (6, True)])
 def test_large_n_warns_once_on_stderr(capsys, monkeypatch, max_n, warned):
     monkeypatch.setenv("SPECIES_FORGE_CEILING", "6")

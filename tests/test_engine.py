@@ -15,11 +15,12 @@ from species_forge.catalog import (
     make_S, make_X_C, parse_species, with_derived_pi,
 )
 from species_forge.core import (
-    EMPTY, Bijection, CheckReport, GroundSet, LinearOrderElt, MapTo, SetPartitionElt, SetSpecies,
-    TensorVec, UnitElement, Vec, decompositions,
+    EMPTY, Bijection, CheckReport, GroundSet, LabeledPartitionElt, LinearOrderElt, MapTo,
+    SetPartitionElt, SetSpecies, TensorVec, UnitElement, Vec, decompositions,
 )
 from species_forge.controls import (
-    _MAKERS, _grid, blob_system, collapse_system, concat_system, perturbed_systems,
+    _MAKERS, _grid, blob_system, collapse_system, concat_system, label_dropping_species,
+    perturbed_systems,
 )
 from species_forge.engine import (
     AXIOMS, FatalInconsistency, check_antipode_convolution, check_axiom,
@@ -1979,6 +1980,238 @@ def test_oracles_ignore_the_compiled_tables_on_control_systems(monkeypatch, make
 
 
 # ---------------------------------------------------------------------------
+# each black-box input once per oracle call
+#
+# The transport, naturality and rectangle oracles keep each transport and
+# fold they evaluate for the rest of the call.  These copies keep nothing:
+# they evaluate every transport and fold each time they read it.
+
+def _plain_naturality(entry, I):
+    sp = entry.species
+    for sigma in Bijection.all_endo(I):
+        for S, T in decompositions(I, 2):
+            Sp, Tp = sigma.image_of(S), sigma.image_of(T)
+            rs, rt = sigma.restrict(S), sigma.restrict(T)
+            if entry.mu is not None:
+                for x in sp.elements(S):
+                    for y in sp.elements(T):
+                        lhs = sp.transport(sigma, entry.mu(S, T, x, y))
+                        rhs = entry.mu(Sp, Tp, sp.transport(rs, x), sp.transport(rt, y))
+                        if lhs != rhs:
+                            return {"system": "mu", "sigma": list(sigma.images),
+                                    "S": list(S), "T": list(T),
+                                    "inputs": [str(x), str(y)],
+                                    "lhs": str(lhs), "rhs": str(rhs)}
+            if entry.pi is not None:
+                for z in sp.elements(I):
+                    za, zb = entry.pi(S, T, z)
+                    lhs2 = (sp.transport(rs, za), sp.transport(rt, zb))
+                    rhs2 = entry.pi(Sp, Tp, sp.transport(sigma, z))
+                    if lhs2 != rhs2:
+                        return {"system": "pi", "sigma": list(sigma.images),
+                                "S": list(S), "T": list(T), "input": str(z)}
+    return None
+
+
+def _plain_transport(entry, I):
+    P, violations = entry.species, []
+    elems = P.elements(I)
+    ident = Bijection.identity(I)
+    for x in elems:
+        if P.transport(ident, x) != x:
+            violations.append({"law": "identity", "element": str(x)})
+            break
+    bijections = list(Bijection.all_endo(I))
+    for sigma, tau in itertools.product(bijections, repeat=2):
+        comp = sigma.after(tau)
+        bad = next((x for x in elems
+                    if P.transport(comp, x) != P.transport(sigma, P.transport(tau, x))), None)
+        if bad is not None:
+            violations.append({"law": "composition", "sigma": list(sigma.images),
+                               "tau": list(tau.images), "element": str(bad)})
+            break
+    for sigma in bijections:
+        image = [P.transport(sigma, x) for x in elems]
+        if sorted(str(y) for y in image) != sorted(str(x) for x in elems):
+            violations.append({"law": "bijectivity", "sigma": list(sigma.images)})
+            break
+    return CheckReport("transport", P.name, len(I), "fail" if violations else "pass",
+                       violations[0] if violations else None)
+
+
+def _plain_rectangle(entry, I):
+    mu, pi, sp = entry.mu, entry.pi, entry.species
+    for J, k, l in itertools.product(eng._subgrounds(I), eng.RECTANGLE_PARTS,
+                                     eng.RECTANGLE_PARTS):
+        rdecs, sdecs = decompositions(J, k), decompositions(J, l)
+        for rparts in rdecs:
+            for xs in itertools.product(*[sp.elements(R) for R in rparts]):
+                lam = mu.fold(rparts, xs)
+                for sparts in sdecs:
+                    lhs = pi.fold(sparts, lam)
+                    cells = [pi.fold(tuple(R.intersect(Sj) for Sj in sparts), x)
+                             for R, x in zip(rparts, xs)]
+                    rhs = tuple(
+                        mu.fold(tuple(R.intersect(Sj) for R in rparts),
+                                tuple(cells[i][j] for i in range(k)))
+                        for j, Sj in enumerate(sparts))
+                    if tuple(lhs) != rhs:
+                        return {"R_parts": [list(R) for R in rparts],
+                                "S_parts": [list(S) for S in sparts],
+                                "inputs": [str(x) for x in xs],
+                                "lhs": [str(e) for e in lhs], "rhs": [str(e) for e in rhs]}
+    return None
+
+
+# oracle -> (the oracle on (entry, I), its memo-free copy)
+_BLACK_BOX_ORACLES = {
+    "naturality": (eng._naturality_exhaustive, _plain_naturality),
+    "transport": (lambda e, I: core._transport_exhaustive(e.species, I), _plain_transport),
+    "rectangle": (lambda e, I: eng._rectangle_elements(
+        eng.LinearizedHopf(e.key, e.species, e.mu, e.pi), I, ()), _plain_rectangle),
+}
+
+
+def _black_box_log(monkeypatch, entry):
+    """The list that every transport of the entry's species and every fold
+    is logged to, with its input, in call order."""
+    log, sp, rule = [], entry.species, entry.species.transport_fn
+
+    def transport(sigma, x):
+        log.append(("transport", sigma, x))
+        return rule(sigma, x)
+
+    monkeypatch.setattr(sp, "transport_fn", transport)
+    for cls in (MultSystem, ComultSystem):
+        def fold(self, parts, inputs, _fold=cls.fold):
+            if isinstance(self, MultSystem):
+                inputs = tuple(inputs)
+            log.append(("fold", self, parts, inputs))
+            return _fold(self, parts, inputs)
+
+        monkeypatch.setattr(cls, "fold", fold)
+    return log
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _black_box_calls(monkeypatch, entry, oracle, I):
+    """The oracle's black-box calls, after asserting that it answers (or
+    raises) as its memo-free copy does, after the copy's calls with every
+    repeat dropped, in the same order."""
+    route, plain = _BLACK_BOX_ORACLES[oracle]
+    log = _black_box_log(monkeypatch, entry)
+    got = _outcome(lambda: route(entry, I))
+    calls = log[:]
+    log.clear()
+    assert got == _outcome(lambda: plain(entry, I))
+    assert calls == list(dict.fromkeys(log))
+    return calls
+
+
+@pytest.mark.parametrize("oracle", sorted(_BLACK_BOX_ORACLES))
+@pytest.mark.parametrize("make", [make_Pi, lambda: make_E_C(2)], ids=["Pi", "E_C:2"])
+def test_each_oracle_evaluates_each_black_box_input_once(monkeypatch, make, oracle):
+    calls = _black_box_calls(monkeypatch, make(), oracle, GroundSet.first(3))
+    assert calls and max(Counter(calls).values()) == 1
+
+
+def _label_dropping_entry():
+    sp = label_dropping_species()
+    return CatalogEntry("broken", sp, MultSystem(
+        sp, lambda S, T, x, y: LabeledPartitionElt(S.union(T), x.blocks + y.blocks)), None)
+
+
+def _raising_transport_entry():
+    """Pi whose transport raises under the 3-cycle of {1,2,3}, on its third
+    element only."""
+    entry, I = make_Pi(), GroundSet.first(3)
+    rule, bad = entry.species.transport_fn, entry.species.elements(I)[2]
+
+    def transport(sigma, x):
+        if sigma.source == I and sigma.images == (2, 3, 1) and x == bad:
+            raise ValueError(f"no transport of {x}")
+        return rule(sigma, x)
+
+    return CatalogEntry("Pi-raising", SetSpecies("Pi-raising", entry.species.elements_fn,
+                                                 transport), entry.mu, entry.pi)
+
+
+def _raising_fold_entry():
+    """Pi whose pi raises over ({1,2}, {3}) on {1|2,3}."""
+    entry = make_Pi()
+    z, S = SetPartitionElt.of([[1], [2, 3]]), GroundSet.of([1, 2])
+
+    def rule(S_, T_, w):
+        if S_ == S and w == z:
+            raise ValueError("pi refuses {1|2,3}")
+        return entry.pi(S_, T_, w)
+
+    return CatalogEntry("Pi-raising", entry.species, entry.mu, ComultSystem(entry.species, rule))
+
+
+@pytest.mark.parametrize("oracle,make,n", [
+    pytest.param("naturality", lambda: _twisted_entry(3, "mu"), 3, id="naturality-twisted-mu"),
+    pytest.param("naturality", lambda: _twisted_entry(4, "pi"), 4, id="naturality-twisted-pi"),
+    pytest.param("naturality", _raising_transport_entry, 3, id="naturality-raising"),
+    pytest.param("transport", _label_dropping_entry, 2, id="transport-label-dropping"),
+    pytest.param("transport", lambda: CatalogEntry("t", _twisted_L(_three_cycle(3)), None, None),
+                 3, id="transport-three-cycle"),
+    pytest.param("transport", lambda: CatalogEntry("t", _twisted_L(_off_young(1)), None, None),
+                 3, id="transport-off-young"),
+    pytest.param("transport", _raising_transport_entry, 3, id="transport-raising"),
+    pytest.param("rectangle", _pi_mutant, 3, id="rectangle-pi-mutant"),
+    pytest.param("rectangle", _counit_mutant, 3, id="rectangle-counit-mutant"),
+    pytest.param("rectangle", _glued, 3, id="rectangle-glued"),
+    pytest.param("rectangle", _raising_fold_entry, 3, id="rectangle-raising"),
+])
+def test_each_oracle_fails_as_its_memo_free_copy(monkeypatch, oracle, make, n):
+    # the same witness (or the same exception) after the same first calls
+    entry = make()
+    _black_box_calls(monkeypatch, entry, oracle, GroundSet.first(n))
+    route = _BLACK_BOX_ORACLES[oracle][0]
+    got = _outcome(lambda: route(entry, GroundSet.first(n)))
+    assert got is not None and getattr(got, "ok", False) is False
+
+
+def test_the_table_route_reads_each_restricted_table_once(monkeypatch):
+    entry, I, read = make_Perm(), GroundSet.first(4), Counter()
+    table = entry.species.transport_table
+
+    def counted(b):
+        read[b.source, b.images] += 1
+        return table(b)
+
+    monkeypatch.setattr(entry.species, "transport_table", counted)
+    assert eng._natural_by_tables(entry, I) is None
+    # sigma's own table is read once as p[sigma] and once as p[sigma|I]
+    assert len(read) == 209 and all(c == (2 if S is I else 1) for (S, _), c in read.items())
+
+
+def test_each_unit_is_decided_once_per_system_and_subset(monkeypatch):
+    decided = Counter()
+    for name in ("_mu_unital", "_pi_counital"):
+        def kernel(system, X, decs, _kernel=getattr(eng, name)):
+            decided[system, X] += 1
+            return _kernel(system, X, decs)
+
+        monkeypatch.setattr(eng, name, kernel)
+    entry = make_Pi()
+    for variant in _ALL_VARIANTS:
+        h = hopf_from(entry, *variant)
+        for axiom in AXIOMS:
+            check_axiom(h, axiom, 3)
+    assert check_self_compatible(entry.mu, max_n=3).ok
+    # 8 subsets of {1,2,3}, for mu and for pi
+    assert len(decided) == 16 and max(decided.values()) == 1
+
+
+# ---------------------------------------------------------------------------
 # the nonempty-block walk against the full walk
 #
 # The kernels skip the decompositions with an empty block once the unit and
@@ -2108,10 +2341,9 @@ def test_nonempty_walk_agrees_with_the_full_walk_on_every_catalog_variant(spec):
 def test_nonempty_walk_skips_the_empty_blocks_of_a_unital_counital_triple():
     # 6 of the 27 triples and 6 of the 8 pairs at n = 3
     h = hopf_from(make_Pi(), "mu", "pi")
-    units = [eng._AXIOM_ROUTES[axiom][1] for axiom in ("unital", "counital")]
     for parts, kept in ((2, 6), (3, 6)):
         decs = decompositions(GroundSet.first(3), parts)
-        narrowed = eng._nonempty_blocks(decs, h, *units)
+        narrowed = eng._nonempty_blocks(decs, h.product, h.coproduct)
         assert narrowed == [d for d in decs if all(len(p) for p in d)]
         assert len(narrowed) == kept
 
@@ -2123,7 +2355,6 @@ def test_a_unit_that_fails_off_the_initial_segment_takes_the_full_walk(system):
     # there only would skip instances it has not proved
     entry = _one_sided_unit_mutant(system, "left", GroundSet.of([2, 3]))
     broken, I = getattr(entry, system), GroundSet.first(3)
-    units = [eng._AXIOM_ROUTES[axiom][1] for axiom in ("unital", "counital")]
     for variant in _ALL_VARIANTS:
         h = hopf_from(entry, *variant)
         assert check_axiom(h, "unital", 3).ok and check_axiom(h, "counital", 3).ok
@@ -2136,7 +2367,7 @@ def test_a_unit_that_fails_off_the_initial_segment_takes_the_full_walk(system):
             elif before[name][0] == "pass":
                 assert got[name][:2] == ("fail", 3), (variant, name)
         decs = decompositions(I, 2)
-        assert (eng._nonempty_blocks(decs, h, *units) is decs) == (
+        assert (eng._nonempty_blocks(decs, h.product, h.coproduct) is decs) == (
             broken in (h.product, h.coproduct))
         rep = check_axiom(h, "hopf_compatible", 3)
         assert (rep.status, rep.n, rep.witness) == got["hopf_compatible"], variant
